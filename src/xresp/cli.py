@@ -19,9 +19,8 @@ from typing import Sequence
 
 from .asp import parse_program, stable_models
 from .constraints import ConstraintSet, load_constraints
-from .dlv_emit import DEFAULT_EMIT_MAXINT, EmitterOptions, emit_cip
+from .dlv_emit import EmitterOptions, emit_cip
 from .engine import (
-    Model,
     enumerate_counterfactuals,
     explanations_of,
     min_change_versions,
@@ -30,8 +29,7 @@ from .engine import (
 from .naive_bayes import (
     DEFAULT_MAXINT,
     NaiveBayesModel,
-    classify_exact,
-    classify_staged,
+    PercentModel,
     load_model,
     serialize_model,
     to_percent,
@@ -78,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify one entity")
     _add_model_source(p_classify)
     _add_entity(p_classify)
-    _add_classifier_mode(p_classify)
+    _add_backend_flags(p_classify)
     p_classify.set_defaults(handler=_cmd_classify)
 
     p_cf = sub.add_parser(
@@ -86,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_model_source(p_cf)
     _add_entity(p_cf)
-    _add_classifier_mode(p_cf)
+    _add_backend_flags(p_cf)
     _add_engine_flags(p_cf)
     p_cf.add_argument(
         "--min-change",
@@ -100,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_model_source(p_explain)
     _add_entity(p_explain)
-    _add_classifier_mode(p_explain)
+    _add_backend_flags(p_explain)
     _add_engine_flags(p_explain)
     p_explain.set_defaults(handler=_cmd_explain)
 
@@ -109,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_model_source(p_query)
     _add_entity(p_query)
-    _add_classifier_mode(p_query)
+    _add_backend_flags(p_query)
     _add_engine_flags(p_query)
     p_query.add_argument("--queries", required=True, help="query file, one per line")
     semantics = p_query.add_mutually_exclusive_group(required=True)
@@ -158,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument(
         "--maxint",
         type=int,
-        default=DEFAULT_EMIT_MAXINT,
+        default=DEFAULT_MAXINT,
         help="#maxint ceiling written into the program",
     )
     p_emit.add_argument("--out", help="output file (default: stdout)")
@@ -186,7 +184,7 @@ def _add_entity(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eid", default="e", help="entity identifier (default: e)")
 
 
-def _add_classifier_mode(sub: argparse.ArgumentParser) -> None:
+def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--classifier",
         choices=("staged", "exact"),
@@ -226,19 +224,21 @@ def _base_model(args: argparse.Namespace) -> NaiveBayesModel:
     return train(dataset)
 
 
-def _active_model(args: argparse.Namespace) -> Model:
+def _active_model(args: argparse.Namespace) -> NaiveBayesModel | PercentModel:
     base = _base_model(args)
     if getattr(args, "classifier", "staged") == "staged":
         return to_percent(base)
     return base
 
 
-def _entity_of(args: argparse.Namespace, model: Model) -> Entity:
+def _entity_of(
+    args: argparse.Namespace, model: NaiveBayesModel | PercentModel
+) -> Entity:
     return parse_entity(args.entity, model.schema, eid=args.eid)
 
 
 def _constraints_of(
-    args: argparse.Namespace, model: Model
+    args: argparse.Namespace, model: NaiveBayesModel | PercentModel
 ) -> ConstraintSet | None:
     path = getattr(args, "constraints", None)
     if not path:
@@ -246,7 +246,9 @@ def _constraints_of(
     return load_constraints(path, model.schema)
 
 
-def _versions_of(args: argparse.Namespace, model: Model, entity: Entity):
+def _versions_of(
+    args: argparse.Namespace, model: NaiveBayesModel | PercentModel, entity: Entity
+):
     versions = enumerate_counterfactuals(
         model,
         entity,
@@ -282,14 +284,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     model = _active_model(args)
     entity = _entity_of(args, model)
-    if args.classifier == "staged":
-        label, f_pos, f_neg = classify_staged(model, entity, args.maxint)
-        scores = dict(zip(model.labels, (f_pos, f_neg)))
-    else:
-        label, scores = classify_exact(model, entity)
+    label, *scores = model.classify(entity.values, args.maxint)
     print(f"label: {label}")
-    for name in model.labels:
-        print(f"{name}: {scores[name]}")
+    for name, score in zip(model.labels, scores):
+        print(f"{name}: {score}")
     return 0
 
 

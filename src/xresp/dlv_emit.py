@@ -25,7 +25,7 @@ import textwrap
 from dataclasses import dataclass
 
 from .constraints import ConstraintSet
-from .naive_bayes import PercentModel
+from .naive_bayes import DEFAULT_MAXINT, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
 
@@ -37,8 +37,6 @@ class FactParseError(ValueError):
     """Emitted-fact text cannot be parsed back."""
 
 
-DEFAULT_EMIT_MAXINT = 10**8
-
 # Variables with fixed roles in the generated rules; feature variables must
 # not collide with these.
 _RESERVED_VARS = {"E", "V", "D", "F", "U", "X", "Z", "I", "Co", "S", "M", "R"}
@@ -48,7 +46,7 @@ _RESERVED_VARS = {"E", "V", "D", "F", "U", "X", "Z", "I", "Co", "S", "M", "R"}
 class EmitterOptions:
     include_weak_constraints: bool = False
     include_domain_rules: bool = True
-    maxint: int = DEFAULT_EMIT_MAXINT
+    maxint: int = DEFAULT_MAXINT
 
     def __post_init__(self) -> None:
         if self.maxint < 1:
@@ -172,53 +170,41 @@ def emit_cip(
     # --- staged probability rules ------------------------------------------
     all_vars = ",".join(f.var for f in features)
     ent_tr = f"ent(E,{all_vars},tr)"
-    stages = _stage_vars(max(len(features) - 1, 1), features)
+    stages = _stage_vars(len(features) - 1, features)
 
     prob_rules = []
-    if len(features) >= 2:
-        for i in range(1, len(features)):
-            acc, acc_p = stages[i - 1], stages[i - 1] + "p"
-            head = f"prob_{i}(E,{all_vars},V,{acc_p})"
-            if i == 1:
-                first, second = features[0], features[1]
-                body = [
-                    ent_tr,
-                    f"p_{first.suffix}_c({first.var}, V, P1)",
-                    f"p_{second.suffix}_c({second.var}, V, P2)",
-                    f"{acc} = P1*P2",
-                ]
-            else:
-                prev_p = stages[i - 2] + "p"
-                nxt = features[i]
-                body = [
-                    ent_tr,
-                    f"prob_{i - 1}(E,{all_vars},V,{prev_p})",
-                    f"p_{nxt.suffix}_c({nxt.var}, V, P{i + 1})",
-                    f"{acc} = {prev_p}*P{i + 1}",
-                ]
-            body += [f"{acc_p} = {acc}/10", f"#int({acc})", f"#int({acc_p})", "p(V, D)"]
-            prob_rules.append(_wrap(f"{head} :- {', '.join(body)}."))
-        last_p = stages[len(features) - 2] + "p"
-        pb_body = [
-            ent_tr,
-            f"prob_{len(features) - 1}(E,{all_vars},V,{last_p})",
-            "p(V, D)",
-            f"F = {last_p}*D",
-            "Fp = F/10",
-            "#int(F)",
-            "#int(Fp)",
-        ]
-    else:
-        only = features[0]
-        pb_body = [
-            ent_tr,
-            f"p_{only.suffix}_c({only.var}, V, P1)",
-            "p(V, D)",
-            "F = P1*D",
-            "Fp = F/10",
-            "#int(F)",
-            "#int(Fp)",
-        ]
+    for i in range(1, len(features)):
+        acc, acc_p = stages[i - 1], stages[i - 1] + "p"
+        head = f"prob_{i}(E,{all_vars},V,{acc_p})"
+        if i == 1:
+            first, second = features[0], features[1]
+            body = [
+                ent_tr,
+                f"p_{first.suffix}_c({first.var}, V, P1)",
+                f"p_{second.suffix}_c({second.var}, V, P2)",
+                f"{acc} = P1*P2",
+            ]
+        else:
+            prev_p = stages[i - 2] + "p"
+            nxt = features[i]
+            body = [
+                ent_tr,
+                f"prob_{i - 1}(E,{all_vars},V,{prev_p})",
+                f"p_{nxt.suffix}_c({nxt.var}, V, P{i + 1})",
+                f"{acc} = {prev_p}*P{i + 1}",
+            ]
+        body += [f"{acc_p} = {acc}/10", f"#int({acc})", f"#int({acc_p})", "p(V, D)"]
+        prob_rules.append(_wrap(f"{head} :- {', '.join(body)}."))
+    last_p = stages[len(features) - 2] + "p"
+    pb_body = [
+        ent_tr,
+        f"prob_{len(features) - 1}(E,{all_vars},V,{last_p})",
+        "p(V, D)",
+        f"F = {last_p}*D",
+        "Fp = F/10",
+        "#int(F)",
+        "#int(Fp)",
+    ]
     prob_rules.append(_wrap(f"pb_num(E,{all_vars},V,Fp) :- {', '.join(pb_body)}."))
     blocks.append("\n".join(prob_rules))
 
@@ -365,40 +351,8 @@ def emit_cip(
 
 
 # ---------------------------------------------------------------------------
-# Normalization and fact recovery
+# Fact recovery
 # ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r":-|:~|!=|>=|<=|#[A-Za-z]+|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){},.<>=*/+]|\S"
-)
-
-
-def normalize_tokens(text: str) -> str:
-    """Whitespace-insensitive normal form: tokens joined by single spaces."""
-    out: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("%", 1)[0]
-        out.extend(_TOKEN_RE.findall(line))
-    return " ".join(out)
-
-
-def split_statements(text: str) -> list[str]:
-    """Normalized statements, in order.  ``#include`` lines stand alone."""
-    statements: list[str] = []
-    body_lines: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("%", 1)[0]
-        if line.strip().startswith("#include"):
-            statements.append(normalize_tokens(line.strip()))
-            continue
-        body_lines.append(line)
-    buffer = "\n".join(body_lines)
-    for chunk in buffer.split("."):
-        normalized = normalize_tokens(chunk)
-        if normalized:
-            statements.append(normalized)
-    return statements
-
 
 _FACT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\((.*)\)$")
 

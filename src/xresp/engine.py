@@ -12,55 +12,40 @@ reachability over entities:
   touched);
 * the exact original tuple is never re-entered;
 * a state whose label differs is terminal and reported as a counterfactual
-  version, with one shortest intervention path recorded.
+  version, with the states of one shortest intervention chain recorded
+  (dependency-propagated values included).
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility of the
 explanation is the total number of changes.  The x-Resp score of a feature
 is the reciprocal of its minimum inverse responsibility, or 0 when the
 feature is changed in no version.
-
-``strict_actual_cause`` is an independent brute-force oracle for the
-counterfactual-cause definition itself: it searches all contingency
-assignments directly and ignores path reachability, so the two computations
-can be compared but are not merged.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet, admits, empty_constraints, propagate
-from .naive_bayes import (
-    DEFAULT_MAXINT,
-    NaiveBayesModel,
-    PercentModel,
-    classify_exact,
-    classify_staged,
-)
+from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
-
-Model = Union[PercentModel, NaiveBayesModel]
-
-
-@dataclass(frozen=True)
-class Intervention:
-    feature: str
-    old: str
-    new: str
 
 
 @dataclass(frozen=True)
 class CounterfactualVersion:
-    """A label-flipping variant of the original entity."""
+    """A label-flipping variant of the original entity.
+
+    ``states`` runs from the original tuple to ``final``; consecutive states
+    differ in one intervened feature plus whatever dependency propagation
+    then overwrote.
+    """
 
     eid: str
     final: tuple[str, ...]
     changed: frozenset[str]
-    path: tuple[Intervention, ...]
+    states: tuple[tuple[str, ...], ...]
     label: str
 
 
@@ -95,27 +80,13 @@ class ResponsibilityReport:
     witnesses: Mapping[str, CounterfactualVersion]
 
 
-def _classifier(model: Model, maxint: int) -> Callable[[tuple[str, ...]], str]:
-    """Label function for either model flavor (staged for percent models)."""
-    if isinstance(model, PercentModel):
-        def staged(values: tuple[str, ...]) -> str:
-            label, _, _ = classify_staged(model, Entity("_", values), maxint)
-            return label
-        return staged
-
-    def exact(values: tuple[str, ...]) -> str:
-        label, _ = classify_exact(model, Entity("_", values))
-        return label
-    return exact
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
 
 def enumerate_counterfactuals(
-    model: Model,
+    model: NaiveBayesModel | PercentModel,
     entity: Entity,
     constraints: ConstraintSet | None = None,
     *,
@@ -124,8 +95,8 @@ def enumerate_counterfactuals(
 ) -> tuple[CounterfactualVersion, ...]:
     """All label-flipping entities reachable by admissible interventions.
 
-    Interventions change one feature per step, each feature at most once,
-    and only continue from states that keep the original label; a state
+    Each step changes one feature, each feature at most once, and chains
+    only continue from states that keep the original label; a state
     whose label flips is terminal and becomes a version.  Pass a
     PercentModel to classify with the staged integer pipeline (the default
     pairing) or a NaiveBayesModel for exact rationals.
@@ -141,10 +112,8 @@ def enumerate_counterfactuals(
     cs = constraints if constraints is not None else empty_constraints(schema)
     if cs.schema != schema:
         raise ValueError("constraint set was built against a different schema")
-    label_of = _classifier(model, maxint)
-
     original = tuple(entity.values)
-    original_label = label_of(original)
+    original_label = model.classify(original, maxint)[0]
     if strict:
         if original_label != model.labels[0]:
             return ()
@@ -153,19 +122,21 @@ def enumerate_counterfactuals(
 
     blocked = cs.immutable | cs.dependency_targets
     free_features = [
-        (i, name, dom)
+        (i, dom)
         for i, (name, dom) in enumerate(schema.features)
         if name not in blocked
     ]
 
     seen: set[tuple[str, ...]] = {original}
     found: list[CounterfactualVersion] = []
-    frontier: list[tuple[tuple[str, ...], tuple[Intervention, ...]]] = [(original, ())]
+    # each frontier entry is the chain of states from the original to its tip
+    frontier: list[tuple[tuple[str, ...], ...]] = [(original,)]
 
     while frontier:
-        next_frontier: list[tuple[tuple[str, ...], tuple[Intervention, ...]]] = []
-        for state, path in frontier:
-            for index, name, domain in free_features:
+        next_frontier: list[tuple[tuple[str, ...], ...]] = []
+        for chain in frontier:
+            state = chain[-1]
+            for index, domain in free_features:
                 # each feature is intervened at most once: once a value
                 # differs from the original it is settled for the chain
                 if state[index] != original[index]:
@@ -181,16 +152,15 @@ def enumerate_counterfactuals(
                     if not admits(cs, successor):
                         continue
                     seen.add(successor)
-                    step = Intervention(name, state[index], new_value)
-                    successor_path = path + (step,)
-                    successor_label = label_of(successor)
+                    successor_chain = chain + (successor,)
+                    successor_label = model.classify(successor, maxint)[0]
                     if successor_label != original_label:
                         found.append(
-                            _version(entity.eid, original, successor,
-                                     successor_path, successor_label, schema)
+                            _version(entity.eid, successor_chain,
+                                     successor_label, schema)
                         )
                     else:
-                        next_frontier.append((successor, successor_path))
+                        next_frontier.append(successor_chain)
         frontier = next_frontier
 
     return tuple(sorted(found, key=lambda v: (len(v.changed), v.final)))
@@ -198,19 +168,17 @@ def enumerate_counterfactuals(
 
 def _version(
     eid: str,
-    original: tuple[str, ...],
-    final: tuple[str, ...],
-    path: tuple[Intervention, ...],
+    states: tuple[tuple[str, ...], ...],
     label: str,
     schema: FeatureSchema,
 ) -> CounterfactualVersion:
     changed = frozenset(
         name
-        for (name, _), old, new in zip(schema.features, original, final)
+        for name, old, new in zip(schema.names, states[0], states[-1])
         if old != new
     )
     return CounterfactualVersion(
-        eid=eid, final=final, changed=changed, path=path, label=label
+        eid=eid, final=states[-1], changed=changed, states=states, label=label
     )
 
 
@@ -288,59 +256,3 @@ def xresp(
         else:
             scores[name] = Fraction(0)
     return ResponsibilityReport(scores=scores, witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle for the strict actual-cause definition
-# ---------------------------------------------------------------------------
-
-
-def strict_actual_cause(
-    model: Model,
-    entity: Entity,
-    feature: str,
-    *,
-    maxint: int = DEFAULT_MAXINT,
-) -> tuple[bool, int | None]:
-    """Direct search over contingency sets, ignoring path reachability.
-
-    The feature's value x is an actual cause with contingency Y (new values
-    Y') when changing Y alone preserves the original label while
-    additionally changing x flips it.  Returns whether any (x', Y, Y')
-    works and the minimum |Y| that does.  Contingency values are only drawn
-    from non-original values: keeping a feature at its original value is
-    the same as leaving it out of Y, so minimal sizes are unaffected.
-    """
-    schema = model.schema
-    validate_values(schema, entity.values)
-    label_of = _classifier(model, maxint)
-    feature_index = schema.index(feature)
-
-    original = tuple(entity.values)
-    original_label = label_of(original)
-    x_alternatives = [
-        v for v in schema.domain(feature) if v != original[feature_index]
-    ]
-    others = [
-        (i, dom)
-        for i, (name, dom) in enumerate(schema.features)
-        if name != feature
-    ]
-
-    for size in range(len(others) + 1):
-        for combo in itertools.combinations(others, size):
-            value_choices = [
-                [v for v in dom if v != original[i]] for i, dom in combo
-            ]
-            for assignment in itertools.product(*value_choices):
-                contingent = list(original)
-                for (i, _), value in zip(combo, assignment):
-                    contingent[i] = value
-                if label_of(tuple(contingent)) != original_label:
-                    continue
-                for x_new in x_alternatives:
-                    flipped = list(contingent)
-                    flipped[feature_index] = x_new
-                    if label_of(tuple(flipped)) != original_label:
-                        return True, size
-    return False, None

@@ -7,15 +7,17 @@ is lost to floating point.
 
 Classification compares per-label numerators (prior times the product of
 the entity's conditionals); the shared denominator never needs computing.
-Two classifiers are provided on purpose:
+Each model type classifies itself through ``classify(values, maxint)``,
+which returns ``(label, positive score, negative score)``:
 
-* ``classify_exact`` multiplies the rationals as-is.
-* ``classify_staged`` replicates an integer-only pipeline: conditionals are
-  first rounded to percentages, then folded left-to-right in schema order
-  with an integer division by 10 after every multiplication, and finally
-  scaled by the prior percentage (again followed by ``// 10``).  This is
-  what a solver restricted to integer arithmetic computes, and its rounding
-  artifacts are observable by comparing the two classifiers.
+* ``NaiveBayesModel.classify`` multiplies the rationals as-is.
+* ``PercentModel.classify`` replicates an integer-only pipeline:
+  conditionals are first rounded to percentages, then folded left-to-right
+  in schema order with an integer division by 10 after every
+  multiplication, and finally scaled by the prior percentage (again
+  followed by ``// 10``).  This is what a solver restricted to integer
+  arithmetic computes, and its rounding artifacts are observable by
+  comparing the two classifiers.
 
 Percentages are produced by largest-remainder rounding per distribution, so
 each distribution sums to exactly 100.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .schema import Dataset, Entity, FeatureSchema, SchemaError, validate_values
+from .schema import Dataset, FeatureSchema, SchemaError, validate_values
 
 
 class ModelFormatError(ValueError):
@@ -61,6 +63,24 @@ class NaiveBayesModel:
                         f"conditionals of {name} given {label} sum to {total}, not 1"
                     )
 
+    def classify(
+        self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
+    ) -> tuple[str, Fraction, Fraction]:
+        """Exact numerators per label; the larger wins, ties to the positive label.
+
+        ``maxint`` is accepted for interface parity and ignored: rationals
+        never overflow.
+        """
+        validate_values(self.schema, values)
+        numerators = []
+        for label in self.labels:
+            num = self.prior[label]
+            for (name, _), value in zip(self.schema.features, values):
+                num *= self.conditional[(name, value, label)]
+            numerators.append(num)
+        pos, neg = numerators
+        return self.labels[0] if pos >= neg else self.labels[1], pos, neg
+
 
 @dataclass(frozen=True)
 class PercentModel:
@@ -82,6 +102,27 @@ class PercentModel:
                         f"percent conditionals of {name} given {label} "
                         f"sum to {total}, not 100"
                     )
+
+    def classify(
+        self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
+    ) -> tuple[str, int, int]:
+        """Integer-percentage pipeline: fold conditionals in schema order.
+
+        Every multiplication is followed by ``// 10``; the prior percentage
+        is folded last the same way.  Products above ``maxint`` raise
+        StagedOverflowError (mirroring a solver's integer ceiling).
+        """
+        validate_values(self.schema, values)
+        scores = []
+        for label in self.labels:
+            acc: int | None = None
+            for (name, _), value in zip(self.schema.features, values):
+                pct = self.conditional[(name, value, label)]
+                acc = pct if acc is None else _checked_mul(acc, pct, maxint) // 10
+            acc = 1 if acc is None else acc  # only a zero-feature schema
+            scores.append(_checked_mul(acc, self.prior[label], maxint) // 10)
+        pos, neg = scores
+        return self.labels[0] if pos >= neg else self.labels[1], pos, neg
 
 
 def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesModel:
@@ -162,50 +203,6 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
     return PercentModel(
         schema=model.schema, labels=model.labels, prior=prior, conditional=cond
     )
-
-
-def classify_exact(
-    model: NaiveBayesModel, entity: Entity
-) -> tuple[str, dict[str, Fraction]]:
-    """Exact numerators per label; the larger one wins, ties to the positive label."""
-    validate_values(model.schema, entity.values)
-    numerators: dict[str, Fraction] = {}
-    for label in model.labels:
-        num = model.prior[label]
-        for (name, _), value in zip(model.schema.features, entity.values):
-            num *= model.conditional[(name, value, label)]
-        numerators[label] = num
-    positive, negative = model.labels
-    label = positive if numerators[positive] >= numerators[negative] else negative
-    return label, numerators
-
-
-def classify_staged(
-    pmodel: PercentModel, entity: Entity, maxint: int = DEFAULT_MAXINT
-) -> tuple[str, int, int]:
-    """Integer-percentage pipeline: fold conditionals in schema order.
-
-    Every multiplication is followed by ``// 10``; the prior percentage is
-    folded last the same way.  Products above ``maxint`` raise
-    StagedOverflowError (mirroring a solver's integer ceiling).
-    """
-    validate_values(pmodel.schema, entity.values)
-    scores: dict[str, int] = {}
-    for label in pmodel.labels:
-        acc: int | None = None
-        for (name, _), value in zip(pmodel.schema.features, entity.values):
-            pct = pmodel.conditional[(name, value, label)]
-            if acc is None:
-                acc = pct
-            else:
-                acc = _checked_mul(acc, pct, maxint) // 10
-        if acc is None:  # zero-feature schema cannot occur (schema arity >= 1)
-            acc = 1
-        acc = _checked_mul(acc, pmodel.prior[label], maxint) // 10
-        scores[label] = acc
-    positive, negative = pmodel.labels
-    label = positive if scores[positive] >= scores[negative] else negative
-    return label, scores[positive], scores[negative]
 
 
 def _checked_mul(a: int, b: int, maxint: int) -> int:

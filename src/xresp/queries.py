@@ -2,10 +2,11 @@
 
 Every counterfactual version, seen as a stable model, is materialized as a
 set of ground atoms: the shared original entity (annotation ``o``), the
-recorded intervention path (``do``/``tr`` states with their ``cls`` and
-staged ``pb_num`` atoms), the flipped terminal (``s``), and the version's
-explanation machinery (``expl``, ``cause``, ``cont``, ``invResp``,
-``fullExpl``).  Feature names appear lowercased as constants; contingency
+state trace the search recorded (``do``/``tr`` states with their ``cls``
+and staged ``pb_num`` atoms), the flipped terminal (``s``), and the
+version's explanation machinery (``expl``, ``cause``, ``cont``,
+``invResp``, ``fullExpl``).  The trace is materialized as recorded,
+dependency-propagated values included; it is never replayed.  Feature names appear lowercased as constants; contingency
 sets are set-valued arguments.
 
 Query text copies the solver convention: comma-separated literals ending in
@@ -27,9 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .constraints import ConstraintSet
-from .engine import CounterfactualVersion, Model, _classifier
-from .naive_bayes import DEFAULT_MAXINT, PercentModel, classify_staged
+from .engine import CounterfactualVersion
+from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity
 
 Value = Union[str, int, frozenset]
@@ -56,7 +56,7 @@ class ModelAtomSet:
 
 def atoms_of(
     version: CounterfactualVersion,
-    model: Model,
+    model: NaiveBayesModel | PercentModel,
     original: Entity,
     *,
     include_pb_num: bool = True,
@@ -72,17 +72,10 @@ def atoms_of(
     eid = version.eid
     lower = {name: name.lower() for name in schema.names}
 
-    states: list[tuple[str, ...]] = [tuple(original.values)]
-    for step in version.path:
-        previous = states[-1]
-        index = schema.index(step.feature)
-        nxt = list(previous)
-        nxt[index] = step.new
-        states.append(tuple(nxt))
-    if states[-1] != version.final:
-        # paths recorded by the engine replay exactly; a mismatch means the
-        # caller mixed versions and originals from different runs
-        raise QueryError("version path does not replay to its final state")
+    states = version.states
+    if states[0] != tuple(original.values) or states[-1] != version.final:
+        # the caller mixed versions and originals from different runs
+        raise QueryError("version states do not run from original to final")
 
     atoms: dict[str, set[tuple[Value, ...]]] = {
         "ent": set(), "cls": set(), "expl": set(), "cause": set(),
@@ -91,15 +84,14 @@ def atoms_of(
     if include_pb_num and isinstance(model, PercentModel):
         atoms["pb_num"] = set()
 
-    label_of = _classifier(model, maxint)
     atoms["ent"].add((eid, *states[0], "o"))
     for state in states[1:]:
         atoms["ent"].add((eid, *state, "do"))
     for state in states:
+        label, f_pos, f_neg = model.classify(state, maxint)
         atoms["ent"].add((eid, *state, "tr"))
-        atoms["cls"].add((eid, *state, label_of(state)))
+        atoms["cls"].add((eid, *state, label))
         if "pb_num" in atoms:
-            _, f_pos, f_neg = classify_staged(model, Entity(eid, state), maxint)
             atoms["pb_num"].add((eid, *state, model.labels[0], f_pos))
             atoms["pb_num"].add((eid, *state, model.labels[1], f_neg))
     atoms["ent"].add((eid, *version.final, "s"))
@@ -123,7 +115,7 @@ def atoms_of(
 
 def model_atom_sets(
     versions: Iterable[CounterfactualVersion],
-    model: Model,
+    model: NaiveBayesModel | PercentModel,
     original: Entity,
     *,
     include_pb_num: bool = True,

@@ -171,13 +171,3 @@ def _read_dataset(handle: io.TextIOBase, schema: FeatureSchema | None) -> Datase
     return Dataset(
         schema=schema, rows=tuple(rows), labels=labels, class_column=header[-1]
     )
-
-
-def serialize_dataset(dataset: Dataset) -> str:
-    """Render a dataset back to its file format (used for round-trip checks)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(dataset.schema.names) + [dataset.class_column])
-    for values, label in dataset.rows:
-        writer.writerow(list(values) + [label])
-    return out.getvalue()

@@ -3,8 +3,10 @@
 Everything here is deliberately written from the definitions, without
 reusing the package's algorithms, so agreement is meaningful: the stable
 model oracle enumerates subsets and applies the reduct/minimal-model
-definitions over plain sets; the random generators produce small ground
-programs and datasets from a seeded Random instance.
+definitions over plain sets; the strict actual-cause oracle searches all
+contingency assignments directly and ignores path reachability; the random
+generators produce small ground programs and datasets from a seeded Random
+instance.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from xresp import GroundProgram, Rule
+from xresp import DEFAULT_MAXINT, Entity, GroundProgram, Rule, validate_values
 
 # ---------------------------------------------------------------------------
 # Definitional stable-model oracle
@@ -68,6 +70,65 @@ def oracle_min_violation_models(program: GroundProgram) -> set[frozenset[str]]:
 
     best = min(violations(s) for s in stable)
     return {s for s in stable if violations(s) == best}
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle for the strict actual-cause definition
+# ---------------------------------------------------------------------------
+
+
+def strict_actual_cause(
+    model,
+    entity: Entity,
+    feature: str,
+    *,
+    maxint: int = DEFAULT_MAXINT,
+) -> tuple[bool, int | None]:
+    """Direct search over contingency sets, ignoring path reachability.
+
+    The feature's value x is an actual cause with contingency Y (new values
+    Y') when changing Y alone preserves the original label while
+    additionally changing x flips it.  Returns whether any (x', Y, Y')
+    works and the minimum |Y| that does.  Contingency values are only drawn
+    from non-original values: keeping a feature at its original value is
+    the same as leaving it out of Y, so minimal sizes are unaffected.
+    """
+    schema = model.schema
+    validate_values(schema, entity.values)
+
+    def label_of(values: tuple[str, ...]) -> str:
+        return model.classify(values, maxint)[0]
+
+    feature_index = schema.index(feature)
+
+    original = tuple(entity.values)
+    original_label = label_of(original)
+    x_alternatives = [
+        v for v in schema.domain(feature) if v != original[feature_index]
+    ]
+    others = [
+        (i, dom)
+        for i, (name, dom) in enumerate(schema.features)
+        if name != feature
+    ]
+
+    for size in range(len(others) + 1):
+        for combo in combinations(others, size):
+            value_choices = [
+                [v for v in dom if v != original[i]] for i, dom in combo
+            ]
+            for assignment in product(*value_choices):
+                contingent = list(original)
+                for (i, _), value in zip(combo, assignment):
+                    contingent[i] = value
+                if label_of(tuple(contingent)) != original_label:
+                    continue
+                for x_new in x_alternatives:
+                    flipped = list(contingent)
+                    flipped[feature_index] = x_new
+                    if label_of(tuple(flipped)) != original_label:
+                        return True, size
+    return False, None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from fractions import Fraction
 from xresp import (
     ConstraintSet,
     Entity,
-    classify_exact,
-    classify_staged,
     emit_cip,
     enumerate_counterfactuals,
     explanations_of,
@@ -25,7 +23,6 @@ from xresp import (
     parse_program,
     parse_query,
     stable_models,
-    strict_actual_cause,
     to_percent,
     train,
     xresp,
@@ -35,6 +32,7 @@ from xresp.queries import answer
 from conftest import DEMO_PROGRAM
 from oracles import (
     oracle_stable_models,
+    strict_actual_cause,
     random_instance,
     random_positive_program,
     random_program,
@@ -78,9 +76,7 @@ def test_criterion_02_staged_scores(weather_percent):
     with criterion(2, "staged pipeline reproduces every published score"):
         produced = set()
         for state, (f_yes, f_no) in STAGED_TABLE.items():
-            _, got_yes, got_no = classify_staged(
-                weather_percent, Entity("e", state)
-            )
+            _, got_yes, got_no = weather_percent.classify(state)
             assert (got_yes, got_no) == (f_yes, f_no)
             produced |= {got_yes, got_no}
         assert produced == listed
@@ -88,11 +84,9 @@ def test_criterion_02_staged_scores(weather_percent):
 
 def test_criterion_03_exact_classification(weather_model, weather_entity):
     with criterion(3, "exact rational scores 4/189 vs 4/875, labeled yes"):
-        label, scores = classify_exact(weather_model, weather_entity)
+        label, f_yes, f_no = weather_model.classify(weather_entity.values)
         assert label == "yes"
-        assert scores == {
-            "yes": Fraction(4, 189), "no": Fraction(4, 875)
-        }
+        assert (f_yes, f_no) == (Fraction(4, 189), Fraction(4, 875))
 
 
 def test_criterion_04_the_ten_versions(weather_versions):
@@ -206,7 +200,7 @@ def test_criterion_11_random_instance_properties(tmp_path):
             model = to_percent(train(load_dataset(str(path))))
             schema = model.schema
             entity = Entity("e", entity_values)
-            original_label, _, _ = classify_staged(model, entity)
+            original_label, _, _ = model.classify(entity_values)
 
             versions = enumerate_counterfactuals(model, entity)
             if versions:
@@ -214,7 +208,7 @@ def test_criterion_11_random_instance_properties(tmp_path):
 
             # (c) every version flips the label and changed-sets are exact
             for version in versions:
-                label, _, _ = classify_staged(model, Entity("e", version.final))
+                label, _, _ = model.classify(version.final)
                 assert label != original_label
                 assert version.changed == frozenset(
                     name

@@ -229,6 +229,32 @@ def test_query_no_pb_num_drops_the_predicate(run_cli, tmp_path):
     assert err.startswith("xresp: QueryError: unknown predicate")
 
 
+def test_query_with_a_dependency_materialises_propagated_states(run_cli, tmp_path):
+    # the depend line from the README's domain-knowledge example
+    knowledge = tmp_path / "knowledge.txt"
+    knowledge.write_text(
+        "depend Temperature -> Humidity: high->normal, medium->high, low->high\n",
+        encoding="utf-8",
+    )
+    queries = write_queries(
+        tmp_path, "ent(e,O,T,H,W,tr)?", "ent(e,O,T,H,W,do)?", "ent(e,O,T,H,W,s)?"
+    )
+    code, out, err = run_cli(
+        "query", "--data", DATA, "--entity", ENTITY, "--queries", queries,
+        "--brave", "--constraints", str(knowledge),
+    )
+    assert code == 0 and err == ""
+    tr_block, do_block, s_block = out.rstrip("\n").split("\n\n")
+    # brave rows are the union over all models, so this covers every model
+    mapping = {"high": "normal", "medium": "high", "low": "high"}
+    for block in (tr_block, do_block):
+        rows = [line.split(", ") for line in block.splitlines()]
+        assert rows
+        for _, temperature, humidity, _ in rows:
+            assert humidity == mapping[temperature]
+    assert len(s_block.splitlines()) == 5
+
+
 def test_query_rejects_empty_query_files(run_cli, tmp_path):
     queries = write_queries(tmp_path, "% nothing but comments")
     code, _, err = run_cli(

@@ -6,19 +6,17 @@ import pytest
 
 from xresp.constraints import parse_constraints
 from xresp.dlv_emit import (
-    DEFAULT_EMIT_MAXINT,
     EmitError,
     EmitterOptions,
     FactParseError,
     emit_cip,
-    normalize_tokens,
     parse_facts,
-    split_statements,
 )
-from xresp.naive_bayes import PercentModel
+from xresp.naive_bayes import DEFAULT_MAXINT, PercentModel
 from xresp.schema import Entity, FeatureSchema
 
 from conftest import TEST_DATA
+from helpers import normalize_tokens, split_statements
 
 GOLDEN = TEST_DATA / "weather_cip_golden.lp"
 LEGACY = TEST_DATA / "weather_cip_legacy.lp"
@@ -124,7 +122,7 @@ def test_weather_program_surface(weather_percent, weather_entity):
     assert "ent(E,O,T,H,W,s) :- ent(E,O,T,H,W,do), cls(E,O,T,H,W,no)." in text
     assert ":- ent(E,O,T,H,W,o), not entAux(E)." in text
     assert "invResp(E,U,R) :- cont(E,U,S), #card(S,M), R = M+1, #int(R)." in text
-    assert DEFAULT_EMIT_MAXINT == 10**8
+    assert EmitterOptions().maxint == DEFAULT_MAXINT == 10**8
 
 
 # ---------------------------------------------------------------------------

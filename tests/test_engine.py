@@ -11,17 +11,16 @@ import pytest
 
 from xresp.constraints import empty_constraints, parse_constraints
 from xresp.engine import (
-    CounterfactualVersion,
     Explanation,
-    Intervention,
     enumerate_counterfactuals,
     explanations_of,
     min_change_versions,
-    strict_actual_cause,
     xresp,
 )
-from xresp.naive_bayes import StagedOverflowError, classify_staged
+from xresp.naive_bayes import StagedOverflowError
 from xresp.schema import Entity
+
+from oracles import strict_actual_cause
 
 ORIGINAL = ("rain", "high", "normal", "weak")
 
@@ -64,28 +63,30 @@ def test_versions_sorted_by_changes_then_final(weather_versions):
     assert keys == sorted(keys)
 
 
+def step_changes(schema, states):
+    """The features that differ between each pair of consecutive states."""
+    return [
+        {name for name, old, new in zip(schema.names, before, after) if old != new}
+        for before, after in zip(states, states[1:])
+    ]
+
+
 def test_path_invariants(weather_percent, weather_versions):
+    schema = weather_percent.schema
     for version in weather_versions:
-        # one feature per step, each feature at most once
-        touched = [step.feature for step in version.path]
+        # the trace runs from the original to the final tuple
+        assert version.states[0] == ORIGINAL
+        assert version.states[-1] == version.final
+        # one feature per step (no dependencies here), each at most once
+        steps = step_changes(schema, version.states)
+        assert all(len(step) == 1 for step in steps)
+        touched = [name for step in steps for name in step]
         assert len(touched) == len(set(touched))
         assert set(touched) == set(version.changed)
-        # replaying the path reaches the final tuple...
-        schema = weather_percent.schema
-        state = list(ORIGINAL)
-        for step in version.path:
-            index = schema.index(step.feature)
-            assert state[index] == step.old
-            state[index] = step.new
-            # ...and every proper prefix keeps the original label
-            label, _, _ = classify_staged(
-                weather_percent, Entity("e", tuple(state))
-            )
-            if tuple(state) != version.final:
-                assert label == "yes"
-            else:
-                assert label == "no"
-        assert tuple(state) == version.final
+        # every proper prefix keeps the original label; the final flips it
+        labels = [weather_percent.classify(s)[0] for s in version.states]
+        assert labels[:-1] == ["yes"] * (len(labels) - 1)
+        assert labels[-1] == "no"
 
 
 def test_min_change_is_the_single_humidity_flip(weather_versions):
@@ -191,13 +192,27 @@ def test_dependency_overwrites_humidity(weather_percent, weather_entity):
         ("rain", "medium", "high", "strong"): {"Temperature", "Humidity", "Wind"},
         ("rain", "low", "high", "strong"): {"Temperature", "Humidity", "Wind"},
     }
-    # dependency targets change as side effects, never in their own step
-    for version in versions:
-        assert all(step.feature != "Humidity" for step in version.path)
-    # every version respects the dependency mapping
     mapping = {"high": "normal", "medium": "high", "low": "high"}
-    for final in found:
-        assert final[2] == mapping[final[1]]
+    schema = weather_percent.schema
+    for version in versions:
+        assert version.states[0] == ORIGINAL
+        assert version.states[-1] == version.final
+        steps = step_changes(schema, version.states)
+        for step in steps:
+            # exactly one free feature per step, plus the dependency target;
+            # the target never changes on its own
+            assert len(step - {"Humidity"}) == 1
+            if "Humidity" in step:
+                assert "Temperature" in step
+        # no feature changes twice along the trace
+        touched = [name for step in steps for name in step]
+        assert len(touched) == len(set(touched))
+        # every recorded state respects the dependency mapping
+        for state in version.states:
+            assert state[2] == mapping[state[1]]
+        labels = [weather_percent.classify(s)[0] for s in version.states]
+        assert labels[:-1] == ["yes"] * (len(labels) - 1)
+        assert labels[-1] == "no"
 
 
 def test_constraints_from_other_schema_rejected(weather_percent, weather_entity,

@@ -13,13 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from xresp import (
     Dataset,
-    Entity,
     FeatureSchema,
     ModelFormatError,
     NaiveBayesModel,
     StagedOverflowError,
-    classify_exact,
-    classify_staged,
     load_dataset,
     load_model,
     parse_model,
@@ -110,31 +107,28 @@ def test_percent_distributions_sum_to_100(weather_percent):
 
 
 def test_classify_exact_running_entity(weather_model, weather_entity):
-    label, numerators = classify_exact(weather_model, weather_entity)
+    label, f_yes, f_no = weather_model.classify(weather_entity.values)
     assert label == "yes"
-    assert numerators["yes"] == F(4, 189)
-    assert numerators["no"] == F(4, 875)
+    assert f_yes == F(4, 189)
+    assert f_no == F(4, 875)
 
 
 def test_classify_staged_running_entity(weather_percent, weather_entity):
-    label, f_yes, f_no = classify_staged(weather_percent, weather_entity)
+    label, f_yes, f_no = weather_percent.classify(weather_entity.values)
     assert (label, f_yes, f_no) == ("yes", 20665, 4608)
 
 
 def test_staged_table(weather_percent):
     for values, (f_yes, f_no) in STAGED_TABLE.items():
-        label, got_yes, got_no = classify_staged(
-            weather_percent, Entity("e", values)
-        )
+        label, got_yes, got_no = weather_percent.classify(values)
         assert (got_yes, got_no) == (f_yes, f_no), values
         assert label == ("yes" if f_yes >= f_no else "no")
 
 
 def test_staged_and_exact_agree_on_whole_grid(weather_model, weather_percent):
     for values in all_grid_tuples(weather_model.schema):
-        entity = Entity("e", values)
-        exact_label, _ = classify_exact(weather_model, entity)
-        staged_label, _, _ = classify_staged(weather_percent, entity)
+        exact_label, _, _ = weather_model.classify(values)
+        staged_label, _, _ = weather_percent.classify(values)
         assert exact_label == staged_label, values
 
 
@@ -149,15 +143,15 @@ def test_tie_goes_to_positive_label(tmp_path):
     dataset = load_dataset(str(path))
 
     model = train(dataset, positive_label="yes")
-    label, numerators = classify_exact(model, Entity("e", ("x",)))
-    assert numerators["yes"] == numerators["no"]
+    label, exact_pos, exact_neg = model.classify(("x",))
+    assert exact_pos == exact_neg
     assert label == "yes"
-    staged_label, f_pos, f_neg = classify_staged(to_percent(model), Entity("e", ("x",)))
+    staged_label, f_pos, f_neg = to_percent(model).classify(("x",))
     assert f_pos == f_neg
     assert staged_label == "yes"
 
     flipped = train(dataset, positive_label="no")
-    label2, _ = classify_exact(flipped, Entity("e", ("x",)))
+    label2, _, _ = flipped.classify(("x",))
     assert label2 == "no"
 
 
@@ -171,9 +165,9 @@ def test_positive_label_defaults_to_majority(weather_dataset):
 
 def test_staged_overflow_guard(weather_percent, weather_entity):
     with pytest.raises(StagedOverflowError):
-        classify_staged(weather_percent, weather_entity, 1000)
+        weather_percent.classify(weather_entity.values, 1000)
     # large enough ceiling never triggers
-    classify_staged(weather_percent, weather_entity, 10**8)
+    weather_percent.classify(weather_entity.values, 10**8)
 
 
 def test_persistence_round_trip(weather_model, tmp_path):

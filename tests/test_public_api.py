@@ -1,0 +1,84 @@
+"""The public API is pinned: a name is added to or removed from it on purpose."""
+
+import re
+
+import xresp
+
+from conftest import REPO_ROOT
+
+EXPECTED_PUBLIC_NAMES = {
+    "ATOM_CAP_ENV",
+    "ConstraintError",
+    "ConstraintSet",
+    "CounterfactualVersion",
+    "DEFAULT_ATOM_CAP",
+    "DEFAULT_MAXINT",
+    "DataError",
+    "Dataset",
+    "Dependency",
+    "EmitError",
+    "EmitterOptions",
+    "Entity",
+    "EnumerationCapError",
+    "Explanation",
+    "FactParseError",
+    "FeatureSchema",
+    "GroundProgram",
+    "ModelAtomSet",
+    "ModelFormatError",
+    "NaiveBayesModel",
+    "PercentModel",
+    "ProgramSyntaxError",
+    "Query",
+    "QueryError",
+    "ResponsibilityReport",
+    "Rule",
+    "SchemaError",
+    "StagedOverflowError",
+    "WeakConstraint",
+    "admits",
+    "answer",
+    "answer_query_ground",
+    "atoms_of",
+    "emit_cip",
+    "empty_constraints",
+    "enumerate_counterfactuals",
+    "explanations_of",
+    "load_constraints",
+    "load_dataset",
+    "load_model",
+    "load_queries",
+    "min_change_versions",
+    "minimal_models",
+    "model_atom_sets",
+    "parse_constraints",
+    "parse_entity",
+    "parse_facts",
+    "parse_model",
+    "parse_program",
+    "parse_query",
+    "propagate",
+    "reduct",
+    "render_row",
+    "render_value",
+    "save_model",
+    "serialize_model",
+    "stable_models",
+    "to_percent",
+    "train",
+    "xresp",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(xresp.__all__) == len(set(xresp.__all__))
+    assert set(xresp.__all__) == EXPECTED_PUBLIC_NAMES
+    for name in xresp.__all__:
+        assert hasattr(xresp, name), name
+
+
+def test_traced_benchmark_runner_only_uses_public_names():
+    text = (REPO_ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8")
+    used = set(re.findall(r"\bxr\.([A-Za-z_][A-Za-z0-9_]*)", text))
+    assert used  # the runner calls the package through ``xr.``
+    assert used <= set(xresp.__all__), sorted(used - set(xresp.__all__))

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from xresp.naive_bayes import classify_staged
 from xresp.queries import (
     Anonymous,
     AtomPattern,
@@ -122,11 +121,12 @@ def test_atom_sets_share_original_and_disagree_on_terminals(weather_atom_sets,
         assert original_atom in atom_set.tuples("ent")
         assert ("e", *version.final, "s") in atom_set.tuples("ent")
         assert ("e", *version.final, "no") in atom_set.tuples("cls")
-        # one do state per path step, plus tr for every state
+        # one do state per intervention step, plus tr for every state
         do_atoms = {t for t in atom_set.tuples("ent") if t[-1] == "do"}
         tr_atoms = {t for t in atom_set.tuples("ent") if t[-1] == "tr"}
-        assert len(do_atoms) == len(version.path)
-        assert len(tr_atoms) == len(version.path) + 1
+        assert do_atoms == {("e", *s, "do") for s in version.states[1:]}
+        assert tr_atoms == {("e", *s, "tr") for s in version.states}
+        assert len(do_atoms) == len(version.states) - 1
 
 
 def test_atom_sets_carry_staged_scores(weather_atom_sets):
@@ -169,8 +169,12 @@ def test_atoms_of_rejects_mismatched_version(weather_versions, weather_percent,
     broken = dataclasses.replace(
         weather_versions[0], final=("sunny", "low", "high", "strong")
     )
-    with pytest.raises(QueryError, match="replay"):
+    with pytest.raises(QueryError, match="original to final"):
         atoms_of(broken, weather_percent, weather_entity)
+    # a version from another original entity is rejected as well
+    other = Entity("e", ("sunny", "high", "normal", "weak"))
+    with pytest.raises(QueryError, match="original to final"):
+        atoms_of(weather_versions[0], weather_percent, other)
 
 
 def test_model_atom_sets_matches_atoms_of(weather_versions, weather_percent,

@@ -9,11 +9,11 @@ from xresp import (
     SchemaError,
     load_dataset,
     parse_entity,
-    serialize_dataset,
     validate_values,
 )
 
 from conftest import WEATHER_CSV
+from helpers import serialize_dataset
 
 
 def test_weather_shape(weather_dataset):
