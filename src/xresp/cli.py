@@ -194,8 +194,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--maxint",
         type=int,
-        default=DEFAULT_MAXINT,
-        help="overflow ceiling for staged products",
+        help=f"overflow ceiling for staged products (default: {DEFAULT_MAXINT})",
     )
 
 
@@ -225,10 +224,19 @@ def _base_model(args: argparse.Namespace) -> NaiveBayesModel:
 
 
 def _active_model(args: argparse.Namespace) -> NaiveBayesModel | PercentModel:
+    if args.classifier == "exact" and args.maxint is not None:
+        raise ValueError(
+            "--maxint bounds the staged backend's integer products "
+            "and has no effect with --classifier exact"
+        )
     base = _base_model(args)
-    if getattr(args, "classifier", "staged") == "staged":
+    if args.classifier == "staged":
         return to_percent(base)
     return base
+
+
+def _maxint(args: argparse.Namespace) -> int:
+    return DEFAULT_MAXINT if args.maxint is None else args.maxint
 
 
 def _entity_of(
@@ -254,7 +262,7 @@ def _versions_of(
         entity,
         _constraints_of(args, model),
         strict=args.strict,
-        maxint=args.maxint,
+        maxint=_maxint(args),
     )
     if getattr(args, "min_change", False):
         versions = min_change_versions(versions)
@@ -284,7 +292,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     model = _active_model(args)
     entity = _entity_of(args, model)
-    label, *scores = model.classify(entity.values, args.maxint)
+    label, *scores = model.classify(entity.values, _maxint(args))
     print(f"label: {label}")
     for name, score in zip(model.labels, scores):
         print(f"{name}: {score}")
@@ -331,7 +339,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         model,
         entity,
         include_pb_num=not args.no_pb_num,
-        maxint=args.maxint,
+        maxint=_maxint(args),
     )
     blocks = []
     for query in queries:

@@ -6,27 +6,39 @@ state trace the search recorded (``do``/``tr`` states with their ``cls``
 and staged ``pb_num`` atoms), the flipped terminal (``s``), and the
 version's explanation machinery (``expl``, ``cause``, ``cont``,
 ``invResp``, ``fullExpl``).  The trace is materialized as recorded,
-dependency-propagated values included; it is never replayed.  Feature names appear lowercased as constants; contingency
-sets are set-valued arguments.
+dependency-propagated values included; it is never replayed.  Feature
+names appear lowercased as constants; contingency sets are set-valued
+arguments.
+
+Models are materialized per predicate, on demand: the predicates of a
+version and their arities are known up front, and a predicate's tuples are
+built the first time they are read.  The atom sets of one
+``model_atom_sets`` call classify each distinct state once, and versions
+with the same changed features share their explanation tables.
 
 Query text copies the solver convention: comma-separated literals ending in
 ``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Identifiers starting uppercase
 are variables, ``_`` is anonymous, ``{a,b}``/``{}`` are set literals, and
 comparisons may use ``<``, ``<=``, ``=``, ``!=`` (ordered ones only between
-integers).
+integers).  Entity values are strings, so an integer constant matches both
+the integer and the string it is written as: ``1`` matches ``1`` and
+``"1"``.
 
-An answer row echoes the matched value of every non-constant argument
-position, in positional order; constants echo nothing.  Brave answers hold
-in some model, cautious answers in all models.  Rows are deduplicated and
-sorted canonically; sets render as ``{a,b}`` (alphabetical, no spaces) and
-row values join with a comma and space.
+A query is compiled once; it is then evaluated once per distinct
+combination of the tables its atoms name, so models sharing tables share
+the work.  An answer row echoes the matched value of every non-constant
+argument position, in positional order; constants echo nothing.  Brave
+answers hold in some model, cautious answers in all models.  Rows are
+deduplicated and sorted canonically; sets render as ``{a,b}``
+(alphabetical, no spaces) and row values join with a comma and space.
 """
-
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .engine import CounterfactualVersion
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
@@ -54,6 +66,113 @@ class ModelAtomSet:
         return self.atoms.get(predicate, frozenset())
 
 
+class _LazyAtoms(Mapping):
+    """Read-only predicate -> tuple-set mapping of one version.
+
+    The predicates and their arities (``arity``, shared by every version
+    of one materialization) are fixed up front; a predicate's frozenset is
+    built the first time it is read and kept.
+    """
+
+    def __init__(self, arity: Mapping[str, int],
+                 build: Callable[[str], frozenset[tuple[Value, ...]]]) -> None:
+        self.arity = arity
+        self._build = build
+        self._tables: dict[str, frozenset[tuple[Value, ...]]] = {}
+
+    def __getitem__(self, predicate: str) -> frozenset[tuple[Value, ...]]:
+        table = self._tables.get(predicate)
+        if table is None:
+            if predicate not in self.arity:
+                raise KeyError(predicate)
+            table = self._tables[predicate] = self._build(predicate)
+        return table
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.arity)
+
+    def __len__(self) -> int:
+        return len(self.arity)
+
+
+class _Materializer:
+    """Builds the lazy atom sets of one run's versions, sharing the work.
+
+    Each distinct state is classified once, and the explanation tables of
+    a changed-feature set are built once and shared by every version that
+    changes exactly those features.
+    """
+
+    def __init__(self, model: NaiveBayesModel | PercentModel, original: Entity,
+                 include_pb_num: bool, maxint: int) -> None:
+        self.model = model
+        self.original_values = tuple(original.values)
+        self.maxint = maxint
+        width = len(model.schema)
+        self.arity = {
+            "ent": width + 2, "cls": width + 2, "expl": 3, "cause": 2,
+            "cont": 3, "invResp": 3, "fullExpl": 4,
+        }
+        if include_pb_num and isinstance(model, PercentModel):
+            self.arity["pb_num"] = width + 3
+        self._scores: dict[tuple[str, ...], tuple] = {}
+        self._explanations: dict[tuple[str, frozenset[str]], dict] = {}
+
+    def atom_set(self, version: CounterfactualVersion) -> ModelAtomSet:
+        states = version.states
+        if states[0] != self.original_values or states[-1] != version.final:
+            # the caller mixed versions and originals from different runs
+            raise QueryError("version states do not run from original to final")
+        return ModelAtomSet(atoms=_LazyAtoms(self.arity, partial(self._table, version)))
+
+    def _score(self, state: tuple[str, ...]) -> tuple:
+        score = self._scores.get(state)
+        if score is None:
+            score = self._scores[state] = self.model.classify(state, self.maxint)
+        return score
+
+    def _table(self, version: CounterfactualVersion,
+               predicate: str) -> frozenset[tuple[Value, ...]]:
+        eid, states = version.eid, version.states
+        if predicate == "ent":
+            return frozenset(
+                [(eid, *states[0], "o"), (eid, *version.final, "s")]
+                + [(eid, *state, "do") for state in states[1:]]
+                + [(eid, *state, "tr") for state in states]
+            )
+        if predicate == "cls":
+            return frozenset((eid, *state, self._score(state)[0]) for state in states)
+        if predicate == "pb_num":
+            positive, negative = self.model.labels
+            atoms = []
+            for state in states:
+                _, f_pos, f_neg = self._score(state)
+                atoms += [(eid, *state, positive, f_pos), (eid, *state, negative, f_neg)]
+            return frozenset(atoms)
+        key = (eid, version.changed)
+        tables = self._explanations.get(key)
+        if tables is None:
+            tables = self._explanations[key] = self._explanation_tables(*key)
+        return tables[predicate]
+
+    def _explanation_tables(self, eid: str, changed: frozenset[str]) -> dict:
+        schema = self.model.schema
+        changed_lower = frozenset(name.lower() for name in changed)
+        inv_resp = len(changed)
+        atoms: dict[str, list[tuple[Value, ...]]] = {
+            "expl": [], "cause": [], "cont": [], "invResp": [], "fullExpl": [],
+        }
+        for name in changed:
+            cause = name.lower()
+            contingency = changed_lower - {cause}
+            atoms["expl"].append((eid, cause, self.original_values[schema.index(name)]))
+            atoms["cause"].append((eid, cause))
+            atoms["cont"].append((eid, cause, contingency))
+            atoms["invResp"].append((eid, cause, inv_resp))
+            atoms["fullExpl"].append((eid, cause, inv_resp, contingency))
+        return {pred: frozenset(tuples) for pred, tuples in atoms.items()}
+
+
 def atoms_of(
     version: CounterfactualVersion,
     model: NaiveBayesModel | PercentModel,
@@ -62,55 +181,13 @@ def atoms_of(
     include_pb_num: bool = True,
     maxint: int = DEFAULT_MAXINT,
 ) -> ModelAtomSet:
-    """Materialize the atom set of one version.
+    """The atom set of one version, each predicate built when first read.
 
     ``model`` supplies the classifier (staged for a PercentModel, whose
     pb_num atoms are included unless suppressed; exact models yield no
     pb_num atoms).
     """
-    schema = model.schema
-    eid = version.eid
-    lower = {name: name.lower() for name in schema.names}
-
-    states = version.states
-    if states[0] != tuple(original.values) or states[-1] != version.final:
-        # the caller mixed versions and originals from different runs
-        raise QueryError("version states do not run from original to final")
-
-    atoms: dict[str, set[tuple[Value, ...]]] = {
-        "ent": set(), "cls": set(), "expl": set(), "cause": set(),
-        "cont": set(), "invResp": set(), "fullExpl": set(),
-    }
-    if include_pb_num and isinstance(model, PercentModel):
-        atoms["pb_num"] = set()
-
-    atoms["ent"].add((eid, *states[0], "o"))
-    for state in states[1:]:
-        atoms["ent"].add((eid, *state, "do"))
-    for state in states:
-        label, f_pos, f_neg = model.classify(state, maxint)
-        atoms["ent"].add((eid, *state, "tr"))
-        atoms["cls"].add((eid, *state, label))
-        if "pb_num" in atoms:
-            atoms["pb_num"].add((eid, *state, model.labels[0], f_pos))
-            atoms["pb_num"].add((eid, *state, model.labels[1], f_neg))
-    atoms["ent"].add((eid, *version.final, "s"))
-
-    changed_lower = frozenset(lower[name] for name in version.changed)
-    inv_resp = len(version.changed)
-    for name in version.changed:
-        cause = lower[name]
-        original_value = original.values[schema.index(name)]
-        contingency = frozenset(changed_lower - {cause})
-        atoms["expl"].add((eid, cause, original_value))
-        atoms["cause"].add((eid, cause))
-        atoms["cont"].add((eid, cause, contingency))
-        atoms["invResp"].add((eid, cause, inv_resp))
-        atoms["fullExpl"].add((eid, cause, inv_resp, contingency))
-
-    return ModelAtomSet(
-        atoms={pred: frozenset(tuples) for pred, tuples in atoms.items()}
-    )
+    return _Materializer(model, original, include_pb_num, maxint).atom_set(version)
 
 
 def model_atom_sets(
@@ -121,10 +198,13 @@ def model_atom_sets(
     include_pb_num: bool = True,
     maxint: int = DEFAULT_MAXINT,
 ) -> list[ModelAtomSet]:
-    return [
-        atoms_of(v, model, original, include_pb_num=include_pb_num, maxint=maxint)
-        for v in versions
-    ]
+    """The atom sets of ``versions``, sharing classifications and explanation tables.
+
+    States are classified when ``cls`` or ``pb_num`` is first read, so a
+    classification error (a staged overflow) surfaces then.
+    """
+    materializer = _Materializer(model, original, include_pb_num, maxint)
+    return [materializer.atom_set(v) for v in versions]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +225,8 @@ class Anonymous:
 @dataclass(frozen=True)
 class Constant:
     value: Value
+    # how an integer constant was written; it matches that string too
+    spelling: str | None = field(default=None, compare=False)
 
 
 Term = Union[Variable, Anonymous, Constant]
@@ -271,7 +353,7 @@ def _parse_term(text: str, anon_counter: int) -> tuple[Term, int]:
         )
         return Constant(value=members), anon_counter
     if re.fullmatch(r"-?\d+", text):
-        return Constant(value=int(text)), anon_counter
+        return Constant(value=int(text), spelling=text), anon_counter
     if not _IDENT_RE.match(text):
         raise QueryError(f"bad term: {text!r}")
     if text[0].isupper():
@@ -299,37 +381,66 @@ def answer(
     models: Sequence[ModelAtomSet],
     semantics: str,
 ) -> list[tuple[Value, ...]]:
-    """Answer rows under brave (union) or cautious (intersection) semantics."""
+    """Answer rows under brave (union) or cautious (intersection) semantics.
+
+    The query is evaluated once per distinct combination of the table
+    objects its atoms name, so models that share tables share the work.  A
+    single-atom query is evaluated once: over the union of the tables
+    (brave), or over the smallest table, keeping a row only while every
+    other table holds an atom that yields it (cautious).
+    """
     if semantics not in ("brave", "cautious"):
         raise QueryError(f"semantics must be 'brave' or 'cautious', got {semantics!r}")
-
-    _validate_against(query, models)
-
-    per_model: list[set[tuple[Value, ...]]] = []
-    for model_atoms in models:
-        rows: set[tuple[Value, ...]] = set()
-        _evaluate(query, model_atoms, 0, {}, rows)
-        per_model.append(rows)
-
-    if semantics == "brave":
-        merged: set[tuple[Value, ...]] = set()
-        for rows in per_model:
-            merged |= rows
-    else:
-        merged = set(per_model[0]) if per_model else set()
-        for rows in per_model[1:]:
-            merged &= rows
-
-    return sorted(merged, key=_row_key)
-
-
-def _validate_against(query: Query, models: Sequence[ModelAtomSet]) -> None:
     if not models:
-        return
-    known: dict[str, set[int]] = {}
+        return []
+    _check_arities(query, models)
+
+    plan = _Plan(query)
+    predicates = [pattern.predicate for pattern in query.atoms]
+    distinct: dict[tuple[int, ...], tuple[frozenset, ...]] = {}
     for model_atoms in models:
-        for predicate, tuples in model_atoms.atoms.items():
-            known.setdefault(predicate, set()).update(len(row) for row in tuples)
+        tables = tuple(model_atoms.tuples(predicate) for predicate in predicates)
+        distinct.setdefault(tuple(map(id, tables)), tables)
+
+    if len(predicates) == 1:
+        tables = sorted((table for (table,) in distinct.values()), key=len)
+        if semantics == "brave":
+            rows = plan.rows((frozenset().union(*tables),))
+        else:
+            rows = plan.rows((tables[0],))
+            for table in tables[1:]:
+                rows = {row for row in rows if plan.yields(row, table)}
+    elif semantics == "brave":
+        rows = set().union(*(plan.rows(tables) for tables in distinct.values()))
+    else:
+        rows = None
+        for tables in distinct.values():
+            rows = plan.rows(tables) if rows is None else rows & plan.rows(tables)
+            if not rows:
+                break
+    return _sorted_rows(rows)
+
+
+def _check_arities(query: Query, models: Sequence[ModelAtomSet]) -> None:
+    """Every queried predicate must occur in some model, at the query's arity.
+
+    Lazy atom sets declare their arities; plain mappings are scanned, for
+    the queried predicates only.
+    """
+    names = {pattern.predicate for pattern in query.atoms}
+    known: dict[str, set[int]] = {}
+    inventories: set[int] = set()
+    for model_atoms in models:
+        atoms = model_atoms.atoms
+        if isinstance(atoms, _LazyAtoms):
+            if id(atoms.arity) in inventories:
+                continue
+            inventories.add(id(atoms.arity))
+            found = {p: {atoms.arity[p]} for p in names if p in atoms.arity}
+        else:
+            found = {p: {len(row) for row in atoms[p]} for p in names if p in atoms}
+        for predicate, arities in found.items():
+            known.setdefault(predicate, set()).update(arities)
     for pattern in query.atoms:
         if pattern.predicate not in known:
             raise QueryError(f"unknown predicate: {pattern.predicate}")
@@ -341,92 +452,143 @@ def _validate_against(query: Query, models: Sequence[ModelAtomSet]) -> None:
             )
 
 
-def _evaluate(
-    query: Query,
-    model_atoms: ModelAtomSet,
-    atom_index: int,
-    binding: dict,
-    rows: set[tuple[Value, ...]],
-) -> None:
-    if atom_index == len(query.atoms):
-        if all(_holds(cmp, binding) for cmp in query.comparisons):
-            rows.add(_echo(query, binding))
-        return
-    pattern = query.atoms[atom_index]
-    for candidate in model_atoms.tuples(pattern.predicate):
-        if len(candidate) != len(pattern.args):
-            continue
-        extended = _unify(pattern, candidate, binding)
-        if extended is not None:
-            _evaluate(query, model_atoms, atom_index + 1, extended, rows)
+def _accepted(term: Constant) -> frozenset[Value]:
+    """The values a constant matches.
+
+    Entity values are strings, so an integer constant also matches the
+    string it was written as: ``1`` matches ``"1"`` as well as ``1``.
+    """
+    if isinstance(term.value, int):
+        return frozenset({term.value, term.spelling or str(term.value)})
+    return frozenset({term.value})
 
 
-def _unify(pattern: AtomPattern, candidate: tuple, binding: dict) -> dict | None:
-    extended = dict(binding)
-    for term, value in zip(pattern.args, candidate):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        elif isinstance(term, Variable):
-            bound = extended.get(term.name, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term.name] = value
-            elif bound != value:
-                return None
-        else:  # anonymous: always matches, remembered for the echo
-            extended[("anon", term.slot, id(pattern))] = value
-    # anonymous slots are keyed per pattern instance; stash under slot too
-    return extended
+class _Plan:
+    """A query compiled to slot operations over a list of bound values.
+
+    Each atom becomes a step: an arity, constant checks ``(position,
+    accepted values)``, binds ``(position, slot)`` for the first occurrence
+    of a variable or an ``_``, and checks ``(position, slot)`` for a
+    variable already bound.  ``echo`` lists the slot of every non-constant
+    argument position in reading order.
+    """
+
+    def __init__(self, query: Query) -> None:
+        slot_of: dict[str, int] = {}
+        self.steps: list[tuple[int, tuple, tuple, tuple]] = []
+        self.echo: list[int] = []
+        # per argument position of each atom: (echo index, None) or (None,
+        # accepted values), to rebuild an atom from its answer row
+        layouts: list[list[tuple[int | None, frozenset | None]]] = []
+        slots = 0
+        for pattern in query.atoms:
+            constants, binds, checks, layout = [], [], [], []
+            for position, term in enumerate(pattern.args):
+                if isinstance(term, Constant):
+                    constants.append((position, _accepted(term)))
+                    layout.append((None, _accepted(term)))
+                    continue
+                layout.append((len(self.echo), None))
+                if isinstance(term, Variable) and term.name in slot_of:
+                    slot = slot_of[term.name]
+                    checks.append((position, slot))
+                else:
+                    slot, slots = slots, slots + 1
+                    if isinstance(term, Variable):
+                        slot_of[term.name] = slot
+                    binds.append((position, slot))
+                self.echo.append(slot)
+            self.steps.append(
+                (len(pattern.args), tuple(constants), tuple(binds), tuple(checks))
+            )
+            layouts.append(layout)
+        self._layout = layouts[0]
+        self._slots = slots
+        self._tests = [_compile_comparison(cmp, slot_of) for cmp in query.comparisons]
+
+    def rows(self, tables: Sequence[frozenset]) -> set[tuple[Value, ...]]:
+        """The answer rows of one model whose atoms' tables are ``tables``."""
+        out: set[tuple[Value, ...]] = set()
+        self._extend(tables, 0, [None] * self._slots, out)
+        return out
+
+    def _extend(self, tables, depth: int, slots: list, out: set) -> None:
+        if depth == len(self.steps):
+            if all(test(slots) for test in self._tests):
+                out.add(tuple([slots[slot] for slot in self.echo]))
+            return
+        arity, constants, binds, checks = self.steps[depth]
+        for atom in tables[depth]:
+            if len(atom) != arity or any(
+                atom[position] not in accepted for position, accepted in constants
+            ):
+                continue
+            for position, slot in binds:
+                slots[slot] = atom[position]
+            if any(atom[position] != slots[slot] for position, slot in checks):
+                continue
+            self._extend(tables, depth + 1, slots, out)
+
+    def yields(self, row: tuple[Value, ...], table: frozenset) -> bool:
+        """Whether ``table`` holds an atom the single-atom query answers with ``row``.
+
+        ``row`` must be an answer of this query on some table, so any atom
+        rebuilt from it passes the filters; only membership is left.
+        """
+        choices = [accepted if index is None else (row[index],)
+                   for index, accepted in self._layout]
+        return any(atom in table for atom in product(*choices))
 
 
-_UNBOUND = object()
+def _compile_comparison(cmp: Comparison, slot_of: Mapping[str, int]) -> Callable[[list], bool]:
+    def operand(term: Term) -> Callable[[list], Value]:
+        if isinstance(term, Variable):
+            slot = slot_of[term.name]
+            return lambda slots: slots[slot]
+        return lambda slots: term.value
 
-
-def _holds(cmp: Comparison, binding: dict) -> bool:
-    left = _resolve(cmp.left, binding)
-    right = _resolve(cmp.right, binding)
-    if cmp.op == "=":
-        return left == right
-    if cmp.op == "!=":
-        return left != right
-    if not isinstance(left, int) or not isinstance(right, int):
-        raise QueryError(
-            f"ordered comparison {cmp.op} needs integer operands, got "
-            f"{left!r} and {right!r}"
-        )
-    if cmp.op == "<":
-        return left < right
-    return left <= right
-
-
-def _resolve(term: Term, binding: dict) -> Value:
-    if isinstance(term, Constant):
-        return term.value
-    assert isinstance(term, Variable)
-    return binding[term.name]
-
-
-def _echo(query: Query, binding: dict) -> tuple[Value, ...]:
-    values: list[Value] = []
-    for pattern in query.atoms:
-        for term in pattern.args:
-            if isinstance(term, Variable):
-                values.append(binding[term.name])
-            elif isinstance(term, Anonymous):
-                values.append(binding[("anon", term.slot, id(pattern))])
-    return tuple(values)
-
-
-def _row_key(row: tuple[Value, ...]) -> tuple:
-    key = []
-    for value in row:
-        if isinstance(value, int):
-            key.append((0, value, ""))
-        elif isinstance(value, str):
-            key.append((1, 0, value))
+    left, right = operand(cmp.left), operand(cmp.right)
+    if cmp.op in ("=", "!="):
+        # a constant compares the way it matches an atom argument
+        if isinstance(cmp.right, Constant):
+            accepted = _accepted(cmp.right)
+            same = lambda slots: left(slots) in accepted
+        elif isinstance(cmp.left, Constant):
+            accepted = _accepted(cmp.left)
+            same = lambda slots: right(slots) in accepted
         else:
-            key.append((2, 0, ",".join(sorted(value))))
-    return tuple(key)
+            same = lambda slots: left(slots) == right(slots)
+        return same if cmp.op == "=" else lambda slots: not same(slots)
+
+    def ordered(slots: list) -> bool:
+        a, b = left(slots), right(slots)
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise QueryError(
+                f"ordered comparison {cmp.op} needs integer operands, got "
+                f"{a!r} and {b!r}"
+            )
+        return a < b if cmp.op == "<" else a <= b
+
+    return ordered
+
+
+def _sorted_rows(rows: Iterable[tuple[Value, ...]]) -> list[tuple[Value, ...]]:
+    """Integers before strings before sets, each kind in its natural order."""
+    keys: dict[Value, tuple] = {}  # values repeat across rows; key each once
+
+    def value_key(value: Value) -> tuple:
+        key = keys.get(value)
+        if key is None:
+            if isinstance(value, int):
+                key = (0, value)
+            elif isinstance(value, str):
+                key = (1, value)
+            else:
+                key = (2, ",".join(sorted(value)))
+            keys[value] = key
+        return key
+
+    return sorted(rows, key=lambda row: tuple(map(value_key, row)))
 
 
 def render_value(value: Value) -> str:

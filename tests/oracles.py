@@ -6,7 +6,9 @@ model oracle enumerates subsets and applies the reduct/minimal-model
 definitions over plain sets; the strict actual-cause oracle searches all
 contingency assignments directly and ignores path reachability; the random
 generators produce small ground programs and datasets from a seeded Random
-instance.
+instance.  The query oracles materialize a version's atoms eagerly, straight
+from its recorded states, and answer a query by trying every combination of
+one tuple per atom in every model.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from xresp import DEFAULT_MAXINT, Entity, GroundProgram, Rule, validate_values
+from xresp import (
+    DEFAULT_MAXINT,
+    Entity,
+    GroundProgram,
+    PercentModel,
+    QueryError,
+    Rule,
+    validate_values,
+)
+from xresp.queries import Constant, Variable
 
 # ---------------------------------------------------------------------------
 # Definitional stable-model oracle
@@ -129,6 +140,123 @@ def strict_actual_cause(
                     if label_of(tuple(flipped)) != original_label:
                         return True, size
     return False, None
+
+
+# ---------------------------------------------------------------------------
+# Eager atom sets and brute-force query answers
+# ---------------------------------------------------------------------------
+
+
+def oracle_atoms_of(
+    version,
+    model,
+    original: Entity,
+    *,
+    include_pb_num: bool = True,
+    maxint: int = DEFAULT_MAXINT,
+) -> dict[str, frozenset[tuple]]:
+    """Every predicate of one version's model, built at once."""
+    schema = model.schema
+    eid = version.eid
+    lower = {name: name.lower() for name in schema.names}
+    states = version.states
+
+    atoms: dict[str, set[tuple]] = {
+        "ent": set(), "cls": set(), "expl": set(), "cause": set(),
+        "cont": set(), "invResp": set(), "fullExpl": set(),
+    }
+    if include_pb_num and isinstance(model, PercentModel):
+        atoms["pb_num"] = set()
+
+    atoms["ent"].add((eid, *states[0], "o"))
+    for state in states[1:]:
+        atoms["ent"].add((eid, *state, "do"))
+    for state in states:
+        label, f_pos, f_neg = model.classify(state, maxint)
+        atoms["ent"].add((eid, *state, "tr"))
+        atoms["cls"].add((eid, *state, label))
+        if "pb_num" in atoms:
+            atoms["pb_num"].add((eid, *state, model.labels[0], f_pos))
+            atoms["pb_num"].add((eid, *state, model.labels[1], f_neg))
+    atoms["ent"].add((eid, *version.final, "s"))
+
+    changed_lower = frozenset(lower[name] for name in version.changed)
+    inv_resp = len(version.changed)
+    for name in version.changed:
+        cause = lower[name]
+        original_value = original.values[schema.index(name)]
+        contingency = frozenset(changed_lower - {cause})
+        atoms["expl"].add((eid, cause, original_value))
+        atoms["cause"].add((eid, cause))
+        atoms["cont"].add((eid, cause, contingency))
+        atoms["invResp"].add((eid, cause, inv_resp))
+        atoms["fullExpl"].add((eid, cause, inv_resp, contingency))
+
+    return {pred: frozenset(tuples) for pred, tuples in atoms.items()}
+
+
+def _oracle_equal(term, value) -> bool:
+    """A constant equals a value it was written as: ``1`` is 1 and "1"."""
+    return value == term.value or value == term.spelling
+
+
+def _oracle_comparison(cmp, binding) -> bool:
+    left, right = cmp.left, cmp.right
+    if cmp.op in ("=", "!="):
+        if isinstance(left, Constant) and isinstance(right, Constant):
+            equal = _oracle_equal(left, right.value) or _oracle_equal(right, left.value)
+        elif isinstance(left, Constant):
+            equal = _oracle_equal(left, binding[right.name])
+        elif isinstance(right, Constant):
+            equal = _oracle_equal(right, binding[left.name])
+        else:
+            equal = binding[left.name] == binding[right.name]
+        return equal if cmp.op == "=" else not equal
+    a, b = (
+        side.value if isinstance(side, Constant) else binding[side.name]
+        for side in (left, right)
+    )
+    if not isinstance(a, int) or not isinstance(b, int):
+        raise QueryError("ordered comparison needs integer operands")
+    return a < b if cmp.op == "<" else a <= b
+
+
+def oracle_answer(query, models, semantics: str) -> set[tuple]:
+    """Answer rows from the definition, as a set.
+
+    In each model, every way to pick one tuple per query atom is a
+    candidate.  It matches when each constant equals its tuple value, each
+    variable takes one value throughout, and every comparison holds; it
+    then echoes the value at every non-constant position.  Brave answers
+    are the union of the models' rows, cautious answers the intersection.
+    """
+    per_model = []
+    for model in models:
+        rows = set()
+        tables = [
+            [t for t in model.tuples(p.predicate) if len(t) == len(p.args)]
+            for p in query.atoms
+        ]
+        for picked in product(*tables):
+            binding: dict[str, object] = {}
+            echo = []
+            matches = True
+            for pattern, atom in zip(query.atoms, picked):
+                for term, value in zip(pattern.args, atom):
+                    if isinstance(term, Constant):
+                        matches = matches and _oracle_equal(term, value)
+                        continue
+                    echo.append(value)
+                    if isinstance(term, Variable):
+                        matches = matches and binding.setdefault(term.name, value) == value
+            if matches and all(_oracle_comparison(c, binding) for c in query.comparisons):
+                rows.add(tuple(echo))
+        per_model.append(rows)
+    if not per_model:
+        return set()
+    if semantics == "brave":
+        return set().union(*per_model)
+    return set.intersection(*per_model)
 
 
 # ---------------------------------------------------------------------------

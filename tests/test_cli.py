@@ -255,6 +255,32 @@ def test_query_with_a_dependency_materialises_propagated_states(run_cli, tmp_pat
     assert len(s_block.splitlines()) == 5
 
 
+def test_integer_constants_match_entity_values(run_cli, tmp_path):
+    # entity values are strings: a constant written 1 must still match them
+    data = tmp_path / "ints.csv"
+    data.write_text(
+        "a,b,c,label\n1,x,p,yes\n2,y,q,no\n1,y,p,yes\n2,x,q,no\n1,x,q,yes\n",
+        encoding="utf-8",
+    )
+    queries = write_queries(
+        tmp_path, "ent(e,1,B,C,o)?", "ent(e,A,B,C,o)?", "ent(e,A,B,C,o), A = 1?"
+    )
+    code, out, err = run_cli(
+        "query", "--data", str(data), "--entity", "1,x,p", "--queries", queries,
+        "--brave",
+    )
+    assert (code, err) == (0, "")
+    assert out == "x, p\n\n1, x, p\n\n1, x, p\n"
+
+
+def test_integer_constants_still_match_integer_values(run_cli, tmp_path):
+    queries = write_queries(tmp_path, "invResp(E,U,1)?")
+    code, out, err = run_cli(
+        "query", "--data", DATA, "--entity", ENTITY, "--queries", queries, "--brave"
+    )
+    assert (code, out, err) == (0, "e, humidity\n", "")
+
+
 def test_query_rejects_empty_query_files(run_cli, tmp_path):
     queries = write_queries(tmp_path, "% nothing but comments")
     code, _, err = run_cli(
@@ -355,6 +381,26 @@ def test_staged_overflow_is_a_one_line_error(run_cli):
     )
     assert code == 1
     assert err.startswith("xresp: StagedOverflowError:")
+
+
+@pytest.mark.parametrize("command", ["classify", "counterfactuals", "explain", "query"])
+def test_maxint_with_the_exact_backend_is_rejected(run_cli, tmp_path, command):
+    extra = ["--queries", write_queries(tmp_path, "cause(E,U)?"), "--brave"]
+    code, out, err = run_cli(
+        command, "--data", DATA, "--entity", ENTITY, "--classifier", "exact",
+        "--maxint", "1", *(extra if command == "query" else []),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("xresp: ValueError: --maxint")
+    assert "staged" in err and err.count("\n") == 1
+
+
+def test_staged_maxint_defaults_to_the_library_ceiling(run_cli):
+    default = run_cli("classify", "--data", DATA, "--entity", ENTITY)
+    explicit = run_cli(
+        "classify", "--data", DATA, "--entity", ENTITY, "--maxint", str(10**8)
+    )
+    assert default == explicit == (0, "label: yes\nyes: 20665\nno: 4608\n", "")
 
 
 @pytest.mark.parametrize(

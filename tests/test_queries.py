@@ -1,9 +1,22 @@
 """Tests for conjunctive queries over counterfactual model atom sets."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from xresp import (
+    DEFAULT_MAXINT,
+    Entity,
+    PercentModel,
+    enumerate_counterfactuals,
+    load_dataset,
+    parse_constraints,
+    to_percent,
+    train,
+)
 from xresp.queries import (
     Anonymous,
     AtomPattern,
@@ -20,7 +33,8 @@ from xresp.queries import (
     render_row,
     render_value,
 )
-from xresp.schema import Entity
+
+from oracles import oracle_answer, oracle_atoms_of, random_instance
 
 # ---------------------------------------------------------------------------
 # The five reference queries over the weather instance
@@ -183,6 +197,119 @@ def test_model_atom_sets_matches_atoms_of(weather_versions, weather_percent,
     assert [m.atoms for m in rebuilt] == [m.atoms for m in weather_atom_sets]
 
 
+def test_lazy_atom_sets_match_the_eager_oracle(weather_versions, weather_percent,
+                                               weather_entity, weather_atom_sets):
+    for version, atom_set in zip(weather_versions, weather_atom_sets):
+        assert dict(atom_set.atoms.items()) == oracle_atoms_of(
+            version, weather_percent, weather_entity
+        )
+
+
+def test_lazy_atom_sets_match_the_oracle_without_pb_num_and_exact(
+    weather_percent, weather_model, weather_entity
+):
+    for model, include_pb_num in ((weather_percent, False), (weather_model, True)):
+        versions = enumerate_counterfactuals(model, weather_entity)
+        atom_sets = model_atom_sets(
+            versions, model, weather_entity, include_pb_num=include_pb_num
+        )
+        for version, atom_set in zip(versions, atom_sets):
+            assert "pb_num" not in atom_set.atoms
+            assert dict(atom_set.atoms.items()) == oracle_atoms_of(
+                version, model, weather_entity, include_pb_num=include_pb_num
+            )
+
+
+def test_lazy_atom_sets_match_the_oracle_under_a_dependency(tmp_path):
+    rng = random.Random(8080)
+    checked = 0
+    for _ in range(30):
+        csv_text, entity_values = random_instance(rng)
+        path = tmp_path / "instance.csv"
+        path.write_text(csv_text, encoding="utf-8")
+        model = to_percent(train(load_dataset(str(path))))
+        (source, source_domain), (target, target_domain) = model.schema.features[:2]
+        mapping = ", ".join(f"{v}->{rng.choice(target_domain)}" for v in source_domain)
+        constraints = parse_constraints(
+            f"depend {source} -> {target}: {mapping}", model.schema
+        )
+        entity = Entity("e", entity_values)
+        versions = enumerate_counterfactuals(model, entity, constraints)
+        for version, atom_set in zip(
+            versions, model_atom_sets(versions, model, entity)
+        ):
+            assert dict(atom_set.atoms.items()) == oracle_atoms_of(
+                version, model, entity
+            )
+            checked += 1
+    assert checked > 20
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingModel(PercentModel):
+    """A staged model that counts how often each state is classified."""
+
+    calls: Counter = dataclasses.field(default_factory=Counter, compare=False)
+
+    def classify(self, values, maxint=DEFAULT_MAXINT):
+        self.calls[tuple(values)] += 1
+        return super().classify(values, maxint)
+
+
+def test_model_atom_sets_classify_each_distinct_state_at_most_once(
+    weather_percent, weather_entity
+):
+    model = CountingModel(
+        schema=weather_percent.schema,
+        labels=weather_percent.labels,
+        prior=weather_percent.prior,
+        conditional=weather_percent.conditional,
+    )
+    versions = enumerate_counterfactuals(model, weather_entity)
+    model.calls.clear()
+    atom_sets = model_atom_sets(versions, model, weather_entity)
+    # keys and explanation atoms need no classification
+    for atom_set in atom_sets:
+        assert set(atom_set.atoms) == {
+            "ent", "cls", "expl", "cause", "cont", "invResp", "fullExpl", "pb_num"
+        }
+        assert atom_set.tuples("fullExpl")
+    assert not model.calls
+    for atom_set in atom_sets:
+        assert atom_set.tuples("cls") and atom_set.tuples("pb_num")
+    assert set(model.calls) == {s for v in versions for s in v.states}
+    assert set(model.calls.values()) == {1}
+
+
+def test_versions_with_one_changed_set_share_explanation_tables(weather_percent,
+                                                                weather_entity):
+    constraints = parse_constraints(
+        "depend Temperature -> Humidity: high->normal, medium->high, low->high",
+        weather_percent.schema,
+    )
+    versions = enumerate_counterfactuals(weather_percent, weather_entity, constraints)
+    atom_sets = model_atom_sets(versions, weather_percent, weather_entity)
+    first_of: dict = {}
+    shared = 0
+    for version, atom_set in zip(versions, atom_sets):
+        first = first_of.setdefault(version.changed, atom_set)
+        if first is not atom_set:
+            shared += 1
+            for predicate in ("expl", "cause", "cont", "invResp", "fullExpl"):
+                assert atom_set.tuples(predicate) is first.tuples(predicate)
+    assert shared
+
+
+def test_lazy_atom_sets_are_read_only(weather_atom_sets):
+    atoms = weather_atom_sets[0].atoms
+    with pytest.raises(TypeError):
+        atoms["cls"] = frozenset()
+    with pytest.raises(KeyError):
+        atoms["bogus"]
+    assert atoms.get("bogus") is None
+    assert len(atoms) == len(list(atoms))
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -321,6 +448,88 @@ def test_empty_model_list_answers_empty():
 def test_semantics_name_is_validated(weather_atom_sets):
     with pytest.raises(QueryError, match="brave"):
         answer(parse_query("cause(E,U)?"), weather_atom_sets, "boldly")
+
+
+# Random models over three predicates; each argument position holds one
+# kind of value.  The string "1" and the integer 1 both occur, so integer
+# constants meet both of the values they match.
+KINDS = {"p": ("str", "int"), "q": ("int",), "r": ("str", "str", "set")}
+POOL = {
+    "int": (1, 2, 3),
+    "str": ("1", "a", "b"),
+    "set": (frozenset(), frozenset({"a"}), frozenset({"a", "b"})),
+}
+
+
+def constant_text(value):
+    return render_value(value) if isinstance(value, frozenset) else str(value)
+
+
+@st.composite
+def random_models(draw):
+    # a few tables per predicate, drawn by several models: shared objects
+    tables = {
+        predicate: [
+            frozenset(draw(st.sets(
+                st.tuples(*(st.sampled_from(POOL[kind]) for kind in kinds)),
+                max_size=4,
+            )))
+            for _ in range(3)
+        ]
+        for predicate, kinds in KINDS.items()
+    }
+    models = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        # later models may lack a predicate altogether
+        present = [p for p in sorted(KINDS) if i == 0 or draw(st.integers(0, 5))]
+        models.append(ModelAtomSet(
+            {predicate: draw(st.sampled_from(tables[predicate])) for predicate in present}
+        ))
+    return models
+
+
+@st.composite
+def random_queries(draw):
+    literals = []
+    kinds_of: dict[str, set[str]] = {}
+    constants = [constant_text(v) for pool in POOL.values() for v in pool]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        predicate = draw(st.sampled_from(sorted(KINDS)))
+        args = []
+        for kind in KINDS[predicate]:
+            choice = draw(st.sampled_from(("constant", "variable", "variable", "_")))
+            if choice == "constant":
+                args.append(draw(st.sampled_from(constants)))
+            elif choice == "variable":
+                name = draw(st.sampled_from("XYZ"))
+                kinds_of.setdefault(name, set()).add(kind)
+                args.append(name)
+            else:
+                args.append("_")
+        literals.append(f"{predicate}({','.join(args)})")
+    variables = sorted(kinds_of)
+    # ordered comparisons only between integers, so neither side raises
+    integers = [v for v in variables if kinds_of[v] == {"int"}] + ["1", "2", "3"]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        op = draw(st.sampled_from(("=", "!=", "<", "<=")))
+        if op in ("<", "<="):
+            left, right = draw(st.sampled_from(integers)), draw(st.sampled_from(integers))
+        elif variables:
+            left = draw(st.sampled_from(variables))
+            right = draw(st.sampled_from(variables + constants))
+        else:
+            continue
+        literals.append(f"{left} {op} {right}")
+    return parse_query(", ".join(literals) + "?")
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=random_queries(), models=random_models())
+def test_answer_matches_the_definitional_oracle(query, models):
+    for semantics in ("brave", "cautious"):
+        rows = answer(query, models, semantics)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == oracle_answer(query, models, semantics)
 
 
 # ---------------------------------------------------------------------------

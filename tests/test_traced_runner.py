@@ -1,0 +1,53 @@
+"""The benchmark's traced runner renders ``query`` output exactly as the CLI does.
+
+``perfbench/traced.py`` calls the public query API itself and reports the
+sha256 of the text it renders; the benchmark checks that digest against
+the CLI's recorded stdout, so the two must agree byte for byte.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from xresp.cli import main
+
+from conftest import REPO_ROOT, WEATHER_CSV
+
+QUERIES = (
+    "fullExpl(E,U,R,S), R < 3?\n"
+    "invResp(e,outlook,R)?\n"
+    "cause(E,U), cont(E,U,S)?\n"
+    "cls(E,O,T,H,W,L)?\n"
+    "ent(e,_,_,_,Wp,s), ent(e,_,_,_,W,o), W = Wp?\n"
+    "pb_num(e,O,T,H,W,yes,F)?\n"
+)
+
+
+@pytest.mark.parametrize("semantics", ["--brave", "--cautious"])
+def test_traced_query_digest_matches_the_cli(tmp_path, capsys, semantics):
+    model = tmp_path / "weather.model"
+    queries = tmp_path / "weather.q"
+    queries.write_text(QUERIES, encoding="utf-8")
+    assert main(["train", "--data", str(WEATHER_CSV), "--out", str(model)]) == 0
+    argv = [
+        "query", "--model", str(model), "--entity", "rain,high,normal,weak",
+        "--queries", str(queries), semantics,
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout
+
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "perfbench" / "traced.py"), *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(result.stdout)
+    assert report["stdout_sha256"] == hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert report["counts"]["rows"] == len([line for line in stdout.splitlines() if line])
