@@ -23,7 +23,6 @@ from .dlv_emit import EmitterOptions, emit_cip
 from .engine import (
     enumerate_counterfactuals,
     explanations_of,
-    min_change_versions,
     xresp,
 )
 from .naive_bayes import (
@@ -257,16 +256,14 @@ def _constraints_of(
 def _versions_of(
     args: argparse.Namespace, model: NaiveBayesModel | PercentModel, entity: Entity
 ):
-    versions = enumerate_counterfactuals(
+    return enumerate_counterfactuals(
         model,
         entity,
         _constraints_of(args, model),
         strict=args.strict,
         maxint=_maxint(args),
+        min_change=getattr(args, "min_change", False),
     )
-    if getattr(args, "min_change", False):
-        versions = min_change_versions(versions)
-    return versions
 
 
 def _write_out(text: str, out_path: str | None) -> None:

@@ -15,6 +15,17 @@ reachability over entities:
   version, with the states of one shortest intervention chain recorded
   (dependency-propagated values included).
 
+The search runs level by level: a state at depth k differs from the
+original in exactly k intervened free features, plus whatever dependency
+targets propagation overwrote, so every version found at depth k changes at
+least k features.  A minimum-change search therefore stops before the first
+depth that exceeds the fewest changes found so far.  The truncation is
+exact: a level is built only from the levels before it (their frontier and
+the ``seen`` set), so every level the truncated search runs equals the
+full search's.  Stopping at the first depth holding a flip would not be
+exact: a dependency can give a shallower version as many changed features
+as a deeper one, or more.
+
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility of the
 explanation is the total number of changes.  The x-Resp score of a feature
@@ -92,6 +103,7 @@ def enumerate_counterfactuals(
     *,
     strict: bool = False,
     maxint: int = DEFAULT_MAXINT,
+    min_change: bool = False,
 ) -> tuple[CounterfactualVersion, ...]:
     """All label-flipping entities reachable by admissible interventions.
 
@@ -106,6 +118,13 @@ def enumerate_counterfactuals(
     apply to the original entity as well (discarding everything when the
     original itself is inadmissible).  An empty result is legal and means no
     counterfactual version exists under the constraints.
+
+    ``min_change`` returns ``min_change_versions`` of the result without
+    building it whole: depth k of the search changes at least k features,
+    so the search stops once k exceeds the fewest changes found so far.
+    Every shallower level runs exactly as in the full search, so the answer
+    is the same; states past the stop are never classified, so a staged
+    overflow there no longer ends the search.
     """
     schema = model.schema
     validate_values(schema, entity.values)
@@ -131,8 +150,12 @@ def enumerate_counterfactuals(
     found: list[CounterfactualVersion] = []
     # each frontier entry is the chain of states from the original to its tip
     frontier: list[tuple[tuple[str, ...], ...]] = [(original,)]
+    # the fewest changed features of any version found so far; no version
+    # changes more than every feature
+    best = len(schema)
+    depth = 0
 
-    while frontier:
+    while frontier and not (min_change and depth >= best):
         next_frontier: list[tuple[tuple[str, ...], ...]] = []
         for chain in frontier:
             state = chain[-1]
@@ -155,14 +178,17 @@ def enumerate_counterfactuals(
                     successor_chain = chain + (successor,)
                     successor_label = model.classify(successor, maxint)[0]
                     if successor_label != original_label:
-                        found.append(
-                            _version(entity.eid, successor_chain,
-                                     successor_label, schema)
-                        )
+                        version = _version(entity.eid, successor_chain,
+                                           successor_label, schema)
+                        found.append(version)
+                        best = min(best, len(version.changed))
                     else:
                         next_frontier.append(successor_chain)
         frontier = next_frontier
+        depth += 1
 
+    if min_change:
+        return min_change_versions(found)
     return tuple(sorted(found, key=lambda v: (len(v.changed), v.final)))
 
 

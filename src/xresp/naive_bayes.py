@@ -62,6 +62,7 @@ class NaiveBayesModel:
                     raise ModelFormatError(
                         f"conditionals of {name} given {label} sum to {total}, not 1"
                     )
+        object.__setattr__(self, "_table", _score_table(self))
 
     def classify(
         self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
@@ -71,12 +72,12 @@ class NaiveBayesModel:
         ``maxint`` is accepted for interface parity and ignored: rationals
         never overflow.
         """
-        validate_values(self.schema, values)
+        rows = _score_rows(self, values)
         numerators = []
-        for label in self.labels:
+        for i, label in enumerate(self.labels):
             num = self.prior[label]
-            for (name, _), value in zip(self.schema.features, values):
-                num *= self.conditional[(name, value, label)]
+            for row in rows:
+                num *= row[i]
             numerators.append(num)
         pos, neg = numerators
         return self.labels[0] if pos >= neg else self.labels[1], pos, neg
@@ -102,6 +103,7 @@ class PercentModel:
                         f"percent conditionals of {name} given {label} "
                         f"sum to {total}, not 100"
                     )
+        object.__setattr__(self, "_table", _score_table(self))
 
     def classify(
         self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
@@ -112,17 +114,47 @@ class PercentModel:
         is folded last the same way.  Products above ``maxint`` raise
         StagedOverflowError (mirroring a solver's integer ceiling).
         """
-        validate_values(self.schema, values)
+        rows = _score_rows(self, values)
         scores = []
-        for label in self.labels:
+        for i, label in enumerate(self.labels):
             acc: int | None = None
-            for (name, _), value in zip(self.schema.features, values):
-                pct = self.conditional[(name, value, label)]
-                acc = pct if acc is None else _checked_mul(acc, pct, maxint) // 10
+            for row in rows:
+                pct = row[i]
+                acc = pct if acc is None else self._checked_mul(acc, pct, maxint) // 10
             acc = 1 if acc is None else acc  # only a zero-feature schema
-            scores.append(_checked_mul(acc, self.prior[label], maxint) // 10)
+            scores.append(self._checked_mul(acc, self.prior[label], maxint) // 10)
         pos, neg = scores
         return self.labels[0] if pos >= neg else self.labels[1], pos, neg
+
+    def _checked_mul(self, a: int, b: int, maxint: int) -> int:
+        product = a * b
+        if product > maxint:
+            raise StagedOverflowError(
+                f"staged product {a}*{b} = {product} exceeds maxint {maxint}; "
+                f"--maxint {self._covering_maxint()} covers every state"
+            )
+        return product
+
+    def _covering_maxint(self) -> int:
+        """The smallest ``maxint`` under which no grid state overflows.
+
+        The fold is monotone in every factor, so per label the largest
+        product of any state is one of the products folded from the
+        per-feature maximum percentages, prior step included.
+        """
+        largest = 0
+        for i, label in enumerate(self.labels):
+            acc: int | None = None
+            for column in self._table:
+                pct = max(row[i] for row in column.values())
+                if acc is None:
+                    acc = pct
+                else:
+                    largest = max(largest, acc * pct)
+                    acc = acc * pct // 10
+            acc = 1 if acc is None else acc
+            largest = max(largest, acc * self.prior[label])
+        return largest
 
 
 def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesModel:
@@ -205,13 +237,33 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
     )
 
 
-def _checked_mul(a: int, b: int, maxint: int) -> int:
-    product = a * b
-    if product > maxint:
-        raise StagedOverflowError(
-            f"staged product {a}*{b} = {product} exceeds maxint {maxint}"
-        )
-    return product
+def _score_table(
+    model: NaiveBayesModel | PercentModel,
+) -> tuple[dict[str, tuple], ...]:
+    """Per feature, each domain value's conditionals in label order."""
+    return tuple(
+        {
+            value: tuple(model.conditional[(name, value, label)] for label in model.labels)
+            for value in domain
+        }
+        for name, domain in model.schema.features
+    )
+
+
+def _score_rows(model: NaiveBayesModel | PercentModel, values: tuple[str, ...]) -> list:
+    """The score row of each value; a value outside the schema raises DataError.
+
+    The table lookup is the domain check: only when it misses does
+    ``validate_values`` run, to raise the error that names the bad value.
+    """
+    table = model._table
+    try:
+        rows = [column[value] for column, value in zip(table, values)]
+    except (KeyError, TypeError):
+        rows = None
+    if rows is None or len(values) != len(table):
+        validate_values(model.schema, values)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ TEST_DATA = Path(__file__).resolve().parent / "data"
 WEATHER_CSV = DATA_DIR / "weather.csv"
 DEMO_PROGRAM = DATA_DIR / "demo_program.lp"
 
+# The weather entity (rain, high, normal, weak) breaks this mapping
+# (rain->high), so raising Wind alone also overwrites Humidity: a depth-1
+# version with two changes, tied by the depth-2 version that changes Outlook
+# and Wind.  Its minimum-change versions lie at two search depths.
+TWO_DEPTH_DEPEND = "depend Outlook -> Humidity: sunny->normal, overcast->high, rain->high"
+
 
 @pytest.fixture(scope="session")
 def weather_dataset():

@@ -1,12 +1,15 @@
-"""Text helpers that only tests need: DLV statement normalization and CSV output."""
+"""Helpers that only tests need: DLV statement normalization, CSV output and
+a classification-counting model."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import re
+from collections import Counter
 
-from xresp import Dataset
+from xresp import DEFAULT_MAXINT, Dataset, PercentModel
 
 _TOKEN_RE = re.compile(
     r":-|:~|!=|>=|<=|#[A-Za-z]+|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){},.<>=*/+]|\S"
@@ -48,3 +51,23 @@ def serialize_dataset(dataset: Dataset) -> str:
     for values, label in dataset.rows:
         writer.writerow(list(values) + [label])
     return out.getvalue()
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingModel(PercentModel):
+    """A staged model that counts how often each state is classified."""
+
+    calls: Counter = dataclasses.field(default_factory=Counter, compare=False)
+
+    @classmethod
+    def of(cls, model: PercentModel) -> "CountingModel":
+        return cls(
+            schema=model.schema,
+            labels=model.labels,
+            prior=model.prior,
+            conditional=model.conditional,
+        )
+
+    def classify(self, values, maxint=DEFAULT_MAXINT):
+        self.calls[tuple(values)] += 1
+        return super().classify(values, maxint)

@@ -2,9 +2,20 @@
 
 import pytest
 
+from xresp import (
+    enumerate_counterfactuals,
+    load_dataset,
+    min_change_versions,
+    model_atom_sets,
+    parse_constraints,
+    parse_entity,
+    to_percent,
+    train,
+)
 from xresp.cli import main
+from xresp.queries import answer, load_queries, render_row
 
-from conftest import DEMO_PROGRAM, TEST_DATA, WEATHER_CSV
+from conftest import DEMO_PROGRAM, TEST_DATA, TWO_DEPTH_DEPEND, WEATHER_CSV
 
 DATA = str(WEATHER_CSV)
 ENTITY = "rain,high,normal,weak"
@@ -253,6 +264,40 @@ def test_query_with_a_dependency_materialises_propagated_states(run_cli, tmp_pat
         for _, temperature, humidity, _ in rows:
             assert humidity == mapping[temperature]
     assert len(s_block.splitlines()) == 5
+
+
+@pytest.mark.parametrize("classifier", ["staged", "exact"])
+def test_min_change_with_a_dependency_prints_the_filtered_full_search(
+    run_cli, tmp_path, classifier
+):
+    knowledge = tmp_path / "knowledge.txt"
+    knowledge.write_text(TWO_DEPTH_DEPEND + "\n", encoding="utf-8")
+    base = train(load_dataset(DATA))
+    model = to_percent(base) if classifier == "staged" else base
+    entity = parse_entity(ENTITY, model.schema)
+    constraints = parse_constraints(TWO_DEPTH_DEPEND, model.schema)
+    versions = min_change_versions(
+        enumerate_counterfactuals(model, entity, constraints)
+    )
+    assert len({len(v.states) for v in versions}) == 2
+    flags = ["--data", DATA, "--entity", ENTITY, "--classifier", classifier,
+             "--constraints", str(knowledge), "--min-change"]
+
+    code, out, err = run_cli("counterfactuals", *flags)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"ent(e,{','.join(v.final)},s)\n" for v in versions)
+
+    lines = ("ent(e,O,T,H,W,tr)?", "fullExpl(E,U,R,S)?", "cls(E,O,T,H,W,L)?")
+    atom_sets = model_atom_sets(versions, model, entity)
+    expected = "\n\n".join(
+        "\n".join(render_row(row) for row in answer(query, atom_sets, "brave"))
+        for query in load_queries("\n".join(lines))
+    )
+    code, out, err = run_cli(
+        "query", *flags, "--queries", write_queries(tmp_path, *lines), "--brave"
+    )
+    assert (code, err) == (0, "")
+    assert out == expected + "\n"
 
 
 def test_integer_constants_match_entity_values(run_cli, tmp_path):

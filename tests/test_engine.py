@@ -5,6 +5,7 @@ and the per-feature scores) were worked out by hand from the published
 percent tables and the staged integer pipeline before the engine ran.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,12 @@ from xresp.engine import (
     min_change_versions,
     xresp,
 )
-from xresp.naive_bayes import StagedOverflowError
-from xresp.schema import Entity
+from xresp.naive_bayes import StagedOverflowError, to_percent, train
+from xresp.schema import Entity, load_dataset
 
-from oracles import strict_actual_cause
+from conftest import TWO_DEPTH_DEPEND
+from helpers import CountingModel
+from oracles import random_instance, strict_actual_cause
 
 ORIGINAL = ("rain", "high", "normal", "weak")
 
@@ -94,6 +97,97 @@ def test_min_change_is_the_single_humidity_flip(weather_versions):
     assert only.final == ("rain", "high", "high", "weak")
     assert only.changed == frozenset({"Humidity"})
     assert min_change_versions(()) == ()
+
+
+# ---------------------------------------------------------------------------
+# The minimum-change search
+# ---------------------------------------------------------------------------
+
+def test_min_change_search_keeps_minimum_versions_from_two_depths(
+    weather_model, weather_percent, weather_entity
+):
+    for model in (weather_percent, weather_model):
+        constraints = parse_constraints(TWO_DEPTH_DEPEND, model.schema)
+        bounded = enumerate_counterfactuals(
+            model, weather_entity, constraints, min_change=True
+        )
+        full = enumerate_counterfactuals(model, weather_entity, constraints)
+        assert bounded == min_change_versions(full)
+        assert {v.final: len(v.states) - 1 for v in bounded} == {
+            ("rain", "high", "high", "strong"): 1,
+            ("sunny", "high", "normal", "strong"): 2,
+        }
+        assert {len(v.changed) for v in bounded} == {2}
+
+
+def random_constraints(rng, schema):
+    """A random mix of depend, forbid and immutable lines, possibly none."""
+    names = list(schema.names)
+    source, target = rng.sample(names, 2)
+    lines = []
+    if rng.random() < 0.5:
+        images = (rng.choice(schema.domain(target)) for _ in schema.domain(source))
+        mapping = ", ".join(
+            f"{value}->{image}" for value, image in zip(schema.domain(source), images)
+        )
+        lines.append(f"depend {source} -> {target}: {mapping}")
+    if rng.random() < 0.5:
+        combo = rng.sample(names, rng.randint(1, 2))
+        lines.append(
+            "forbid " + ", ".join(f"{n}={rng.choice(schema.domain(n))}" for n in combo)
+        )
+    if rng.random() < 0.5:
+        # a dependency target cannot also be immutable
+        lines.append(f"immutable {rng.choice([n for n in names if n != target])}")
+    return parse_constraints("\n".join(lines), schema)
+
+
+def test_min_change_search_equals_the_filtered_full_search(tmp_path):
+    rng = random.Random(4040)
+    path = tmp_path / "instance.csv"
+    checked = two_depths = 0
+    for _ in range(300):
+        csv_text, entity_values = random_instance(rng)
+        path.write_text(csv_text, encoding="utf-8")
+        exact = train(load_dataset(str(path)))
+        entity = Entity("e", entity_values)
+        for model in (exact, to_percent(exact)):
+            constraints = random_constraints(rng, model.schema)
+            for strict in (False, True):
+                full = enumerate_counterfactuals(
+                    model, entity, constraints, strict=strict
+                )
+                bounded = enumerate_counterfactuals(
+                    model, entity, constraints, strict=strict, min_change=True
+                )
+                assert bounded == min_change_versions(full)
+                checked += bool(bounded)
+                two_depths += len({len(v.states) for v in bounded}) > 1
+    assert checked > 500 and two_depths
+
+
+def test_min_change_search_classifies_fewer_states(weather_percent,
+                                                 weather_entity):
+    model = CountingModel.of(weather_percent)
+    enumerate_counterfactuals(model, weather_entity)
+    full_calls = sum(model.calls.values())
+    model.calls.clear()
+    (only,) = enumerate_counterfactuals(model, weather_entity, min_change=True)
+    assert only.changed == frozenset({"Humidity"})
+    # the Humidity flip sits at depth 1, so depth 2 is never built: the
+    # original and its six neighbours are all that is classified
+    assert sum(model.calls.values()) == 7 < full_calls
+
+
+def test_min_change_search_never_classifies_the_overflowing_states(weather_percent,
+                                                                  weather_entity):
+    # 500000 covers the original and its neighbours, not the deeper states
+    with pytest.raises(StagedOverflowError):
+        enumerate_counterfactuals(weather_percent, weather_entity, maxint=500_000)
+    (only,) = enumerate_counterfactuals(
+        weather_percent, weather_entity, maxint=500_000, min_change=True
+    )
+    assert only.final == ("rain", "high", "high", "weak")
 
 
 def test_explanations_dedupe_and_satisfy_inv_resp(weather_percent, weather_entity,

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xresp import (
+    DataError,
     Dataset,
     FeatureSchema,
     ModelFormatError,
     NaiveBayesModel,
     StagedOverflowError,
+    enumerate_counterfactuals,
     load_dataset,
     load_model,
     parse_model,
@@ -24,6 +26,7 @@ from xresp import (
     serialize_model,
     to_percent,
     train,
+    validate_values,
 )
 
 from oracles import all_grid_tuples
@@ -168,6 +171,41 @@ def test_staged_overflow_guard(weather_percent, weather_entity):
         weather_percent.classify(weather_entity.values, 1000)
     # large enough ceiling never triggers
     weather_percent.classify(weather_entity.values, 10**8)
+
+
+def test_staged_overflow_names_the_ceiling_that_covers_every_state(weather_percent,
+                                                                   weather_entity):
+    # fold each label's largest percentages: yes takes 45, 45, 67, 67 to
+    # 45*45//10 = 202, 202*67//10 = 1353, 1353*67//10 = 9065, and its prior
+    # step 9065*64 = 580160 is the largest product; no peaks at 11520*36
+    with pytest.raises(StagedOverflowError, match=(
+        r"^staged product \d+\*\d+ = \d+ exceeds maxint 1000; "
+        r"--maxint 580160 covers every state$"
+    )):
+        weather_percent.classify(weather_entity.values, 1000)
+    with pytest.raises(StagedOverflowError, match="580160 covers every state"):
+        enumerate_counterfactuals(weather_percent, weather_entity, maxint=580_159)
+    assert len(enumerate_counterfactuals(
+        weather_percent, weather_entity, maxint=580_160
+    )) == 10
+    for values in all_grid_tuples(weather_percent.schema):
+        weather_percent.classify(values, 580_160)
+
+
+@pytest.mark.parametrize("values", [
+    ("sunny", "low", "high"),
+    ("sunny", "low", "high", "strong", "extra"),
+    ("sunny", "low", "high", "gusty"),
+    ("sunny", "warm", "high", "strong"),
+])
+def test_classify_rejects_values_outside_the_schema(weather_model, weather_percent,
+                                                    values):
+    with pytest.raises(DataError) as expected:
+        validate_values(weather_model.schema, values)
+    for model in (weather_model, weather_percent):
+        with pytest.raises(DataError) as raised:
+            model.classify(values)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_persistence_round_trip(weather_model, tmp_path):

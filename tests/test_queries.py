@@ -2,15 +2,12 @@
 
 import dataclasses
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xresp import (
-    DEFAULT_MAXINT,
     Entity,
-    PercentModel,
     enumerate_counterfactuals,
     load_dataset,
     parse_constraints,
@@ -34,6 +31,7 @@ from xresp.queries import (
     render_value,
 )
 
+from helpers import CountingModel
 from oracles import oracle_answer, oracle_atoms_of, random_instance
 
 # ---------------------------------------------------------------------------
@@ -245,26 +243,10 @@ def test_lazy_atom_sets_match_the_oracle_under_a_dependency(tmp_path):
     assert checked > 20
 
 
-@dataclasses.dataclass(frozen=True)
-class CountingModel(PercentModel):
-    """A staged model that counts how often each state is classified."""
-
-    calls: Counter = dataclasses.field(default_factory=Counter, compare=False)
-
-    def classify(self, values, maxint=DEFAULT_MAXINT):
-        self.calls[tuple(values)] += 1
-        return super().classify(values, maxint)
-
-
 def test_model_atom_sets_classify_each_distinct_state_at_most_once(
     weather_percent, weather_entity
 ):
-    model = CountingModel(
-        schema=weather_percent.schema,
-        labels=weather_percent.labels,
-        prior=weather_percent.prior,
-        conditional=weather_percent.conditional,
-    )
+    model = CountingModel.of(weather_percent)
     versions = enumerate_counterfactuals(model, weather_entity)
     model.calls.clear()
     atom_sets = model_atom_sets(versions, model, weather_entity)

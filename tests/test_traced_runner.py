@@ -1,6 +1,6 @@
-"""The benchmark's traced runner renders ``query`` output exactly as the CLI does.
+"""The benchmark's traced runner renders output exactly as the CLI does.
 
-``perfbench/traced.py`` calls the public query API itself and reports the
+``perfbench/traced.py`` calls the public API itself and reports the
 sha256 of the text it renders; the benchmark checks that digest against
 the CLI's recorded stdout, so the two must agree byte for byte.
 """
@@ -23,20 +23,20 @@ QUERIES = (
     "cause(E,U), cont(E,U,S)?\n"
     "cls(E,O,T,H,W,L)?\n"
     "ent(e,_,_,_,Wp,s), ent(e,_,_,_,W,o), W = Wp?\n"
-    "pb_num(e,O,T,H,W,yes,F)?\n"
 )
+# the exact backend's models carry no staged-probability atoms
+PB_NUM_QUERY = "pb_num(e,O,T,H,W,yes,F)?\n"
 
 
-@pytest.mark.parametrize("semantics", ["--brave", "--cautious"])
-def test_traced_query_digest_matches_the_cli(tmp_path, capsys, semantics):
+def traced_and_cli_stdout(tmp_path, capsys, command, flags, queries=None):
+    """The CLI's stdout and the traced runner's report for one invocation."""
     model = tmp_path / "weather.model"
-    queries = tmp_path / "weather.q"
-    queries.write_text(QUERIES, encoding="utf-8")
     assert main(["train", "--data", str(WEATHER_CSV), "--out", str(model)]) == 0
-    argv = [
-        "query", "--model", str(model), "--entity", "rain,high,normal,weak",
-        "--queries", str(queries), semantics,
-    ]
+    argv = [command, "--model", str(model), "--entity", "rain,high,normal,weak", *flags]
+    if queries is not None:
+        path = tmp_path / "weather.q"
+        path.write_text(queries, encoding="utf-8")
+        argv += ["--queries", str(path)]
     capsys.readouterr()
     assert main(argv) == 0
     stdout = capsys.readouterr().out
@@ -50,4 +50,24 @@ def test_traced_query_digest_matches_the_cli(tmp_path, capsys, semantics):
     )
     report = json.loads(result.stdout)
     assert report["stdout_sha256"] == hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    return stdout, report
+
+
+@pytest.mark.parametrize("semantics", ["--brave", "--cautious"])
+def test_traced_query_digest_matches_the_cli(tmp_path, capsys, semantics):
+    stdout, report = traced_and_cli_stdout(
+        tmp_path, capsys, "query", [semantics], QUERIES + PB_NUM_QUERY
+    )
     assert report["counts"]["rows"] == len([line for line in stdout.splitlines() if line])
+
+
+@pytest.mark.parametrize("command, flags, queries", [
+    ("counterfactuals", ["--min-change"], None),
+    ("query", ["--min-change", "--brave"], QUERIES),
+], ids=["counterfactuals", "query"])
+def test_traced_min_change_digest_matches_the_cli(tmp_path, capsys, command, flags,
+                                                  queries):
+    # the runner searches in full and then filters; the CLI stops the search early
+    traced_and_cli_stdout(
+        tmp_path, capsys, command, ["--classifier", "exact", *flags], queries
+    )
