@@ -16,10 +16,7 @@ from .asp import (
     ProgramSyntaxError,
     Rule,
     WeakConstraint,
-    answer_query_ground,
-    minimal_models,
     parse_program,
-    reduct,
     stable_models,
 )
 from .constraints import (
@@ -66,7 +63,6 @@ from .queries import (
     Query,
     QueryError,
     answer,
-    atoms_of,
     load_queries,
     model_atom_sets,
     parse_query,
@@ -118,8 +114,6 @@ __all__ = [
     "WeakConstraint",
     "admits",
     "answer",
-    "answer_query_ground",
-    "atoms_of",
     "emit_cip",
     "empty_constraints",
     "enumerate_counterfactuals",
@@ -129,7 +123,6 @@ __all__ = [
     "load_model",
     "load_queries",
     "min_change_versions",
-    "minimal_models",
     "model_atom_sets",
     "parse_constraints",
     "parse_entity",
@@ -138,7 +131,6 @@ __all__ = [
     "parse_program",
     "parse_query",
     "propagate",
-    "reduct",
     "render_row",
     "render_value",
     "save_model",

@@ -2,20 +2,23 @@
 
 Rules have the shape ``a1 v a2 :- b1, b2, not c1.`` over propositional
 atoms; an empty head (``:- body.``) is a hard constraint and ``:~ body.``
-is a weak constraint.  Stable models are computed from first principles:
+is a weak constraint.  ``stable_models`` is the one semantic routine, and
+it works from first principles:
 
 1. the reduct of a program w.r.t. a candidate atom set S deletes every rule
    whose negative body intersects S and strips the negative literals from
    the survivors;
-2. S is stable iff S is a minimal model of its own reduct;
+2. S is stable iff S is a minimal model of its own reduct (for a
+   negation-free program, the reduct is the program itself, so its stable
+   models are its minimal models);
 3. if weak constraints are present, only stable models violating the fewest
    of them are kept.
 
 Everything is exhaustive subset enumeration over the Herbrand base, bounded
-by a configurable cap (default 20 atoms, overridable per call or through
-the XRESP_ASP_ATOM_CAP environment variable).  Transparency and testability
-are the point here, not speed: this kernel is the executable definition the
-rest of the package is validated against.
+by a cap of 20 atoms that only the XRESP_ASP_ATOM_CAP environment variable
+overrides.  Transparency and testability are the point here, not speed:
+this kernel is the executable definition the rest of the package is
+validated against.
 """
 
 from __future__ import annotations
@@ -141,49 +144,19 @@ def _parse_body(text: str, lineno: int) -> tuple[frozenset[str], frozenset[str]]
 # ---------------------------------------------------------------------------
 
 
-def reduct(program: GroundProgram, s: frozenset[str]) -> GroundProgram:
-    """The Gelfond-Lifschitz transform of the program w.r.t. ``s``."""
-    unknown = s - program.atoms
-    if unknown:
-        raise ValueError(f"atoms outside the Herbrand base: {sorted(unknown)}")
-    kept = tuple(
-        Rule(head=rule.head, pos=rule.pos, neg=frozenset())
-        for rule in program.rules
-        if not (rule.neg & s)
-    )
-    return GroundProgram(atoms=program.atoms, rules=kept, weak=())
-
-
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _check_cap(program: GroundProgram) -> None:
     env = os.environ.get(ATOM_CAP_ENV)
+    limit = DEFAULT_ATOM_CAP
     if env is not None:
         try:
-            return int(env)
+            limit = int(env)
         except ValueError as exc:
             raise ValueError(f"{ATOM_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_ATOM_CAP
-
-
-def _check_cap(program: GroundProgram, cap: int | None) -> None:
-    limit = _resolve_cap(cap)
     if len(program.atoms) > limit:
         raise EnumerationCapError(
             f"Herbrand base has {len(program.atoms)} atoms; exhaustive "
-            f"enumeration is capped at {limit} (raise the cap or set "
-            f"{ATOM_CAP_ENV})"
+            f"enumeration is capped at {limit} (set {ATOM_CAP_ENV} to raise it)"
         )
-
-
-def _masks(program: GroundProgram, order: list[str]) -> list[tuple[int, int, int]]:
-    index = {atom: i for i, atom in enumerate(order)}
-    def mask(atoms: frozenset[str]) -> int:
-        m = 0
-        for atom in atoms:
-            m |= 1 << index[atom]
-        return m
-    return [(mask(r.head), mask(r.pos), mask(r.neg)) for r in program.rules]
 
 
 def _satisfies(mask: int, rule_masks: list[tuple[int, int, int]]) -> bool:
@@ -194,41 +167,14 @@ def _satisfies(mask: int, rule_masks: list[tuple[int, int, int]]) -> bool:
     return True
 
 
-def minimal_models(
-    program: GroundProgram, *, cap: int | None = None
-) -> tuple[frozenset[str], ...]:
-    """Subset-minimal models of a negation-free program."""
-    for rule in program.rules:
-        if rule.neg:
-            raise ValueError("minimal_models requires a negation-free program")
-    _check_cap(program, cap)
+def stable_models(program: GroundProgram) -> tuple[frozenset[str], ...]:
+    """All stable models; with weak constraints, only minimum-violation ones.
 
+    A negation-free program is its own reduct, so its stable models are its
+    minimal models.  The cap comes from ``XRESP_ASP_ATOM_CAP`` (default 20).
+    """
+    _check_cap(program)
     order = sorted(program.atoms)
-    rule_masks = _masks(program, order)
-    n = len(order)
-
-    satisfying = [m for m in range(1 << n) if _satisfies(m, rule_masks)]
-    satisfying.sort(key=lambda m: (bin(m).count("1"), m))
-    minimal: list[int] = []
-    for m in satisfying:
-        if not any(kept & m == kept for kept in minimal):
-            minimal.append(m)
-
-    models = [_unmask(m, order) for m in minimal]
-    return tuple(sorted(models, key=lambda model: tuple(sorted(model))))
-
-
-def _unmask(mask: int, order: list[str]) -> frozenset[str]:
-    return frozenset(atom for i, atom in enumerate(order) if mask >> i & 1)
-
-
-def stable_models(
-    program: GroundProgram, *, cap: int | None = None
-) -> tuple[frozenset[str], ...]:
-    """All stable models; with weak constraints, only minimum-violation ones."""
-    _check_cap(program, cap)
-    order = sorted(program.atoms)
-    n = len(order)
     index = {atom: i for i, atom in enumerate(order)}
 
     def mask_of(atoms: frozenset[str]) -> int:
@@ -237,33 +183,26 @@ def stable_models(
             m |= 1 << index[atom]
         return m
 
-    rule_triples = [
+    rule_masks = [
         (mask_of(r.head), mask_of(r.pos), mask_of(r.neg)) for r in program.rules
     ]
     weak_pairs = [(mask_of(w.pos), mask_of(w.neg)) for w in program.weak]
 
     stable_masks: list[int] = []
-    for candidate in range(1 << n):
-        # reduct: drop rules whose negative body intersects the candidate
-        reduct_masks = [
-            (head, pos, 0)
-            for head, pos, neg in rule_triples
-            if neg & candidate == 0
-        ]
-        if not _satisfies(candidate, reduct_masks):
+    for candidate in range(1 << len(order)):
+        # a rule whose negative body meets the candidate holds in it, so the
+        # candidate models its reduct iff it models the program
+        if not _satisfies(candidate, rule_masks):
             continue
+        # reduct: drop rules blocked by the candidate, strip the negation
+        reduct = [(head, pos, 0) for head, pos, neg in rule_masks if neg & candidate == 0]
         # minimality: no proper submask may satisfy the reduct
-        minimal = True
-        if candidate:
-            sub = (candidate - 1) & candidate
-            while True:
-                if _satisfies(sub, reduct_masks):
-                    minimal = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & candidate
-        if minimal:
+        sub = candidate
+        while sub:
+            sub = (sub - 1) & candidate
+            if _satisfies(sub, reduct):
+                break
+        else:
             stable_masks.append(candidate)
 
     if program.weak and stable_masks:
@@ -274,25 +213,8 @@ def stable_models(
         best = min(violations(m) for m in stable_masks)
         stable_masks = [m for m in stable_masks if violations(m) == best]
 
-    models = [_unmask(m, order) for m in stable_masks]
+    models = [
+        frozenset(atom for i, atom in enumerate(order) if m >> i & 1)
+        for m in stable_masks
+    ]
     return tuple(sorted(models, key=lambda model: tuple(sorted(model))))
-
-
-def answer_query_ground(
-    program: GroundProgram,
-    query_atoms: frozenset[str] | set[str],
-    semantics: str,
-    *,
-    cap: int | None = None,
-) -> bool:
-    """Brave: some stable model contains every query atom; cautious: all do."""
-    atoms = frozenset(query_atoms)
-    unknown = atoms - program.atoms
-    if unknown:
-        raise ValueError(f"query atoms outside the Herbrand base: {sorted(unknown)}")
-    if semantics not in ("brave", "cautious"):
-        raise ValueError(f"semantics must be 'brave' or 'cautious', got {semantics!r}")
-    models = stable_models(program, cap=cap)
-    if semantics == "brave":
-        return any(atoms <= model for model in models)
-    return all(atoms <= model for model in models)

@@ -131,6 +131,8 @@ def propagate(constraints: ConstraintSet, values: tuple[str, ...]) -> tuple[str,
     values stop changing, which acyclicity guarantees after at most one
     pass per dependency.
     """
+    if not constraints.dependencies:
+        return values
     schema = constraints.schema
     current = list(values)
     for _ in range(len(constraints.dependencies) + 1):

@@ -41,6 +41,12 @@ class FactParseError(ValueError):
 # not collide with these.
 _RESERVED_VARS = {"E", "V", "D", "F", "U", "X", "Z", "I", "Co", "S", "M", "R"}
 
+# A DLV constant: a lowercase-initial identifier or a run of digits.  Any
+# other text (``Sunny`` is a variable) would change the program's meaning.
+# Feature names appear lowercased, as constants and in predicate names.
+_CONSTANT_RE = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
+_LOWERED_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
+
 
 @dataclass(frozen=True)
 class EmitterOptions:
@@ -82,6 +88,27 @@ def _unique_prefixes(names: list[str]) -> list[str]:
             )
         prefixes.append(chosen)
     return prefixes
+
+
+def _check_constants(pmodel: PercentModel, entity: Entity) -> None:
+    for name in pmodel.schema.names:
+        if not _LOWERED_NAME_RE.fullmatch(name.lower()):
+            raise EmitError(
+                f"feature name {name!r} does not lowercase to a DLV identifier"
+            )
+    texts = [("entity id", entity.eid)]
+    texts += [("label", label) for label in pmodel.labels]
+    texts += [
+        (f"value of {name}", value)
+        for name, domain in pmodel.schema.features
+        for value in domain
+    ]
+    for kind, text in texts:
+        if not _CONSTANT_RE.fullmatch(text):
+            raise EmitError(
+                f"{kind} {text!r} is not a DLV constant (a lowercase-initial "
+                f"identifier or a run of digits)"
+            )
 
 
 def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
@@ -139,6 +166,7 @@ def emit_cip(
     validate_values(schema, entity.values)
     if len(schema) < 2:
         raise EmitError("emitting needs at least two features")
+    _check_constants(pmodel, entity)
     features = _feature_names(schema)
     positive, negative = pmodel.labels
 

@@ -285,11 +285,38 @@ def _score_rows(model: NaiveBayesModel | PercentModel, values: tuple[str, ...]) 
 
 
 def save_model(model: NaiveBayesModel, path: str, class_column: str = "class") -> None:
+    text = serialize_model(model, class_column)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_model(model, class_column))
+        handle.write(text)
+
+
+def _one_line(text: str) -> bool:
+    return "".join(text.splitlines()) == text == text.strip()
+
+
+def _check_readable(model: NaiveBayesModel, class_column: str) -> None:
+    """Raise ModelFormatError on text ``parse_model`` would not read back."""
+    texts = [("class column", class_column, _one_line(class_column))]
+    # labels are split on commas, and prior lines on whitespace
+    texts += [("label", l, l.split() == [l] and "," not in l) for l in model.labels]
+    for name, domain in model.schema.features:
+        # a conditional line is split on commas and starts with its feature name
+        keyword = name.startswith(("labels:", "class-column:", "prior:", "%"))
+        texts.append(("feature name", name, _one_line(name) and "," not in name
+                      and not keyword))
+        texts += [
+            (f"value of {name}", v, _one_line(v) and "," not in v) for v in domain
+        ]
+    for kind, text, readable in texts:
+        if not readable:
+            raise ModelFormatError(
+                f"{kind} {text!r} would not read back from a model file"
+            )
 
 
 def serialize_model(model: NaiveBayesModel, class_column: str = "class") -> str:
+    """Model file text; raises ModelFormatError if it would not load unchanged."""
+    _check_readable(model, class_column)
     lines = [f"labels: {model.labels[0]},{model.labels[1]}"]
     lines.append(f"class-column: {class_column}")
     for label in model.labels:

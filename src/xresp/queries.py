@@ -173,23 +173,6 @@ class _Materializer:
         return {pred: frozenset(tuples) for pred, tuples in atoms.items()}
 
 
-def atoms_of(
-    version: CounterfactualVersion,
-    model: NaiveBayesModel | PercentModel,
-    original: Entity,
-    *,
-    include_pb_num: bool = True,
-    maxint: int = DEFAULT_MAXINT,
-) -> ModelAtomSet:
-    """The atom set of one version, each predicate built when first read.
-
-    ``model`` supplies the classifier (staged for a PercentModel, whose
-    pb_num atoms are included unless suppressed; exact models yield no
-    pb_num atoms).
-    """
-    return _Materializer(model, original, include_pb_num, maxint).atom_set(version)
-
-
 def model_atom_sets(
     versions: Iterable[CounterfactualVersion],
     model: NaiveBayesModel | PercentModel,

@@ -46,22 +46,20 @@ class FeatureSchema:
                 raise SchemaError(
                     f"domain of {name} has {len(domain)} value(s); need at least 2"
                 )
+        object.__setattr__(self, "_positions", {n: i for i, n in enumerate(names)})
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.features)
 
     def domain(self, name: str) -> tuple[str, ...]:
-        for fname, dom in self.features:
-            if fname == name:
-                return dom
-        raise SchemaError(f"unknown feature: {name}")
+        return self.features[self.index(name)][1]
 
     def index(self, name: str) -> int:
-        for i, (fname, _) in enumerate(self.features):
-            if fname == name:
-                return i
-        raise SchemaError(f"unknown feature: {name}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"unknown feature: {name}") from None
 
     def __len__(self) -> int:
         return len(self.features)

@@ -66,6 +66,20 @@ def oracle_stable_models(program: GroundProgram) -> set[frozenset[str]]:
     return stable
 
 
+def oracle_minimal_models(program: GroundProgram) -> set[frozenset[str]]:
+    """Subset-minimal models of a negation-free program, by brute force."""
+    assert all(not r.neg for r in program.rules), "negation-free programs only"
+    atoms = sorted(program.atoms)
+    rules = [(set(r.head), set(r.pos), set()) for r in program.rules]
+    models = [
+        frozenset(chosen)
+        for size in range(len(atoms) + 1)
+        for chosen in combinations(atoms, size)
+        if oracle_satisfies(rules, frozenset(chosen))
+    ]
+    return {m for m in models if not any(other < m for other in models)}
+
+
 def oracle_min_violation_models(program: GroundProgram) -> set[frozenset[str]]:
     """Stable models filtered to minimum weak-constraint violation count."""
     stable = oracle_stable_models(program)

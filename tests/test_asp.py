@@ -10,12 +10,11 @@ from xresp.asp import (
     ProgramSyntaxError,
     Rule,
     WeakConstraint,
-    answer_query_ground,
-    minimal_models,
     parse_program,
-    reduct,
     stable_models,
 )
+
+from oracles import oracle_minimal_models, oracle_stable_models
 
 DEMO_TEXT = """\
 a v b :- c.
@@ -81,46 +80,43 @@ def test_parse_errors_carry_line_numbers(text, fragment):
 
 def test_reduct_drops_blocked_rules_and_strips_negation():
     program = parse_program("a :- not b.\nb :- not a.\n")
-    reduced = reduct(program, frozenset({"a"}))
-    # the rule guarded by "not a" is gone; the survivor lost its negation
-    assert reduced.rules == (
-        Rule(head=frozenset({"a"}), pos=frozenset(), neg=frozenset()),
-    )
-    assert reduced.atoms == program.atoms
-    assert reduced.weak == ()
+    # for {a} the rule guarded by "not a" is dropped and the survivor is the
+    # fact a; for {a, b} both rules are dropped and the empty set models the
+    # reduct, so {a, b} is not minimal
+    assert models_as_sets(stable_models(program)) == {("a",), ("b",)}
+    assert set(stable_models(program)) == oracle_stable_models(program)
 
 
 def test_reduct_of_negation_free_program_is_itself():
+    # nothing is dropped or stripped: the stable models are the minimal models
     program = parse_program("a v b :- c.\nc.\n")
-    reduced = reduct(program, frozenset({"c", "a"}))
-    assert reduced.rules == program.rules
-
-
-def test_reduct_rejects_unknown_atoms():
-    program = parse_program("a.\n")
-    with pytest.raises(ValueError, match="outside the Herbrand base"):
-        reduct(program, frozenset({"zzz"}))
+    assert models_as_sets(stable_models(program)) == {("a", "c"), ("b", "c")}
+    assert set(stable_models(program)) == oracle_minimal_models(program)
 
 
 # ---------------------------------------------------------------------------
-# Minimal models (positive programs)
+# Positive programs: stable models are minimal models
 # ---------------------------------------------------------------------------
 
 
 def test_minimal_models_of_disjunctive_positive_program():
     program = parse_program("a v b.\nc :- a.\n")
-    assert models_as_sets(minimal_models(program)) == {("a", "c"), ("b",)}
+    assert models_as_sets(stable_models(program)) == {("a", "c"), ("b",)}
+    assert set(stable_models(program)) == oracle_minimal_models(program)
 
 
 def test_minimal_models_exclude_supersets():
     program = parse_program("a v b.\n")
-    assert models_as_sets(minimal_models(program)) == {("a",), ("b",)}
+    assert models_as_sets(stable_models(program)) == {("a",), ("b",)}
+    assert set(stable_models(program)) == oracle_minimal_models(program)
 
 
-def test_minimal_models_reject_negation():
+def test_negation_keeps_minimal_models_that_are_not_stable():
+    # read classically, "a :- not b." is "a v b": both {a} and {b} are
+    # minimal models, but nothing supports b, so only {a} is stable
     program = parse_program("a :- not b.\n")
-    with pytest.raises(ValueError, match="negation-free"):
-        minimal_models(program)
+    assert models_as_sets(stable_models(program)) == {("a",)}
+    assert set(stable_models(program)) == oracle_stable_models(program)
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +174,20 @@ def test_weak_constraints_ignored_when_no_stable_models():
 
 
 def test_brave_and_cautious_answers():
-    program = parse_program(DEMO_TEXT)
-    assert answer_query_ground(program, {"a"}, "brave")
-    assert not answer_query_ground(program, {"a"}, "cautious")
-    assert answer_query_ground(program, {"e"}, "cautious")
-    assert answer_query_ground(program, {"b", "d"}, "brave")
-    assert not answer_query_ground(program, {"a", "d"}, "brave")
-    assert not answer_query_ground(program, {"c"}, "brave")
+    models = stable_models(parse_program(DEMO_TEXT))
 
+    def brave(atoms):
+        return any(atoms <= model for model in models)
 
-def test_cautious_is_vacuously_true_without_stable_models():
-    program = parse_program("a :- not a.\n")
-    assert answer_query_ground(program, {"a"}, "cautious")
-    assert not answer_query_ground(program, {"a"}, "brave")
+    def cautious(atoms):
+        return all(atoms <= model for model in models)
 
-
-def test_query_validation():
-    program = parse_program("a.\n")
-    with pytest.raises(ValueError, match="outside the Herbrand base"):
-        answer_query_ground(program, {"zzz"}, "brave")
-    with pytest.raises(ValueError, match="brave"):
-        answer_query_ground(program, {"a"}, "boldly")
+    assert brave({"a"})
+    assert not cautious({"a"})
+    assert cautious({"e"})
+    assert brave({"b", "d"})
+    assert not brave({"a", "d"})
+    assert not brave({"c"})
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +208,15 @@ def test_default_cap_refuses_large_programs(monkeypatch):
     assert len(stable_models(big_program(DEFAULT_ATOM_CAP))) == 1
 
 
-def test_cap_parameter_overrides_default():
-    program = big_program(DEFAULT_ATOM_CAP + 1)
-    (model,) = stable_models(program, cap=DEFAULT_ATOM_CAP + 1)
-    assert len(model) == DEFAULT_ATOM_CAP + 1
-    with pytest.raises(EnumerationCapError):
-        minimal_models(program, cap=5)
-
-
 def test_cap_environment_variable(monkeypatch):
     program = big_program(DEFAULT_ATOM_CAP + 1)
     monkeypatch.setenv(ATOM_CAP_ENV, str(DEFAULT_ATOM_CAP + 1))
-    assert len(stable_models(program)) == 1
+    (model,) = stable_models(program)
+    assert len(model) == DEFAULT_ATOM_CAP + 1
+    # the variable lowers the cap as well, and the refusal names it
+    monkeypatch.setenv(ATOM_CAP_ENV, "5")
+    with pytest.raises(EnumerationCapError, match=f"capped at 5 .*{ATOM_CAP_ENV}"):
+        stable_models(program)
     monkeypatch.setenv(ATOM_CAP_ENV, "not-a-number")
     with pytest.raises(ValueError, match=ATOM_CAP_ENV):
         stable_models(program)

@@ -81,6 +81,22 @@ def test_train_writes_model_to_stdout(run_cli):
     assert "prior: yes 9/14" in out
 
 
+def test_train_refuses_a_model_file_it_could_not_load(run_cli, tmp_path):
+    data = tmp_path / "weather.csv"
+    data.write_text(
+        WEATHER_CSV.read_text(encoding="utf-8").replace("weak", '"x,1"'),
+        encoding="utf-8",
+    )
+    model_path = tmp_path / "model.txt"
+    code, out, err = run_cli("train", "--data", str(data), "--out", str(model_path))
+    assert code == 1 and out == ""
+    assert err == (
+        "xresp: ModelFormatError: value of Wind 'x,1' would not read back "
+        "from a model file\n"
+    )
+    assert not model_path.exists()
+
+
 def test_train_classify_round_trip(run_cli, tmp_path):
     model_path = str(tmp_path / "model.txt")
     code, _, _ = run_cli("train", "--data", DATA, "--out", model_path)
@@ -382,6 +398,20 @@ def test_emit_dlv_options(run_cli, tmp_path):
     )
     assert code == 0
     assert "#maxint = 54321." in capped
+
+
+def test_emit_dlv_rejects_values_that_read_as_variables(run_cli, tmp_path):
+    data = tmp_path / "weather.csv"
+    data.write_text(
+        WEATHER_CSV.read_text(encoding="utf-8").replace("sunny", "Sunny"),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        "emit-dlv", "--data", str(data), "--entity", "Sunny,high,normal,weak"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("xresp: EmitError: value of Outlook 'Sunny' is not a DLV constant")
+    assert err.count("\n") == 1
 
 
 def test_solve_asp_prints_stable_models(run_cli):

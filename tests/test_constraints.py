@@ -216,3 +216,5 @@ def test_propagate_without_dependencies_is_identity(weather_dataset):
     schema = weather_dataset.schema
     values = ("overcast", "low", "normal", "strong")
     assert propagate(empty_constraints(schema), values) == values
+    # no dependencies: the input comes back as it is, without a copy
+    assert propagate(empty_constraints(schema), values) is values

@@ -22,20 +22,20 @@ GOLDEN = TEST_DATA / "weather_cip_golden.lp"
 LEGACY = TEST_DATA / "weather_cip_legacy.lp"
 
 
-def tiny_percent_model(features):
+def tiny_percent_model(features, labels=("yes", "no")):
     """An even-split percent model over the given (name, domain) pairs."""
     schema = FeatureSchema(tuple(features))
     conditional = {}
     for name, domain in features:
-        for label in ("yes", "no"):
+        for label in labels:
             share = 100 // len(domain)
             for i, value in enumerate(domain):
                 pct = share + (100 - share * len(domain) if i == 0 else 0)
                 conditional[(name, value, label)] = pct
     return PercentModel(
         schema=schema,
-        labels=("yes", "no"),
-        prior={"yes": 50, "no": 50},
+        labels=labels,
+        prior=dict.fromkeys(labels, 50),
         conditional=conditional,
     )
 
@@ -215,6 +215,40 @@ def test_rejects_single_feature_schemas():
     model = tiny_percent_model([("only", ("x", "y"))])
     with pytest.raises(EmitError, match="at least two features"):
         emit_cip(model, Entity("e", ("x",)))
+
+
+WEATHERISH = [("outlook", ("sunny", "rain")), ("wind", ("a", "b"))]
+
+
+@pytest.mark.parametrize(
+    "features, labels, eid, offending",
+    [
+        ([("outlook", ("Sunny", "rain")), ("wind", ("a", "b"))], ("yes", "no"), "e",
+         "value of outlook 'Sunny'"),
+        ([("outlook", ("sunny", "x y")), ("wind", ("a", "b"))], ("yes", "no"), "e",
+         "'x y'"),
+        ([("outlook", ("sunny", "1a")), ("wind", ("a", "b"))], ("yes", "no"), "e",
+         "'1a'"),
+        ([("outlook", ("sunny", "_r")), ("wind", ("a", "b"))], ("yes", "no"), "e",
+         "'_r'"),
+        (WEATHERISH, ("Yes", "no"), "e", "label 'Yes'"),
+        (WEATHERISH, ("yes", "no"), "E1", "entity id 'E1'"),
+        ([("out look", ("sunny", "rain")), ("wind", ("a", "b"))], ("yes", "no"), "e",
+         "feature name 'out look'"),
+    ],
+)
+def test_rejects_text_that_is_not_a_constant(features, labels, eid, offending):
+    model = tiny_percent_model(features, labels)
+    entity = Entity(eid, tuple(domain[0] for _, domain in features))
+    with pytest.raises(EmitError, match=offending):
+        emit_cip(model, entity)
+
+
+def test_accepts_identifiers_and_digit_runs():
+    model = tiny_percent_model([("Outlook", ("sunny", "r_Ain2")), ("wind", ("0", "17"))])
+    program = emit_cip(model, Entity("e7", ("r_Ain2", "17")))
+    assert "dom_o(sunny). dom_o(r_Ain2)." in program
+    assert "ent(e7,r_Ain2,17,o)." in program
 
 
 def test_rejects_fully_blocked_schemas(weather_percent, weather_entity):

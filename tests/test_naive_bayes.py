@@ -9,7 +9,7 @@ and every staged value by folding the integer pipeline by hand.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from xresp import (
     DataError,
@@ -224,6 +224,115 @@ def test_serialize_model_format(weather_model):
     assert "prior: yes 9/14" in lines
     assert "prior: no 5/14" in lines
     assert "Humidity,normal,yes,2/3" in lines
+
+
+def test_serialize_model_rejects_text_it_cannot_read_back(weather_model):
+    schema = FeatureSchema(
+        tuple(
+            (name, tuple("x,1" if v == "weak" else v for v in domain))
+            for name, domain in weather_model.schema.features
+        )
+    )
+    conditional = {
+        (name, "x,1" if value == "weak" else value, label): frac
+        for (name, value, label), frac in weather_model.conditional.items()
+    }
+    model = NaiveBayesModel(schema=schema, labels=weather_model.labels,
+                            prior=weather_model.prior, conditional=conditional)
+    with pytest.raises(ModelFormatError, match="value of Wind 'x,1'"):
+        serialize_model(model, "Play")
+    with pytest.raises(ModelFormatError, match="class column ' Play'"):
+        serialize_model(weather_model, " Play")
+
+
+def _unchecked_model_text(model, class_column):
+    """The model file layout, written without any readability check."""
+    lines = [f"labels: {model.labels[0]},{model.labels[1]}",
+             f"class-column: {class_column}"]
+    lines += [f"prior: {label} {model.prior[label]}" for label in model.labels]
+    lines += [
+        f"{name},{value},{label},{model.conditional[(name, value, label)]}"
+        for name, domain in model.schema.features
+        for value in domain
+        for label in model.labels
+    ]
+    return "\n".join(lines) + "\n"
+
+
+ADVERSARIAL_IDENTIFIERS = [
+    "ok", "Sunny", "42", "x,1", "50%", "%x", "a b", " pad", "pad ",
+    "labels: a", "labels:b", "prior: c", "prior:d", "class-column: e", "",
+    "two\nlines", "cr\rhere", "tab\tin",
+]
+# mostly plain identifiers, so that whole models also round-trip often
+MODEL_TEXT = st.integers(0, 7).flatmap(
+    lambda k: st.one_of(st.sampled_from(ADVERSARIAL_IDENTIFIERS),
+                        st.text(alphabet="aZ09,% :_\t\n-", max_size=6))
+    if k == 0
+    else st.sampled_from(["a", "b", "Hot", "mild", "x1", "y_2", "yes", "no", "Play"])
+)
+
+
+def _trained(names, domains, labels, class_column):
+    # every value occurs under both labels
+    width = max(len(domain) for domain in domains)
+    rows = tuple(
+        (tuple(domain[i % len(domain)] for domain in domains), label)
+        for i in range(width)
+        for label in labels
+    )
+    schema = FeatureSchema(tuple(zip(names, map(tuple, domains))))
+    return train(Dataset(schema=schema, rows=rows, labels=tuple(labels),
+                         class_column=class_column))
+
+
+def assert_round_trips_or_is_refused(model, class_column):
+    """``serialize_model`` raises exactly when its text would not load unchanged."""
+    raw = _unchecked_model_text(model, class_column)
+    try:
+        reads_back = parse_model(raw) == (model, class_column)
+    except ModelFormatError:
+        reads_back = False
+    if reads_back:
+        assert serialize_model(model, class_column) == raw
+    else:
+        with pytest.raises(ModelFormatError, match="would not read back"):
+            serialize_model(model, class_column)
+    return reads_back
+
+
+def test_each_adversarial_identifier_round_trips_or_is_refused():
+    # one adversarial text at a time, in each place a model file names things
+    for text in ADVERSARIAL_IDENTIFIERS:
+        places = [
+            (["f", "g"], [["a", text], ["c", "d"]], ["yes", "no"], "class"),
+            (["f", "g"], [["a", "b"], ["c", "d"]], [text, "no"], "class"),
+            (["f", "g"], [["a", "b"], ["c", "d"]], ["yes", "no"], text),
+        ]
+        if text:
+            places.append(([text, "g"], [["a", "b"], ["c", "d"]], ["yes", "no"], "class"))
+        for names, domains, labels, class_column in places:
+            model = _trained(names, domains, labels, class_column)
+            assert_round_trips_or_is_refused(model, class_column)
+    plain = _trained(["f", "g"], [["a", "b"], ["c", "d"]], ["Sunny", "42"], "Play")
+    assert assert_round_trips_or_is_refused(plain, "Play")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_model_files_round_trip_or_are_refused(data):
+    names = data.draw(st.lists(MODEL_TEXT.filter(bool), min_size=2,
+                               max_size=2, unique=True))
+    domains = [
+        data.draw(st.lists(MODEL_TEXT, min_size=2, max_size=3, unique=True))
+        for _ in names
+    ]
+    labels = data.draw(st.lists(MODEL_TEXT, min_size=2, max_size=2,
+                                unique=True))
+    class_column = data.draw(MODEL_TEXT)
+    model = _trained(names, domains, labels, class_column)
+    reads_back = assert_round_trips_or_is_refused(model, class_column)
+    event("reads back" if reads_back else "refused")
 
 
 def test_parse_model_errors():

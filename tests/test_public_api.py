@@ -38,8 +38,6 @@ EXPECTED_PUBLIC_NAMES = {
     "WeakConstraint",
     "admits",
     "answer",
-    "answer_query_ground",
-    "atoms_of",
     "emit_cip",
     "empty_constraints",
     "enumerate_counterfactuals",
@@ -49,7 +47,6 @@ EXPECTED_PUBLIC_NAMES = {
     "load_model",
     "load_queries",
     "min_change_versions",
-    "minimal_models",
     "model_atom_sets",
     "parse_constraints",
     "parse_entity",
@@ -58,7 +55,6 @@ EXPECTED_PUBLIC_NAMES = {
     "parse_program",
     "parse_query",
     "propagate",
-    "reduct",
     "render_row",
     "render_value",
     "save_model",

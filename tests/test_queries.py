@@ -23,7 +23,6 @@ from xresp.queries import (
     QueryError,
     Variable,
     answer,
-    atoms_of,
     load_queries,
     model_atom_sets,
     parse_query,
@@ -152,15 +151,15 @@ def test_atom_sets_carry_staged_scores(weather_atom_sets):
 
 def test_pb_num_can_be_suppressed(weather_versions, weather_percent,
                                   weather_entity):
-    plain = atoms_of(
-        weather_versions[0], weather_percent, weather_entity, include_pb_num=False
+    (plain,) = model_atom_sets(
+        weather_versions[:1], weather_percent, weather_entity, include_pb_num=False
     )
     assert plain.tuples("pb_num") == frozenset()
 
 
 def test_exact_models_have_no_pb_num(weather_versions, weather_model,
                                      weather_entity):
-    atom_set = atoms_of(weather_versions[0], weather_model, weather_entity)
+    (atom_set,) = model_atom_sets(weather_versions[:1], weather_model, weather_entity)
     assert atom_set.tuples("pb_num") == frozenset()
     assert atom_set.tuples("cls")
 
@@ -182,11 +181,11 @@ def test_atoms_of_rejects_mismatched_version(weather_versions, weather_percent,
         weather_versions[0], final=("sunny", "low", "high", "strong")
     )
     with pytest.raises(QueryError, match="original to final"):
-        atoms_of(broken, weather_percent, weather_entity)
+        model_atom_sets([broken], weather_percent, weather_entity)
     # a version from another original entity is rejected as well
     other = Entity("e", ("sunny", "high", "normal", "weak"))
     with pytest.raises(QueryError, match="original to final"):
-        atoms_of(weather_versions[0], weather_percent, other)
+        model_atom_sets(weather_versions[:1], weather_percent, other)
 
 
 def test_model_atom_sets_matches_atoms_of(weather_versions, weather_percent,

@@ -33,6 +33,17 @@ def test_weather_schema(weather_dataset):
     assert schema.index("Wind") == 3
 
 
+def test_unknown_feature_lookups_raise_schema_error(weather_dataset):
+    schema = weather_dataset.schema
+    assert [schema.index(name) for name in schema.names] == [0, 1, 2, 3]
+    for lookup in (schema.index, schema.domain):
+        with pytest.raises(SchemaError, match="^unknown feature: outlook$"):
+            lookup("outlook")
+    # the lookup table is not part of the value: equal schemas compare equal
+    assert FeatureSchema(schema.features) == schema
+    assert hash(FeatureSchema(schema.features)) == hash(schema)
+
+
 def test_row_label_pairing(weather_dataset):
     pairs = weather_dataset.rows
     assert pairs[0] == (("sunny", "high", "high", "weak"), "no")
