@@ -113,8 +113,6 @@ def _check_constants(pmodel: PercentModel, entity: Entity) -> None:
 
 def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
     lowered = [name.lower() for name in schema.names]
-    if len(set(lowered)) != len(lowered):
-        raise EmitError("feature names collide after lowercasing")
     prefixes = _unique_prefixes(lowered)
 
     taken = set(_RESERVED_VARS)

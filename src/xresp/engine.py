@@ -21,10 +21,28 @@ targets propagation overwrote, so every version found at depth k changes at
 least k features.  A minimum-change search therefore stops before the first
 depth that exceeds the fewest changes found so far.  The truncation is
 exact: a level is built only from the levels before it (their frontier and
-the ``seen`` set), so every level the truncated search runs equals the
-full search's.  Stopping at the first depth holding a flip would not be
+the cells they reached), so every level the truncated search runs equals
+the full search's.  Stopping at the first depth holding a flip would not be
 exact: a dependency can give a shallower version as many changed features
 as a deeper one, or more.
+
+States are searched as integer cell codes: a state's value indices read as
+mixed-radix digits, feature 0 most significant.  An immutable feature keeps
+only its original value, so the grid leaves out cells no search can reach;
+forbidden combinations and dependencies are checks on digits.  Value
+tuples are decoded only for the chains of the versions returned.
+
+A full search with the staged backend first folds the scores of every cell
+of the grid: level by level in schema order, with the same ``// 10`` as
+``PercentModel.classify``, so each prefix product is computed once for all
+the cells that share it.  A cell whose fold exceeds ``maxint`` is marked,
+and raises only when the search reads it: its score then comes from
+``classify``, which raises the overflow with its usual message.  The exact
+backend, minimum-change searches (which often stop after a few states) and
+grids of more than ``_FOLD_LIMIT`` cells score each cell on demand through
+``classify`` instead, each cell at most once.  Either way the versions
+carry the scores of their states, and the query layer reads those instead
+of classifying again.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility of the
@@ -35,11 +53,12 @@ feature is changed in no version.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .constraints import ConstraintSet, admits, empty_constraints, propagate
+from .constraints import ConstraintSet, admits, empty_constraints
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
@@ -58,6 +77,9 @@ class CounterfactualVersion:
     changed: frozenset[str]
     states: tuple[tuple[str, ...], ...]
     label: str
+    # the search's scores of ``states``; the query layer reads them instead
+    # of classifying again
+    _scores: _StateScores | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,148 @@ class ResponsibilityReport:
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
+
+# A staged grid with more cells than this is scored on demand, not folded:
+# the fold keeps two integers and a label byte for every cell.
+_FOLD_LIMIT = 1 << 20
+# The label index of a folded cell whose staged product overflows.
+_OVERFLOW = 2
+
+
+class _Grid:
+    """The cells one search can reach, numbered by mixed-radix integer codes.
+
+    Feature 0 is the most significant digit.  An immutable feature keeps
+    only its original value, so its digit is always 0.  Forbidden
+    combinations and dependencies are compiled to checks on digits.
+    """
+
+    def __init__(self, schema: FeatureSchema, original: tuple[str, ...],
+                 cs: ConstraintSet) -> None:
+        self.domains = tuple(
+            (value,) if name in cs.immutable else domain
+            for (name, domain), value in zip(schema.features, original)
+        )
+        self.size = 1
+        weights = []
+        for domain in reversed(self.domains):
+            weights.append(self.size)
+            self.size *= len(domain)
+        self.weights = weights[::-1]
+        self._places = [
+            (domain, weight, len(domain))
+            for domain, weight in zip(self.domains, self.weights)
+        ]
+        self._digits = [{v: d for d, v in enumerate(dom)} for dom in self.domains]
+
+        # the (weight, radix, digit) conditions of each forbidden combination;
+        # one naming another value of an immutable feature never matches
+        self._forbidden = []
+        for combo in cs.forbidden:
+            bindings = [(schema.index(name), value) for name, value in combo.items()]
+            if all(value in self._digits[i] for i, value in bindings):
+                self._forbidden.append([
+                    (self.weights[i], len(self.domains[i]), self._digits[i][value])
+                    for i, value in bindings
+                ])
+        # (source place, target place, target digit per source digit)
+        self._dependencies = []
+        for dep in cs.dependencies:
+            s, t = schema.index(dep.source), schema.index(dep.target)
+            image = tuple(self._digits[t][dep.mapping[v]] for v in self.domains[s])
+            self._dependencies.append(
+                (self.weights[s], len(self.domains[s]),
+                 self.weights[t], len(self.domains[t]), image)
+            )
+
+    def encode(self, values: tuple[str, ...]) -> int:
+        return sum(
+            digits[value] * weight
+            for digits, value, weight in zip(self._digits, values, self.weights)
+        )
+
+    def decode(self, code: int) -> tuple[str, ...]:
+        return tuple([domain[code // weight % radix]
+                      for domain, weight, radix in self._places])
+
+    def admits(self, code: int) -> bool:
+        """``constraints.admits`` on the cell's values."""
+        return not any(
+            all(code // weight % radix == digit for weight, radix, digit in conditions)
+            for conditions in self._forbidden
+        )
+
+    def propagate(self, code: int) -> int:
+        """``constraints.propagate`` on the cell's values.
+
+        Dependencies are acyclic, so the passes reach a fixed point.
+        """
+        moved = True
+        while moved:
+            moved = False
+            for s_weight, s_radix, t_weight, t_radix, image in self._dependencies:
+                want = image[code // s_weight % s_radix]
+                have = code // t_weight % t_radix
+                if want != have:
+                    code += (want - have) * t_weight
+                    moved = True
+        return code
+
+
+class _FoldedCells:
+    """The scores of every cell of a staged grid, folded once.
+
+    ``labels`` holds each cell's label index (0 positive, 1 negative), or
+    ``_OVERFLOW`` where the staged product exceeds ``maxint``; reading such
+    a cell's score classifies it, which raises the overflow.
+    """
+
+    def __init__(self, model: PercentModel, grid: _Grid, maxint: int) -> None:
+        self.model, self.grid, self.maxint = model, grid, maxint
+        self.pos, self.neg = model._grid_scores(grid.domains, maxint)
+        try:
+            self.labels = bytearray(map(operator.lt, self.pos, self.neg))
+        except TypeError:  # None marks an overflowing cell
+            self.labels = bytearray(
+                _OVERFLOW if p is None or n is None else p < n
+                for p, n in zip(self.pos, self.neg)
+            )
+
+    def score(self, code: int) -> tuple:
+        label = self.labels[code]
+        if label == _OVERFLOW:
+            return self.model.classify(self.grid.decode(code), self.maxint)
+        return self.model.labels[label], self.pos[code], self.neg[code]
+
+
+class _CellsOnDemand(dict):
+    """Cell code -> label index; a cell is classified the first time it is read."""
+
+    def __init__(self, model: NaiveBayesModel | PercentModel, grid: _Grid,
+                 maxint: int) -> None:
+        super().__init__()
+        self.model, self.grid, self.maxint = model, grid, maxint
+        self.labels = self  # read like ``_FoldedCells.labels``
+        self._scores: dict[int, tuple] = {}
+
+    def __missing__(self, code: int) -> int:
+        score = self._scores[code] = self.model.classify(
+            self.grid.decode(code), self.maxint
+        )
+        label = self[code] = self.model.labels.index(score[0])
+        return label
+
+    def score(self, code: int) -> tuple:
+        self[code]
+        return self._scores[code]
+
+
+class _StateScores:
+    """What ``model`` scored each state of a search under ``maxint``."""
+
+    def __init__(self, model: NaiveBayesModel | PercentModel, maxint: int) -> None:
+        self.model, self.maxint = model, maxint
+        self.by_state: dict[tuple[str, ...], tuple] = {}
 
 
 def enumerate_counterfactuals(
@@ -132,80 +296,102 @@ def enumerate_counterfactuals(
     if cs.schema != schema:
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
-    original_label = model.classify(original, maxint)[0]
+    grid = _Grid(schema, original, cs)
+    if isinstance(model, PercentModel) and not min_change and grid.size <= _FOLD_LIMIT:
+        cells = _FoldedCells(model, grid, maxint)
+    else:
+        cells = _CellsOnDemand(model, grid, maxint)
+    labels = cells.labels
+    start = grid.encode(original)
+    original_label = model.labels.index(cells.score(start)[0])
     if strict:
-        if original_label != model.labels[0]:
+        if original_label != 0:
             return ()
         if not admits(cs, original):
             return ()
 
     blocked = cs.immutable | cs.dependency_targets
-    free_features = [
-        (i, dom)
-        for i, (name, dom) in enumerate(schema.features)
-        if name not in blocked
-    ]
+    # per free feature: its bit, and the code steps to each other value
+    moves = []
+    for i, (name, domain) in enumerate(schema.features):
+        if name not in blocked:
+            digit = start // grid.weights[i] % len(domain)
+            steps = [(d - digit) * grid.weights[i] for d in range(len(domain)) if d != digit]
+            moves.append((1 << i, steps))
+    propagate_cell = grid.propagate if cs.dependencies else None
+    admits_cell = grid.admits if cs.forbidden else None
 
-    seen: set[tuple[str, ...]] = {original}
-    found: list[CounterfactualVersion] = []
-    # each frontier entry is the chain of states from the original to its tip
-    frontier: list[tuple[tuple[str, ...], ...]] = [(original,)]
+    # the cell each cell was first reached from; doubles as the seen set
+    parent: dict[int, int | None] = {start: None}
+    found: list[int] = []
+    # (cell, bits of the features intervened on to reach it)
+    frontier = [(start, 0)]
     # the fewest changed features of any version found so far; no version
     # changes more than every feature
     best = len(schema)
     depth = 0
 
     while frontier and not (min_change and depth >= best):
-        next_frontier: list[tuple[tuple[str, ...], ...]] = []
-        for chain in frontier:
-            state = chain[-1]
-            for index, domain in free_features:
-                # each feature is intervened at most once: once a value
-                # differs from the original it is settled for the chain
-                if state[index] != original[index]:
+        next_frontier = []
+        for code, intervened in frontier:
+            for bit, steps in moves:
+                # each feature is intervened at most once
+                if intervened & bit:
                     continue
-                for new_value in domain:
-                    if new_value == state[index]:
+                for step in steps:
+                    successor = code + step
+                    if propagate_cell:
+                        successor = propagate_cell(successor)
+                    if successor in parent:
                         continue
-                    candidate = list(state)
-                    candidate[index] = new_value
-                    successor = propagate(cs, tuple(candidate))
-                    if successor == original or successor in seen:
+                    if admits_cell and not admits_cell(successor):
                         continue
-                    if not admits(cs, successor):
+                    parent[successor] = code
+                    label = labels[successor]
+                    if label == original_label:
+                        next_frontier.append((successor, intervened | bit))
                         continue
-                    seen.add(successor)
-                    successor_chain = chain + (successor,)
-                    successor_label = model.classify(successor, maxint)[0]
-                    if successor_label != original_label:
-                        version = _version(entity.eid, successor_chain,
-                                           successor_label, schema)
-                        found.append(version)
-                        best = min(best, len(version.changed))
-                    else:
-                        next_frontier.append(successor_chain)
+                    if label == _OVERFLOW:
+                        cells.score(successor)  # raises the staged overflow
+                    found.append(successor)
+                    if min_change:
+                        changes = sum(map(operator.ne, original, grid.decode(successor)))
+                        best = min(best, changes)
         frontier = next_frontier
         depth += 1
 
+    scores = _StateScores(model, maxint)
+    scores.by_state[original] = cells.score(start)
+    # the states from the original to each cell, decoded and scored once
+    paths: dict[int, tuple[tuple[str, ...], ...]] = {start: (original,)}
+
+    def path(code: int) -> tuple[tuple[str, ...], ...]:
+        states = paths.get(code)
+        if states is None:
+            values = grid.decode(code)
+            scores.by_state[values] = cells.score(code)
+            states = paths[code] = path(parent[code]) + (values,)
+        return states
+
+    # the changed-feature set of each pattern of changed positions
+    changed_sets: dict[tuple[bool, ...], frozenset[str]] = {}
+    versions = []
+    for code in found:
+        states = path(code)
+        final = states[-1]
+        moved = tuple(map(operator.ne, original, final))
+        changed = changed_sets.get(moved)
+        if changed is None:
+            changed = changed_sets[moved] = frozenset(
+                name for name, m in zip(schema.names, moved) if m
+            )
+        versions.append(CounterfactualVersion(
+            eid=entity.eid, final=final, changed=changed, states=states,
+            label=scores.by_state[final][0], _scores=scores,
+        ))
     if min_change:
-        return min_change_versions(found)
-    return tuple(sorted(found, key=lambda v: (len(v.changed), v.final)))
-
-
-def _version(
-    eid: str,
-    states: tuple[tuple[str, ...], ...],
-    label: str,
-    schema: FeatureSchema,
-) -> CounterfactualVersion:
-    changed = frozenset(
-        name
-        for name, old, new in zip(schema.names, states[0], states[-1])
-        if old != new
-    )
-    return CounterfactualVersion(
-        eid=eid, final=states[-1], changed=changed, states=states, label=label
-    )
+        return min_change_versions(versions)
+    return tuple(sorted(versions, key=lambda v: (len(v.changed), v.final)))
 
 
 def min_change_versions(

@@ -126,6 +126,32 @@ class PercentModel:
         pos, neg = scores
         return self.labels[0] if pos >= neg else self.labels[1], pos, neg
 
+    def _grid_scores(
+        self, domains: tuple[tuple[str, ...], ...], maxint: int
+    ) -> list[list[int | None]]:
+        """``classify``'s score per label of every cell of a grid, in label order.
+
+        ``domains`` gives each feature's values in digit order; a cell's
+        index reads its digits mixed-radix, feature 0 most significant.  The
+        fold runs level by level in schema order, so each prefix product is
+        computed once for every cell that shares it, with the same ``// 10``
+        as ``classify``.  A cell whose fold exceeds ``maxint`` scores None.
+        """
+        folds = []
+        for i, label in enumerate(self.labels):
+            acc: list[int | None] | None = None
+            top: int | None = None  # the largest value of a clean level
+            for column, domain in zip(self._table, domains):
+                pcts = [column[value][i] for value in domain]
+                if acc is None:
+                    acc, top = pcts, max(pcts)
+                else:
+                    acc, top = _fold_level(acc, top, pcts, maxint)
+            if acc is None:  # only a zero-feature schema
+                acc, top = [1], 1
+            folds.append(_fold_level(acc, top, [self.prior[label]], maxint)[0])
+        return folds
+
     def _checked_mul(self, a: int, b: int, maxint: int) -> int:
         product = a * b
         if product > maxint:
@@ -155,6 +181,25 @@ class PercentModel:
             acc = 1 if acc is None else acc
             largest = max(largest, acc * self.prior[label])
         return largest
+
+
+def _fold_level(
+    acc: list[int | None], top: int | None, pcts: list[int], maxint: int
+) -> tuple[list[int | None], int | None]:
+    """Each prefix times each percentage, ``// 10``; None marks an overflow.
+
+    ``top`` is the largest prefix, or None once some prefix overflowed.
+    The fold is monotone in every factor, so while ``top`` times the
+    largest percentage stays within ``maxint`` no product of the level
+    needs checking.
+    """
+    if top is not None and top * max(pcts) <= maxint:
+        return [a * p // 10 for a in acc for p in pcts], top * max(pcts) // 10
+    return [
+        None if a is None or a * p > maxint else a * p // 10
+        for a in acc
+        for p in pcts
+    ], None
 
 
 def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesModel:

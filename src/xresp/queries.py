@@ -12,9 +12,12 @@ arguments.
 
 Models are materialized per predicate, on demand: the predicates of a
 version and their arities are known up front, and a predicate's tuples are
-built the first time they are read.  The atom sets of one
-``model_atom_sets`` call classify each distinct state once, and versions
-with the same changed features share their explanation tables.
+built the first time they are read.  The ``cls`` and ``pb_num`` atoms take
+their scores from the search that built the versions, so a state is not
+classified again; only versions the search scored under another model or
+ceiling are classified, each distinct state once per ``model_atom_sets``
+call.  Versions with the same changed features share their explanation
+tables.
 
 Query text copies the solver convention: comma-separated literals ending in
 ``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Identifiers starting uppercase
@@ -98,9 +101,10 @@ class _LazyAtoms(Mapping):
 class _Materializer:
     """Builds the lazy atom sets of one run's versions, sharing the work.
 
-    Each distinct state is classified once, and the explanation tables of
-    a changed-feature set are built once and shared by every version that
-    changes exactly those features.
+    State scores come from the search that built each version when it used
+    this model and ceiling; otherwise each distinct state is classified
+    once.  The explanation tables of a changed-feature set are built once
+    and shared by every version that changes exactly those features.
     """
 
     def __init__(self, model: NaiveBayesModel | PercentModel, original: Entity,
@@ -125,6 +129,14 @@ class _Materializer:
             raise QueryError("version states do not run from original to final")
         return ModelAtomSet(atoms=_LazyAtoms(self.arity, partial(self._table, version)))
 
+    def _scorer(self, version: CounterfactualVersion) -> Callable[[tuple], tuple]:
+        """The score of each of the version's states: the search's, when it
+        used this model and ceiling, else classified here."""
+        scores = version._scores
+        if scores is not None and scores.model is self.model and scores.maxint == self.maxint:
+            return scores.by_state.__getitem__
+        return self._score
+
     def _score(self, state: tuple[str, ...]) -> tuple:
         score = self._scores.get(state)
         if score is None:
@@ -141,12 +153,14 @@ class _Materializer:
                 + [(eid, *state, "tr") for state in states]
             )
         if predicate == "cls":
-            return frozenset((eid, *state, self._score(state)[0]) for state in states)
+            score = self._scorer(version)
+            return frozenset((eid, *state, score(state)[0]) for state in states)
         if predicate == "pb_num":
+            score = self._scorer(version)
             positive, negative = self.model.labels
             atoms = []
             for state in states:
-                _, f_pos, f_neg = self._score(state)
+                _, f_pos, f_neg = score(state)
                 atoms += [(eid, *state, positive, f_pos), (eid, *state, negative, f_neg)]
             return frozenset(atoms)
         key = (eid, version.changed)
@@ -181,10 +195,12 @@ def model_atom_sets(
     include_pb_num: bool = True,
     maxint: int = DEFAULT_MAXINT,
 ) -> list[ModelAtomSet]:
-    """The atom sets of ``versions``, sharing classifications and explanation tables.
+    """The atom sets of ``versions``, sharing scores and explanation tables.
 
-    States are classified when ``cls`` or ``pb_num`` is first read, so a
-    classification error (a staged overflow) surfaces then.
+    ``cls`` and ``pb_num`` read the scores the search recorded for each
+    version's states.  Versions the search scored under another model or
+    ``maxint`` are classified when ``cls`` or ``pb_num`` is first read, so
+    a classification error (a staged overflow) surfaces then.
     """
     materializer = _Materializer(model, original, include_pb_num, maxint)
     return [materializer.atom_set(v) for v in versions]

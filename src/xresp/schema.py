@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class SchemaError(ValueError):
@@ -31,6 +31,7 @@ class FeatureSchema:
     """Ordered categorical features with finite ordered domains."""
 
     features: tuple[tuple[str, tuple[str, ...]], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.features]
@@ -39,6 +40,13 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate feature names: {', '.join(dupes)}")
+        # names reach the explanation atoms and the emitted program lowercased
+        lowered = [n.lower() for n in names]
+        if len(set(lowered)) != len(lowered):
+            clash = sorted(n for n in names if lowered.count(n.lower()) > 1)
+            raise SchemaError(
+                f"feature names differ only in case: {', '.join(clash)}"
+            )
         for name, domain in self.features:
             if len(set(domain)) != len(domain):
                 raise SchemaError(f"domain of {name} has repeated values")
@@ -46,11 +54,8 @@ class FeatureSchema:
                 raise SchemaError(
                     f"domain of {name} has {len(domain)} value(s); need at least 2"
                 )
+        object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_positions", {n: i for i, n in enumerate(names)})
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.features)
 
     def domain(self, name: str) -> tuple[str, ...]:
         return self.features[self.index(name)][1]

@@ -55,9 +55,11 @@ def serialize_dataset(dataset: Dataset) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class CountingModel(PercentModel):
-    """A staged model that counts how often each state is classified."""
+    """A staged model that counts how often each state is classified, and
+    the size of every grid it folds."""
 
     calls: Counter = dataclasses.field(default_factory=Counter, compare=False)
+    folds: list = dataclasses.field(default_factory=list, compare=False)
 
     @classmethod
     def of(cls, model: PercentModel) -> "CountingModel":
@@ -71,3 +73,8 @@ class CountingModel(PercentModel):
     def classify(self, values, maxint=DEFAULT_MAXINT):
         self.calls[tuple(values)] += 1
         return super().classify(values, maxint)
+
+    def _grid_scores(self, domains, maxint):
+        scores = super()._grid_scores(domains, maxint)
+        self.folds.append(len(scores[0]))
+        return scores

@@ -4,7 +4,9 @@ Everything here is deliberately written from the definitions, without
 reusing the package's algorithms, so agreement is meaningful: the stable
 model oracle enumerates subsets and applies the reduct/minimal-model
 definitions over plain sets; the strict actual-cause oracle searches all
-contingency assignments directly and ignores path reachability; the random
+contingency assignments directly and ignores path reachability; the
+per-state search builds, propagates and classifies every state as a value
+tuple, the way the search did before it read integer cell codes; the random
 generators produce small ground programs and datasets from a seeded Random
 instance.  The query oracles materialize a version's atoms eagerly, straight
 from its recorded states, and answer a query by trying every combination of
@@ -18,11 +20,16 @@ from itertools import combinations, product
 
 from xresp import (
     DEFAULT_MAXINT,
+    CounterfactualVersion,
     Entity,
     GroundProgram,
     PercentModel,
     QueryError,
     Rule,
+    admits,
+    empty_constraints,
+    min_change_versions,
+    propagate,
     validate_values,
 )
 from xresp.queries import Constant, Variable
@@ -95,6 +102,94 @@ def oracle_min_violation_models(program: GroundProgram) -> set[frozenset[str]]:
 
     best = min(violations(s) for s in stable)
     return {s for s in stable if violations(s) == best}
+
+
+# ---------------------------------------------------------------------------
+# Per-state reference search
+# ---------------------------------------------------------------------------
+
+
+def oracle_versions(
+    model,
+    entity: Entity,
+    constraints=None,
+    *,
+    strict: bool = False,
+    maxint: int = DEFAULT_MAXINT,
+    min_change: bool = False,
+) -> tuple[CounterfactualVersion, ...]:
+    """``enumerate_counterfactuals`` as a breadth-first search over value tuples.
+
+    Every state is built as a tuple, propagated and checked with the public
+    ``propagate`` and ``admits``, and classified with ``model.classify``
+    when it is reached, in the search's order, so a staged overflow raises
+    at the first state that overflows.  Chains are carried whole.
+    """
+    schema = model.schema
+    validate_values(schema, entity.values)
+    cs = constraints if constraints is not None else empty_constraints(schema)
+    if cs.schema != schema:
+        raise ValueError("constraint set was built against a different schema")
+    original = tuple(entity.values)
+    original_label = model.classify(original, maxint)[0]
+    if strict:
+        if original_label != model.labels[0]:
+            return ()
+        if not admits(cs, original):
+            return ()
+
+    blocked = cs.immutable | cs.dependency_targets
+    free_features = [
+        (i, dom)
+        for i, (name, dom) in enumerate(schema.features)
+        if name not in blocked
+    ]
+
+    seen: set[tuple[str, ...]] = {original}
+    found: list[CounterfactualVersion] = []
+    frontier: list[tuple[tuple[str, ...], ...]] = [(original,)]
+    best = len(schema)
+    depth = 0
+
+    while frontier and not (min_change and depth >= best):
+        next_frontier: list[tuple[tuple[str, ...], ...]] = []
+        for chain in frontier:
+            state = chain[-1]
+            for index, domain in free_features:
+                if state[index] != original[index]:
+                    continue
+                for new_value in domain:
+                    if new_value == state[index]:
+                        continue
+                    candidate = list(state)
+                    candidate[index] = new_value
+                    successor = propagate(cs, tuple(candidate))
+                    if successor == original or successor in seen:
+                        continue
+                    if not admits(cs, successor):
+                        continue
+                    seen.add(successor)
+                    successor_chain = chain + (successor,)
+                    successor_label = model.classify(successor, maxint)[0]
+                    if successor_label != original_label:
+                        changed = frozenset(
+                            name
+                            for name, old, new in zip(schema.names, original, successor)
+                            if old != new
+                        )
+                        found.append(CounterfactualVersion(
+                            eid=entity.eid, final=successor, changed=changed,
+                            states=successor_chain, label=successor_label,
+                        ))
+                        best = min(best, len(changed))
+                    else:
+                        next_frontier.append(successor_chain)
+        frontier = next_frontier
+        depth += 1
+
+    if min_change:
+        return min_change_versions(found)
+    return tuple(sorted(found, key=lambda v: (len(v.changed), v.final)))
 
 
 # ---------------------------------------------------------------------------

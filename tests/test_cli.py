@@ -414,6 +414,24 @@ def test_emit_dlv_rejects_values_that_read_as_variables(run_cli, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "explain", "query"])
+def test_feature_names_differing_only_in_case_are_refused(run_cli, tmp_path, command):
+    # lowercased, A and a would be one feature in explanations and queries
+    data = tmp_path / "case.csv"
+    data.write_text("A,a,class\nx,p,yes\ny,q,no\nx,q,yes\ny,p,no\nx,p,no\n",
+                    encoding="utf-8")
+    queries = tmp_path / "q.txt"
+    queries.write_text("cause(E,U)?\n", encoding="utf-8")
+    argv = {
+        "train": (),
+        "explain": ("--entity", "x,p"),
+        "query": ("--entity", "x,p", "--queries", str(queries), "--brave"),
+    }[command]
+    code, out, err = run_cli(command, "--data", str(data), *argv)
+    assert (code, out) == (1, "")
+    assert err == "xresp: SchemaError: feature names differ only in case: A, a\n"
+
+
 def test_solve_asp_prints_stable_models(run_cli):
     code, out, err = run_cli("solve-asp", str(DEMO_PROGRAM))
     assert code == 0 and err == ""

@@ -13,7 +13,7 @@ from xresp.dlv_emit import (
     parse_facts,
 )
 from xresp.naive_bayes import DEFAULT_MAXINT, PercentModel
-from xresp.schema import Entity, FeatureSchema
+from xresp.schema import Entity, FeatureSchema, SchemaError
 
 from conftest import TEST_DATA
 from helpers import normalize_tokens, split_statements
@@ -206,9 +206,9 @@ def test_rejects_indistinguishable_feature_names():
 
 
 def test_rejects_names_colliding_after_lowercasing():
-    model = tiny_percent_model([("Wind", ("a", "b")), ("wind", ("c", "d"))])
-    with pytest.raises(EmitError, match="lowercasing"):
-        emit_cip(model, Entity("e", ("a", "c")))
+    # the schema refuses them, so no model emit_cip sees has such names
+    with pytest.raises(SchemaError, match="differ only in case: Wind, wind"):
+        tiny_percent_model([("Wind", ("a", "b")), ("wind", ("c", "d"))])
 
 
 def test_rejects_single_feature_schemas():

@@ -6,10 +6,12 @@ percent tables and the staged integer pipeline before the engine ran.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from xresp import engine
 from xresp.constraints import empty_constraints, parse_constraints
 from xresp.engine import (
     Explanation,
@@ -18,12 +20,12 @@ from xresp.engine import (
     min_change_versions,
     xresp,
 )
-from xresp.naive_bayes import StagedOverflowError, to_percent, train
+from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent, train
 from xresp.schema import Entity, load_dataset
 
 from conftest import TWO_DEPTH_DEPEND
 from helpers import CountingModel
-from oracles import random_instance, strict_actual_cause
+from oracles import oracle_versions, random_instance, strict_actual_cause
 
 ORIGINAL = ("rain", "high", "normal", "weak")
 
@@ -170,13 +172,30 @@ def test_min_change_search_classifies_fewer_states(weather_percent,
                                                  weather_entity):
     model = CountingModel.of(weather_percent)
     enumerate_counterfactuals(model, weather_entity)
-    full_calls = sum(model.calls.values())
-    model.calls.clear()
+    # the full search folds the whole 3*3*2*2 grid once and classifies nothing
+    assert model.folds == [36] and not model.calls
+    model.folds.clear()
     (only,) = enumerate_counterfactuals(model, weather_entity, min_change=True)
     assert only.changed == frozenset({"Humidity"})
     # the Humidity flip sits at depth 1, so depth 2 is never built: the
-    # original and its six neighbours are all that is classified
-    assert sum(model.calls.values()) == 7 < full_calls
+    # original and its six neighbours are all that is scored, each once,
+    # and no grid is folded
+    assert not model.folds
+    assert sum(model.calls.values()) == 7 < 36
+    assert set(model.calls.values()) == {1}
+
+
+def test_searches_above_the_fold_limit_score_each_cell_on_demand(
+    weather_percent, weather_entity, weather_versions, monkeypatch
+):
+    monkeypatch.setattr(engine, "_FOLD_LIMIT", 35)
+    model = CountingModel.of(weather_percent)
+    assert enumerate_counterfactuals(model, weather_entity) == weather_versions
+    assert not model.folds
+    assert set(model.calls.values()) == {1}
+    # every state of every version was scored, and not every grid cell
+    assert {s for v in weather_versions for s in v.states} <= set(model.calls)
+    assert len(model.calls) < 36
 
 
 def test_min_change_search_never_classifies_the_overflowing_states(weather_percent,
@@ -437,3 +456,85 @@ def test_path_semantics_diverge_from_strict_definition(weather_percent, weather_
     assert report.scores["Temperature"] == Fraction(1, 3)
     is_cause, _ = strict_actual_cause(weather_percent, weather_entity, "Temperature")
     assert not is_cause
+
+
+# ---------------------------------------------------------------------------
+# The cell-code search against the per-state reference search
+# ---------------------------------------------------------------------------
+
+
+def random_constraint_lines(rng, schema):
+    """Zero to two lines of each kind; dependencies run forward in schema
+    order, declared in random order, so propagation can need two passes."""
+    names = list(schema.names)
+    lines, targets = [], set()
+    for _ in range(rng.randint(0, 2)):
+        source, target = sorted(rng.sample(range(len(names)), 2))
+        source, target = names[source], names[target]
+        if target in targets:
+            continue
+        targets.add(target)
+        images = (rng.choice(schema.domain(target)) for _ in schema.domain(source))
+        mapping = ", ".join(
+            f"{value}->{image}" for value, image in zip(schema.domain(source), images)
+        )
+        lines.append(f"depend {source} -> {target}: {mapping}")
+    for _ in range(rng.randint(0, 2)):
+        combo = rng.sample(names, rng.randint(1, 3))
+        lines.append(
+            "forbid " + ", ".join(f"{n}={rng.choice(schema.domain(n))}" for n in combo)
+        )
+    for _ in range(rng.randint(0, 2)):
+        lines.append(f"immutable {rng.choice([n for n in names if n not in targets])}")
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+def outcome(search, *args, **kwargs):
+    """The versions a search returns, or the type and message of its overflow."""
+    try:
+        return search(*args, **kwargs)
+    except StagedOverflowError as exc:
+        return StagedOverflowError, str(exc)
+
+
+def test_search_matches_the_per_state_oracle(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "data.csv"
+    outcomes = Counter()
+    for _ in range(300):
+        csv_text, entity_values = random_instance(rng)
+        path.write_text(csv_text, encoding="utf-8")
+        exact = train(load_dataset(str(path)))
+        entity = Entity("e", entity_values)
+        staged = to_percent(exact)
+        constraints = parse_constraints(
+            random_constraint_lines(rng, staged.schema), staged.schema
+        )
+        outcomes["constrained"] += bool(
+            constraints.forbidden or constraints.dependencies or constraints.immutable
+        )
+        # from the default down to a ceiling that some grid cells exceed
+        covering = staged._covering_maxint()
+        maxint = rng.choice([DEFAULT_MAXINT, covering, rng.randint(covering // 20, covering)])
+        for model in (exact, staged):
+            for strict in (False, True):
+                for min_change in (False, True):
+                    options = dict(strict=strict, maxint=maxint, min_change=min_change)
+                    got = outcome(enumerate_counterfactuals, model, entity,
+                                  constraints, **options)
+                    assert got == outcome(oracle_versions, model, entity,
+                                          constraints, **options)
+                    if got and got[0] is StagedOverflowError:
+                        outcomes["overflow", min_change] += 1
+                        continue
+                    outcomes["versions"] += bool(got)
+                    # the scores the query layer reads are classify's
+                    for version in got:
+                        by_state = version._scores.by_state
+                        for state in version.states:
+                            assert by_state[state] == model.classify(state, maxint)
+    assert outcomes["constrained"] > 200
+    # overflows both in folded grids and in cells scored on demand
+    assert outcomes["overflow", False] > 50 and outcomes["overflow", True] > 50
+    assert outcomes["versions"] > 800

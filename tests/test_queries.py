@@ -246,10 +246,24 @@ def test_model_atom_sets_classify_each_distinct_state_at_most_once(
     weather_percent, weather_entity
 ):
     model = CountingModel.of(weather_percent)
-    versions = enumerate_counterfactuals(model, weather_entity)
+    for min_change in (False, True):  # a folded grid, then cells on demand
+        versions = enumerate_counterfactuals(model, weather_entity,
+                                             min_change=min_change)
+        model.calls.clear()
+        model.folds.clear()
+        atom_sets = model_atom_sets(versions, model, weather_entity)
+        for atom_set in atom_sets:
+            assert atom_set.tuples("cls") and atom_set.tuples("pb_num")
+        # the search scored every state, so the query layer scores nothing
+        assert not model.calls and not model.folds
+
+    # versions the search scored under another ceiling: keys and
+    # explanation atoms need no classification, and each distinct state is
+    # classified once, when cls or pb_num is first read
+    versions = enumerate_counterfactuals(model, weather_entity, maxint=10**9)
     model.calls.clear()
+    model.folds.clear()
     atom_sets = model_atom_sets(versions, model, weather_entity)
-    # keys and explanation atoms need no classification
     for atom_set in atom_sets:
         assert set(atom_set.atoms) == {
             "ent", "cls", "expl", "cause", "cont", "invResp", "fullExpl", "pb_num"
@@ -260,6 +274,7 @@ def test_model_atom_sets_classify_each_distinct_state_at_most_once(
         assert atom_set.tuples("cls") and atom_set.tuples("pb_num")
     assert set(model.calls) == {s for v in versions for s in v.states}
     assert set(model.calls.values()) == {1}
+    assert not model.folds
 
 
 def test_versions_with_one_changed_set_share_explanation_tables(weather_percent,

@@ -25,6 +25,7 @@ def test_weather_shape(weather_dataset):
 def test_weather_schema(weather_dataset):
     schema = weather_dataset.schema
     assert schema.names == ("Outlook", "Temperature", "Humidity", "Wind")
+    assert schema.names is schema.names  # built once, with the schema
     assert schema.domain("Outlook") == ("sunny", "overcast", "rain")
     assert schema.domain("Temperature") == ("high", "medium", "low")
     assert schema.domain("Humidity") == ("high", "normal")
