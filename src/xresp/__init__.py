@@ -23,11 +23,7 @@ from .constraints import (
     ConstraintError,
     ConstraintSet,
     Dependency,
-    admits,
-    empty_constraints,
     load_constraints,
-    parse_constraints,
-    propagate,
 )
 from .dlv_emit import (
     EmitError,
@@ -52,8 +48,6 @@ from .naive_bayes import (
     PercentModel,
     StagedOverflowError,
     load_model,
-    parse_model,
-    save_model,
     serialize_model,
     to_percent,
     train,
@@ -65,9 +59,7 @@ from .queries import (
     answer,
     load_queries,
     model_atom_sets,
-    parse_query,
     render_row,
-    render_value,
 )
 from .schema import (
     DataError,
@@ -77,7 +69,6 @@ from .schema import (
     SchemaError,
     load_dataset,
     parse_entity,
-    validate_values,
 )
 
 __version__ = "0.1.0"
@@ -112,10 +103,8 @@ __all__ = [
     "SchemaError",
     "StagedOverflowError",
     "WeakConstraint",
-    "admits",
     "answer",
     "emit_cip",
-    "empty_constraints",
     "enumerate_counterfactuals",
     "explanations_of",
     "load_constraints",
@@ -124,16 +113,10 @@ __all__ = [
     "load_queries",
     "min_change_versions",
     "model_atom_sets",
-    "parse_constraints",
     "parse_entity",
     "parse_facts",
-    "parse_model",
     "parse_program",
-    "parse_query",
-    "propagate",
     "render_row",
-    "render_value",
-    "save_model",
     "serialize_model",
     "stable_models",
     "to_percent",

@@ -10,6 +10,8 @@ admissible:
   source feature's value after every intervention, and free interventions
   on the target are disabled;
 * immutable features — never intervened at all.
+
+The search applies them to integer cell codes (``engine._Grid``).
 """
 
 from __future__ import annotations
@@ -109,44 +111,6 @@ def _reject_cycles(dependencies: tuple[Dependency, ...]) -> None:
 
     for start in list(edges):
         visit(start)
-
-
-def empty_constraints(schema: FeatureSchema) -> ConstraintSet:
-    return ConstraintSet(schema=schema)
-
-
-def admits(constraints: ConstraintSet, values: tuple[str, ...]) -> bool:
-    """False iff some forbidden partial assignment is fully matched."""
-    schema = constraints.schema
-    for combo in constraints.forbidden:
-        if all(values[schema.index(name)] == value for name, value in combo.items()):
-            return False
-    return True
-
-
-def propagate(constraints: ConstraintSet, values: tuple[str, ...]) -> tuple[str, ...]:
-    """Overwrite dependency targets from their sources, to a fixed point.
-
-    Dependencies are applied in declaration order; passes repeat until the
-    values stop changing, which acyclicity guarantees after at most one
-    pass per dependency.
-    """
-    if not constraints.dependencies:
-        return values
-    schema = constraints.schema
-    current = list(values)
-    for _ in range(len(constraints.dependencies) + 1):
-        changed = False
-        for dep in constraints.dependencies:
-            src_value = current[schema.index(dep.source)]
-            image = dep.mapping[src_value]
-            tgt_index = schema.index(dep.target)
-            if current[tgt_index] != image:
-                current[tgt_index] = image
-                changed = True
-        if not changed:
-            return tuple(current)
-    raise ConstraintError("dependency propagation did not converge")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

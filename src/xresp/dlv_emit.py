@@ -343,8 +343,6 @@ def emit_cip(
             args = [combo.get(name, "_") for name, _ in schema.features]
             knowledge.append(f":- ent(E,{','.join(args)},tr).")
         for dep in cs.dependencies:
-            src = next(f for f, (n, _) in zip(features, schema.features) if n == dep.source)
-            tgt = next(f for f, (n, _) in zip(features, schema.features) if n == dep.target)
             for sval in schema.domain(dep.source):
                 tval = dep.mapping[sval]
                 head_args = []

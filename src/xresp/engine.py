@@ -41,8 +41,7 @@ and raises only when the search reads it: its score then comes from
 backend, minimum-change searches (which often stop after a few states) and
 grids of more than ``_FOLD_LIMIT`` cells score each cell on demand through
 ``classify`` instead, each cell at most once.  Either way the versions
-carry the scores of their states, and the query layer reads those instead
-of classifying again.
+carry the scores of their states, and the query layer reads only those.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility of the
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .constraints import ConstraintSet, admits, empty_constraints
+from .constraints import ConstraintSet
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
@@ -77,8 +76,7 @@ class CounterfactualVersion:
     changed: frozenset[str]
     states: tuple[tuple[str, ...], ...]
     label: str
-    # the search's scores of ``states``; the query layer reads them instead
-    # of classifying again
+    # the search's scores of ``states``, the only scores the query layer reads
     _scores: _StateScores | None = field(default=None, compare=False, repr=False)
 
 
@@ -181,16 +179,17 @@ class _Grid:
                       for domain, weight, radix in self._places])
 
     def admits(self, code: int) -> bool:
-        """``constraints.admits`` on the cell's values."""
+        """False iff the cell fully matches some forbidden combination."""
         return not any(
             all(code // weight % radix == digit for weight, radix, digit in conditions)
             for conditions in self._forbidden
         )
 
     def propagate(self, code: int) -> int:
-        """``constraints.propagate`` on the cell's values.
+        """Overwrite dependency targets from their sources, to a fixed point.
 
-        Dependencies are acyclic, so the passes reach a fixed point.
+        Dependencies are applied in declaration order; they are acyclic, so
+        the passes reach a fixed point.
         """
         moved = True
         while moved:
@@ -292,7 +291,7 @@ def enumerate_counterfactuals(
     """
     schema = model.schema
     validate_values(schema, entity.values)
-    cs = constraints if constraints is not None else empty_constraints(schema)
+    cs = constraints if constraints is not None else ConstraintSet(schema)
     if cs.schema != schema:
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
@@ -304,11 +303,8 @@ def enumerate_counterfactuals(
     labels = cells.labels
     start = grid.encode(original)
     original_label = model.labels.index(cells.score(start)[0])
-    if strict:
-        if original_label != 0:
-            return ()
-        if not admits(cs, original):
-            return ()
+    if strict and (original_label != 0 or not grid.admits(start)):
+        return ()
 
     blocked = cs.immutable | cs.dependency_targets
     # per free feature: its bit, and the code steps to each other value
@@ -424,26 +420,28 @@ def explanations_of(
 
     The cause keeps the feature's original value; the contingency is the
     version's remaining changed features.  A single-change version yields
-    the empty contingency.
+    the empty contingency.  A cause and its contingency fix the changed
+    set, so each distinct changed set is expanded once, with its first
+    version as the witness.
     """
-    seen: dict[tuple, Explanation] = {}
+    first: dict[tuple[str, frozenset[str]], CounterfactualVersion] = {}
     for version in versions:
-        for cause in version.changed:
-            contingency = frozenset(version.changed - {cause})
-            key = (version.eid, cause, contingency)
-            if key in seen:
-                continue
-            seen[key] = Explanation(
-                eid=version.eid,
-                cause_feature=cause,
-                cause_value=original.values[schema.index(cause)],
-                contingency=contingency,
-                inv_resp=len(version.changed),
-                witness=version,
-            )
+        first.setdefault((version.eid, version.changed), version)
+    explanations = [
+        Explanation(
+            eid=eid,
+            cause_feature=cause,
+            cause_value=original.values[schema.index(cause)],
+            contingency=changed - {cause},
+            inv_resp=len(changed),
+            witness=version,
+        )
+        for (eid, changed), version in first.items()
+        for cause in changed
+    ]
     return tuple(
         sorted(
-            seen.values(),
+            explanations,
             key=lambda ex: (ex.cause_feature, ex.inv_resp, sorted(ex.contingency)),
         )
     )

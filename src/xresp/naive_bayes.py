@@ -53,15 +53,7 @@ class NaiveBayesModel:
     conditional: Mapping[tuple[str, str, str], Fraction]
 
     def __post_init__(self) -> None:
-        if sum(self.prior[l] for l in self.labels) != 1:
-            raise ModelFormatError("priors must sum to 1")
-        for label in self.labels:
-            for name, domain in self.schema.features:
-                total = sum(self.conditional[(name, v, label)] for v in domain)
-                if total != 1:
-                    raise ModelFormatError(
-                        f"conditionals of {name} given {label} sum to {total}, not 1"
-                    )
+        _check_distributions(self, 1, "")
         object.__setattr__(self, "_table", _score_table(self))
 
     def classify(
@@ -93,16 +85,7 @@ class PercentModel:
     conditional: Mapping[tuple[str, str, str], int]
 
     def __post_init__(self) -> None:
-        if sum(self.prior[l] for l in self.labels) != 100:
-            raise ModelFormatError("percent priors must sum to 100")
-        for label in self.labels:
-            for name, domain in self.schema.features:
-                total = sum(self.conditional[(name, v, label)] for v in domain)
-                if total != 100:
-                    raise ModelFormatError(
-                        f"percent conditionals of {name} given {label} "
-                        f"sum to {total}, not 100"
-                    )
+        _check_distributions(self, 100, "percent ")
         object.__setattr__(self, "_table", _score_table(self))
 
     def classify(
@@ -282,6 +265,23 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
     )
 
 
+def _check_distributions(
+    model: NaiveBayesModel | PercentModel, total: int, kind: str
+) -> None:
+    """Raise ModelFormatError unless the priors and every conditional
+    distribution sum to ``total``; ``kind`` prefixes the messages."""
+    if sum(model.prior[l] for l in model.labels) != total:
+        raise ModelFormatError(f"{kind}priors must sum to {total}")
+    for label in model.labels:
+        for name, domain in model.schema.features:
+            got = sum(model.conditional[(name, v, label)] for v in domain)
+            if got != total:
+                raise ModelFormatError(
+                    f"{kind}conditionals of {name} given {label} "
+                    f"sum to {got}, not {total}"
+                )
+
+
 def _score_table(
     model: NaiveBayesModel | PercentModel,
 ) -> tuple[dict[str, tuple], ...]:
@@ -327,12 +327,6 @@ def _score_rows(model: NaiveBayesModel | PercentModel, values: tuple[str, ...]) 
 # Feature order and domain order are recovered from the first appearance of
 # each feature/value among the conditional lines, so save -> load -> save is
 # byte-identical.
-
-
-def save_model(model: NaiveBayesModel, path: str, class_column: str = "class") -> None:
-    text = serialize_model(model, class_column)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
 
 
 def _one_line(text: str) -> bool:

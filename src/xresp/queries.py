@@ -13,11 +13,11 @@ arguments.
 Models are materialized per predicate, on demand: the predicates of a
 version and their arities are known up front, and a predicate's tuples are
 built the first time they are read.  The ``cls`` and ``pb_num`` atoms take
-their scores from the search that built the versions, so a state is not
-classified again; only versions the search scored under another model or
-ceiling are classified, each distinct state once per ``model_atom_sets``
-call.  Versions with the same changed features share their explanation
-tables.
+their scores only from the search that built the versions: in the answer
+set a version stands for, every state's class is the one that decided the
+search.  Versions the search did not score with the same model object and
+ceiling are refused.  Versions with the same changed features share their
+explanation tables.
 
 Query text copies the solver convention: comma-separated literals ending in
 ``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Identifiers starting uppercase
@@ -101,10 +101,10 @@ class _LazyAtoms(Mapping):
 class _Materializer:
     """Builds the lazy atom sets of one run's versions, sharing the work.
 
-    State scores come from the search that built each version when it used
-    this model and ceiling; otherwise each distinct state is classified
-    once.  The explanation tables of a changed-feature set are built once
-    and shared by every version that changes exactly those features.
+    State scores come from the search that built each version, which must
+    have used this model object and ceiling.  The explanation tables of a
+    changed-feature set are built once and shared by every version that
+    changes exactly those features.
     """
 
     def __init__(self, model: NaiveBayesModel | PercentModel, original: Entity,
@@ -119,7 +119,6 @@ class _Materializer:
         }
         if include_pb_num and isinstance(model, PercentModel):
             self.arity["pb_num"] = width + 3
-        self._scores: dict[tuple[str, ...], tuple] = {}
         self._explanations: dict[tuple[str, frozenset[str]], dict] = {}
 
     def atom_set(self, version: CounterfactualVersion) -> ModelAtomSet:
@@ -127,21 +126,11 @@ class _Materializer:
         if states[0] != self.original_values or states[-1] != version.final:
             # the caller mixed versions and originals from different runs
             raise QueryError("version states do not run from original to final")
-        return ModelAtomSet(atoms=_LazyAtoms(self.arity, partial(self._table, version)))
-
-    def _scorer(self, version: CounterfactualVersion) -> Callable[[tuple], tuple]:
-        """The score of each of the version's states: the search's, when it
-        used this model and ceiling, else classified here."""
         scores = version._scores
-        if scores is not None and scores.model is self.model and scores.maxint == self.maxint:
-            return scores.by_state.__getitem__
-        return self._score
-
-    def _score(self, state: tuple[str, ...]) -> tuple:
-        score = self._scores.get(state)
-        if score is None:
-            score = self._scores[state] = self.model.classify(state, self.maxint)
-        return score
+        if scores is None or scores.model is not self.model or scores.maxint != self.maxint:
+            # cls atoms from another classification belong to no answer set
+            raise QueryError("version was not searched with this model and maxint")
+        return ModelAtomSet(atoms=_LazyAtoms(self.arity, partial(self._table, version)))
 
     def _table(self, version: CounterfactualVersion,
                predicate: str) -> frozenset[tuple[Value, ...]]:
@@ -153,14 +142,14 @@ class _Materializer:
                 + [(eid, *state, "tr") for state in states]
             )
         if predicate == "cls":
-            score = self._scorer(version)
-            return frozenset((eid, *state, score(state)[0]) for state in states)
+            score = version._scores.by_state
+            return frozenset((eid, *state, score[state][0]) for state in states)
         if predicate == "pb_num":
-            score = self._scorer(version)
+            score = version._scores.by_state
             positive, negative = self.model.labels
             atoms = []
             for state in states:
-                _, f_pos, f_neg = score(state)
+                _, f_pos, f_neg = score[state]
                 atoms += [(eid, *state, positive, f_pos), (eid, *state, negative, f_neg)]
             return frozenset(atoms)
         key = (eid, version.changed)
@@ -195,12 +184,12 @@ def model_atom_sets(
     include_pb_num: bool = True,
     maxint: int = DEFAULT_MAXINT,
 ) -> list[ModelAtomSet]:
-    """The atom sets of ``versions``, sharing scores and explanation tables.
+    """The atom sets of ``versions``, sharing explanation tables.
 
     ``cls`` and ``pb_num`` read the scores the search recorded for each
-    version's states.  Versions the search scored under another model or
-    ``maxint`` are classified when ``cls`` or ``pb_num`` is first read, so
-    a classification error (a staged overflow) surfaces then.
+    version's states; nothing is classified here.  A version that
+    ``enumerate_counterfactuals`` did not build with this same ``model``
+    object and ``maxint`` raises QueryError.
     """
     materializer = _Materializer(model, original, include_pb_num, maxint)
     return [materializer.atom_set(v) for v in versions]

@@ -6,15 +6,14 @@ classifier folds conditional probabilities in schema order, and emitted
 program text lays out atom arguments positionally.
 
 Datasets are comma-separated text files with a header row; the last column
-is the class label.  When no schema is given, domains are inferred from the
-observed values in first-occurrence order, which keeps every derived
-artifact (percent tables, emitted programs, query answers) reproducible.
+is the class label.  Domains are inferred from the observed values in
+first-occurrence order, which keeps every derived artifact (percent tables,
+emitted programs, query answers) reproducible.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 
@@ -107,38 +106,33 @@ def parse_entity(text: str, schema: FeatureSchema, eid: str = "e") -> Entity:
     return Entity(eid=eid, values=values)
 
 
-def load_dataset(path: str, schema: FeatureSchema | None = None) -> Dataset:
-    """Load a dataset from a delimited text file.
+def load_dataset(path: str) -> Dataset:
+    """Load a dataset from a comma-separated text file.
 
     The header row names the features; the final column is the class label.
-    Without an explicit schema, per-column domains are inferred in
-    first-occurrence order.  With one, every value is validated against it.
+    Each feature's domain is inferred from its column in first-occurrence
+    order, and the labels likewise; there must be exactly two.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _read_dataset(handle, schema)
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("dataset file is empty") from None
+        header = [col.strip() for col in header]
+        if len(header) < 2:
+            raise DataError("header must name at least one feature and the class column")
 
-
-def _read_dataset(handle: io.TextIOBase, schema: FeatureSchema | None) -> Dataset:
-    reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("dataset file is empty") from None
-    header = [col.strip() for col in header]
-    if len(header) < 2:
-        raise DataError("header must name at least one feature and the class column")
-    feature_names = header[:-1]
-
-    rows: list[tuple[tuple[str, ...], str]] = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue
-        record = [cell.strip() for cell in raw]
-        if len(record) != len(header):
-            raise DataError(
-                f"line {lineno}: expected {len(header)} fields, got {len(record)}"
-            )
-        rows.append((tuple(record[:-1]), record[-1]))
+        rows: list[tuple[tuple[str, ...], str]] = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            record = [cell.strip() for cell in raw]
+            if len(record) != len(header):
+                raise DataError(
+                    f"line {lineno}: expected {len(header)} fields, got {len(record)}"
+                )
+            rows.append((tuple(record[:-1]), record[-1]))
 
     observed_labels: list[str] = []
     for _, label in rows:
@@ -149,27 +143,14 @@ def _read_dataset(handle: io.TextIOBase, schema: FeatureSchema | None) -> Datase
             f"need exactly 2 class labels, observed {len(observed_labels)}"
         )
 
-    if schema is None:
-        domains: list[list[str]] = [[] for _ in feature_names]
-        for values, _ in rows:
-            for col, value in enumerate(values):
-                if value not in domains[col]:
-                    domains[col].append(value)
-        schema = FeatureSchema(
-            tuple(
-                (name, tuple(domain))
-                for name, domain in zip(feature_names, domains)
-            )
-        )
-    else:
-        if list(schema.names) != feature_names:
-            raise DataError(
-                f"header features {feature_names} do not match schema "
-                f"{list(schema.names)}"
-            )
-        for values, _ in rows:
-            validate_values(schema, values)
-
+    domains: list[list[str]] = [[] for _ in header[:-1]]
+    for values, _ in rows:
+        for col, value in enumerate(values):
+            if value not in domains[col]:
+                domains[col].append(value)
+    schema = FeatureSchema(
+        tuple((name, tuple(domain)) for name, domain in zip(header[:-1], domains))
+    )
     labels = (observed_labels[0], observed_labels[1])
     return Dataset(
         schema=schema, rows=tuple(rows), labels=labels, class_column=header[-1]

@@ -4,9 +4,10 @@ Everything here is deliberately written from the definitions, without
 reusing the package's algorithms, so agreement is meaningful: the stable
 model oracle enumerates subsets and applies the reduct/minimal-model
 definitions over plain sets; the strict actual-cause oracle searches all
-contingency assignments directly and ignores path reachability; the
-per-state search builds, propagates and classifies every state as a value
-tuple, the way the search did before it read integer cell codes; the random
+contingency assignments directly and ignores path reachability; ``admits``
+and ``propagate`` apply constraints to value tuples, and the per-state
+search builds, propagates and classifies every state as a value tuple with
+them, the way the search did before it read integer cell codes; the random
 generators produce small ground programs and datasets from a seeded Random
 instance.  The query oracles materialize a version's atoms eagerly, straight
 from its recorded states, and answer a query by trying every combination of
@@ -20,19 +21,19 @@ from itertools import combinations, product
 
 from xresp import (
     DEFAULT_MAXINT,
+    ConstraintError,
+    ConstraintSet,
     CounterfactualVersion,
     Entity,
+    FeatureSchema,
     GroundProgram,
     PercentModel,
     QueryError,
     Rule,
-    admits,
-    empty_constraints,
     min_change_versions,
-    propagate,
-    validate_values,
 )
 from xresp.queries import Constant, Variable
+from xresp.schema import validate_values
 
 # ---------------------------------------------------------------------------
 # Definitional stable-model oracle
@@ -105,6 +106,49 @@ def oracle_min_violation_models(program: GroundProgram) -> set[frozenset[str]]:
 
 
 # ---------------------------------------------------------------------------
+# Tuple-level constraint semantics
+# ---------------------------------------------------------------------------
+
+
+def empty_constraints(schema: FeatureSchema) -> ConstraintSet:
+    return ConstraintSet(schema=schema)
+
+
+def admits(constraints: ConstraintSet, values: tuple[str, ...]) -> bool:
+    """False iff some forbidden partial assignment is fully matched."""
+    schema = constraints.schema
+    for combo in constraints.forbidden:
+        if all(values[schema.index(name)] == value for name, value in combo.items()):
+            return False
+    return True
+
+
+def propagate(constraints: ConstraintSet, values: tuple[str, ...]) -> tuple[str, ...]:
+    """Overwrite dependency targets from their sources, to a fixed point.
+
+    Dependencies are applied in declaration order; passes repeat until the
+    values stop changing, which acyclicity guarantees after at most one
+    pass per dependency.
+    """
+    if not constraints.dependencies:
+        return values
+    schema = constraints.schema
+    current = list(values)
+    for _ in range(len(constraints.dependencies) + 1):
+        changed = False
+        for dep in constraints.dependencies:
+            src_value = current[schema.index(dep.source)]
+            image = dep.mapping[src_value]
+            tgt_index = schema.index(dep.target)
+            if current[tgt_index] != image:
+                current[tgt_index] = image
+                changed = True
+        if not changed:
+            return tuple(current)
+    raise ConstraintError("dependency propagation did not converge")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
 # Per-state reference search
 # ---------------------------------------------------------------------------
 
@@ -120,8 +164,8 @@ def oracle_versions(
 ) -> tuple[CounterfactualVersion, ...]:
     """``enumerate_counterfactuals`` as a breadth-first search over value tuples.
 
-    Every state is built as a tuple, propagated and checked with the public
-    ``propagate`` and ``admits``, and classified with ``model.classify``
+    Every state is built as a tuple, propagated and checked with
+    ``propagate`` and ``admits`` above, and classified with ``model.classify``
     when it is reached, in the search's order, so a staged overflow raises
     at the first state that overflows.  Chains are carried whole.
     """

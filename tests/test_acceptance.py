@@ -20,13 +20,12 @@ from xresp import (
     model_atom_sets,
     parse_facts,
     parse_program,
-    parse_query,
     stable_models,
     to_percent,
     train,
     xresp,
 )
-from xresp.queries import answer
+from xresp.queries import answer, parse_query
 
 from conftest import DEMO_PROGRAM
 from oracles import (

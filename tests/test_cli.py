@@ -7,12 +7,12 @@ from xresp import (
     load_dataset,
     min_change_versions,
     model_atom_sets,
-    parse_constraints,
     parse_entity,
     to_percent,
     train,
 )
 from xresp.cli import main
+from xresp.constraints import parse_constraints
 from xresp.queries import answer, load_queries, render_row
 
 from conftest import DEMO_PROGRAM, TEST_DATA, TWO_DEPTH_DEPEND, WEATHER_CSV

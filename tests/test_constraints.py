@@ -6,12 +6,11 @@ from xresp.constraints import (
     ConstraintError,
     ConstraintSet,
     Dependency,
-    admits,
-    empty_constraints,
     load_constraints,
     parse_constraints,
-    propagate,
 )
+
+from oracles import admits, empty_constraints, propagate
 
 DEP_TEXT = "depend Temperature -> Humidity: high->normal, medium->high, low->high"
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from xresp import engine
-from xresp.constraints import empty_constraints, parse_constraints
+from xresp.constraints import ConstraintSet, parse_constraints
 from xresp.engine import (
     Explanation,
     enumerate_counterfactuals,
@@ -335,7 +335,7 @@ def test_constraints_from_other_schema_rejected(weather_percent, weather_entity,
     other = FeatureSchema((("A", ("x", "y")), ("B", ("u", "v"))))
     with pytest.raises(ValueError, match="different schema"):
         enumerate_counterfactuals(
-            weather_percent, weather_entity, empty_constraints(other)
+            weather_percent, weather_entity, ConstraintSet(other)
         )
 
 

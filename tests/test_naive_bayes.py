@@ -6,6 +6,7 @@ data before being pinned: the conditional table by counting rows per
 and every staged value by folding the integer pipeline by hand.
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -21,13 +22,12 @@ from xresp import (
     enumerate_counterfactuals,
     load_dataset,
     load_model,
-    parse_model,
-    save_model,
     serialize_model,
     to_percent,
     train,
-    validate_values,
 )
+from xresp.naive_bayes import parse_model
+from xresp.schema import validate_values
 
 from oracles import all_grid_tuples
 
@@ -210,7 +210,7 @@ def test_classify_rejects_values_outside_the_schema(weather_model, weather_perce
 
 def test_persistence_round_trip(weather_model, tmp_path):
     path = tmp_path / "model.txt"
-    save_model(weather_model, str(path), class_column="Play")
+    path.write_text(serialize_model(weather_model, "Play"), encoding="utf-8")
     again, class_column = load_model(str(path))
     assert again == weather_model
     assert class_column == "Play"
@@ -389,3 +389,26 @@ def test_percent_tables_always_sum_to_100(data):
                 sum(percent.conditional[(name, value, label)] for value in domain)
                 == 100
             )
+
+
+def test_distribution_checks_name_the_bad_distribution(weather_model, weather_percent):
+    def refused(model, **changes):
+        with pytest.raises(ModelFormatError) as raised:
+            dataclasses.replace(model, **changes)
+        return str(raised.value)
+
+    prior = {"yes": F(1, 2), "no": F(1, 3)}
+    assert refused(weather_model, prior=prior) == "priors must sum to 1"
+    conditional = dict(weather_model.conditional)
+    conditional[("Outlook", "sunny", "yes")] += F(1, 9)
+    assert refused(weather_model, conditional=conditional) == (
+        "conditionals of Outlook given yes sum to 10/9, not 1"
+    )
+    assert refused(weather_percent, prior={"yes": 64, "no": 35}) == (
+        "percent priors must sum to 100"
+    )
+    conditional = dict(weather_percent.conditional)
+    conditional[("Wind", "strong", "no")] -= 1
+    assert refused(weather_percent, conditional=conditional) == (
+        "percent conditionals of Wind given no sum to 99, not 100"
+    )

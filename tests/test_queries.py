@@ -10,10 +10,10 @@ from xresp import (
     Entity,
     enumerate_counterfactuals,
     load_dataset,
-    parse_constraints,
     to_percent,
     train,
 )
+from xresp.constraints import parse_constraints
 from xresp.queries import (
     Anonymous,
     AtomPattern,
@@ -157,9 +157,9 @@ def test_pb_num_can_be_suppressed(weather_versions, weather_percent,
     assert plain.tuples("pb_num") == frozenset()
 
 
-def test_exact_models_have_no_pb_num(weather_versions, weather_model,
-                                     weather_entity):
-    (atom_set,) = model_atom_sets(weather_versions[:1], weather_model, weather_entity)
+def test_exact_models_have_no_pb_num(weather_model, weather_entity):
+    versions = enumerate_counterfactuals(weather_model, weather_entity)
+    (atom_set,) = model_atom_sets(versions[:1], weather_model, weather_entity)
     assert atom_set.tuples("pb_num") == frozenset()
     assert atom_set.tuples("cls")
 
@@ -257,24 +257,23 @@ def test_model_atom_sets_classify_each_distinct_state_at_most_once(
         # the search scored every state, so the query layer scores nothing
         assert not model.calls and not model.folds
 
-    # versions the search scored under another ceiling: keys and
-    # explanation atoms need no classification, and each distinct state is
-    # classified once, when cls or pb_num is first read
-    versions = enumerate_counterfactuals(model, weather_entity, maxint=10**9)
-    model.calls.clear()
-    model.folds.clear()
-    atom_sets = model_atom_sets(versions, model, weather_entity)
-    for atom_set in atom_sets:
-        assert set(atom_set.atoms) == {
-            "ent", "cls", "expl", "cause", "cont", "invResp", "fullExpl", "pb_num"
-        }
-        assert atom_set.tuples("fullExpl")
-    assert not model.calls
-    for atom_set in atom_sets:
-        assert atom_set.tuples("cls") and atom_set.tuples("pb_num")
-    assert set(model.calls) == {s for v in versions for s in v.states}
-    assert set(model.calls.values()) == {1}
-    assert not model.folds
+    # versions searched under another ceiling or with another model object
+    # carry other scores, and versions without scores carry none: they are
+    # refused, and nothing is classified
+    unscored = [dataclasses.replace(v, _scores=None) for v in versions]
+    mismatched = [
+        (enumerate_counterfactuals(model, weather_entity, maxint=10**9), model),
+        (enumerate_counterfactuals(weather_percent, weather_entity), model),
+        (enumerate_counterfactuals(model, weather_entity), weather_percent),
+        (unscored, model),
+    ]
+    for versions, query_model in mismatched:
+        model.calls.clear()
+        model.folds.clear()
+        with pytest.raises(QueryError, match="^version was not searched with "
+                                              "this model and maxint$"):
+            model_atom_sets(versions, query_model, weather_entity)
+        assert not model.calls and not model.folds
 
 
 def test_versions_with_one_changed_set_share_explanation_tables(weather_percent,

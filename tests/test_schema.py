@@ -9,10 +9,9 @@ from xresp import (
     SchemaError,
     load_dataset,
     parse_entity,
-    validate_values,
 )
+from xresp.schema import validate_values
 
-from conftest import WEATHER_CSV
 from helpers import serialize_dataset
 
 
@@ -58,26 +57,6 @@ def test_serialize_round_trip(weather_dataset, tmp_path):
     path.write_text(text, encoding="utf-8")
     again = load_dataset(str(path))
     assert again == weather_dataset
-
-
-def test_explicit_schema_validates(weather_dataset):
-    schema = weather_dataset.schema
-    assert load_dataset(str(WEATHER_CSV), schema=schema) == weather_dataset
-    narrow = FeatureSchema(
-        features=(
-            ("Outlook", ("sunny", "overcast", "rain")),
-            ("Temperature", ("high", "medium", "low")),
-            ("Humidity", ("high", "normal")),
-            ("Wind", ("weak", "gusty")),  # strong not in the domain
-        )
-    )
-    with pytest.raises(DataError):
-        load_dataset(str(WEATHER_CSV), schema=narrow)
-    renamed = FeatureSchema(
-        features=(("Sky", ("sunny", "overcast", "rain")),) + schema.features[1:]
-    )
-    with pytest.raises(DataError):
-        load_dataset(str(WEATHER_CSV), schema=renamed)  # header mismatch
 
 
 def test_parse_entity(weather_model):
