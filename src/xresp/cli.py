@@ -34,7 +34,7 @@ from .naive_bayes import (
     to_percent,
     train,
 )
-from .queries import answer, load_queries, model_atom_sets, render_row
+from .queries import _check_query, answer, load_queries, model_atom_sets, render_row
 from .schema import Entity, load_dataset, parse_entity
 
 
@@ -129,11 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="query only the minimum-change models",
     )
-    p_query.add_argument(
-        "--no-pb-num",
-        action="store_true",
-        help="omit staged-probability atoms from the models",
-    )
     p_query.set_defaults(handler=_cmd_query)
 
     p_emit = sub.add_parser(
@@ -146,11 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--weak",
         action="store_true",
         help="append the change-minimizing weak constraints",
-    )
-    p_emit.add_argument(
-        "--no-domain-rules",
-        action="store_true",
-        help="emit only the core program, without domain-knowledge rules",
     )
     p_emit.add_argument(
         "--maxint",
@@ -247,10 +237,9 @@ def _entity_of(
 def _constraints_of(
     args: argparse.Namespace, model: NaiveBayesModel | PercentModel
 ) -> ConstraintSet | None:
-    path = getattr(args, "constraints", None)
-    if not path:
+    if not args.constraints:
         return None
-    return load_constraints(path, model.schema)
+    return load_constraints(args.constraints, model.schema)
 
 
 def _versions_of(
@@ -330,12 +319,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         queries = load_queries(handle.read())
     if not queries:
         raise ValueError(f"no queries in {args.queries}")
+    for query in queries:
+        _check_query(query, model)
     versions = _versions_of(args, model, entity)
     atom_sets = model_atom_sets(
         versions,
         model,
         entity,
-        include_pb_num=not args.no_pb_num,
         maxint=_maxint(args),
     )
     blocks = []
@@ -351,11 +341,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_emit(args: argparse.Namespace) -> int:
     base = _base_model(args)
     pmodel = to_percent(base)
-    entity = parse_entity(args.entity, pmodel.schema, eid=args.eid)
+    entity = _entity_of(args, pmodel)
     constraints = _constraints_of(args, pmodel)
     options = EmitterOptions(
         include_weak_constraints=args.weak,
-        include_domain_rules=not args.no_domain_rules,
         maxint=args.maxint,
     )
     _write_out(emit_cip(pmodel, entity, constraints, options), args.out)

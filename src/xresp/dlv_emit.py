@@ -4,8 +4,8 @@ The generated program is self-contained: domain facts, the original entity
 (annotation ``o``), percentage facts, staged-arithmetic probability rules,
 transition and classification rules, a disjunctive intervention rule driven
 by per-feature chosen/diffchoice predicates, the stop rule, the
-explanation/contingency/responsibility machinery over set terms, optional
-domain-knowledge constraints, and optional weak constraints minimizing the
+explanation/contingency/responsibility machinery over set terms, the rules
+of the domain knowledge given, and optional weak constraints minimizing the
 number of changed features.
 
 Naming is derived from the schema: each feature contributes a predicate
@@ -50,8 +50,9 @@ _LOWERED_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 @dataclass(frozen=True)
 class EmitterOptions:
+    """Whether to append the weak constraints, and the ``#maxint`` to declare."""
+
     include_weak_constraints: bool = False
-    include_domain_rules: bool = True
     maxint: int = DEFAULT_MAXINT
 
     def __post_init__(self) -> None:
@@ -74,19 +75,16 @@ def _unique_prefixes(names: list[str]) -> list[str]:
     """Shortest prefix of each name that is unique among all names."""
     prefixes = []
     for name in names:
-        chosen = None
         for length in range(1, len(name) + 1):
-            candidate = name[:length]
-            if sum(1 for other in names if other.startswith(candidate)) == 1:
-                chosen = candidate
+            if sum(1 for other in names if other.startswith(name[:length])) == 1:
+                prefixes.append(name[:length])
                 break
-        if chosen is None:
+        else:
             colliders = sorted(n for n in names if n.startswith(name) and n != name)
             raise EmitError(
                 f"feature name {name!r} cannot be disambiguated from: "
                 f"{', '.join(colliders)}"
             )
-        prefixes.append(chosen)
     return prefixes
 
 
@@ -118,13 +116,12 @@ def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
     taken = set(_RESERVED_VARS)
     out: list[_FeatureNames] = []
     for name, prefix in zip(lowered, prefixes):
-        length = len(prefix)
-        var = prefix.upper()
-        while var in taken or var + "p" in taken:
-            length += 1
-            if length > len(name):
-                raise EmitError(f"cannot derive a distinct variable for {name!r}")
+        for length in range(len(prefix), len(name) + 1):
             var = name[:length].upper()
+            if var not in taken and var + "p" not in taken:
+                break
+        else:
+            raise EmitError(f"cannot derive a distinct variable for {name!r}")
         taken.add(var)
         taken.add(var + "p")
         out.append(_FeatureNames(name=name, suffix=prefix, var=var))
@@ -151,6 +148,22 @@ def _wrap(statement: str) -> str:
 # Emission
 # ---------------------------------------------------------------------------
 
+# Causes, contingency sets and responsibility: the same text for every schema.
+_CONTINGENCY_RULES = """\
+cause(E,U) :- expl(E,U,X).
+cauCont(E,U,I) :- expl(E,U,X), expl(E,I,Z), U != I.
+preCont(E,U,{I}) :- cauCont(E,U,I).
+preCont(E,U,#union(Co,{I})) :- cauCont(E,U,I), preCont(E,U,Co), not
+    #member(I,Co).
+cont(E,U,Co) :- preCont(E,U,Co), not HoleIn(E,U,Co).
+HoleIn(E,U,Co) :- preCont(E,U,Co), cauCont(E,U,I), not #member(I,Co).
+tmpCont(E,U) :- cont(E,U,Co), not #card(Co,0).
+cont(E,U,{}) :- cause(E,U), not tmpCont(E,U).
+
+invResp(E,U,R) :- cont(E,U,S), #card(S,M), R = M+1, #int(R).
+
+fullExpl(E,U,R,S) :- expl(E,U,X), cont(E,U,S), invResp(E,U,R)."""
+
 
 def emit_cip(
     pmodel: PercentModel,
@@ -158,9 +171,13 @@ def emit_cip(
     constraints: ConstraintSet | None = None,
     options: EmitterOptions | None = None,
 ) -> str:
-    """Render the complete program for one entity as DLV-Complex text."""
+    """Render the complete program for one entity as DLV-Complex text.
+
+    Every constraint is compiled in, as rules or as a blocked intervention.
+    """
     opts = options or EmitterOptions()
     schema = pmodel.schema
+    cs = constraints if constraints is not None else ConstraintSet(schema)
     validate_values(schema, entity.values)
     if len(schema) < 2:
         raise EmitError("emitting needs at least two features")
@@ -168,8 +185,7 @@ def emit_cip(
     features = _feature_names(schema)
     positive, negative = pmodel.labels
 
-    blocks: list[str] = []
-    blocks.append(f"#include<ListAndSet>\n#maxint = {opts.maxint}.")
+    blocks = [f"#include<ListAndSet>\n#maxint = {opts.maxint}."]
 
     # --- facts ------------------------------------------------------------
     dom_lines = []
@@ -198,35 +214,30 @@ def emit_cip(
     ent_tr = f"ent(E,{all_vars},tr)"
     stages = _stage_vars(len(features) - 1, features)
 
+    # prob_i stages the product so far (P1 for prob_1) times feature i's factor
+    first = features[0]
+    prev_atom, prev_p = f"p_{first.suffix}_c({first.var}, V, P1)", "P1"
     prob_rules = []
-    for i in range(1, len(features)):
-        acc, acc_p = stages[i - 1], stages[i - 1] + "p"
+    for i, (feat, acc) in enumerate(zip(features[1:], stages), start=1):
+        acc_p = acc + "p"
         head = f"prob_{i}(E,{all_vars},V,{acc_p})"
-        if i == 1:
-            first, second = features[0], features[1]
-            body = [
-                ent_tr,
-                f"p_{first.suffix}_c({first.var}, V, P1)",
-                f"p_{second.suffix}_c({second.var}, V, P2)",
-                f"{acc} = P1*P2",
-            ]
-        else:
-            prev_p = stages[i - 2] + "p"
-            nxt = features[i]
-            body = [
-                ent_tr,
-                f"prob_{i - 1}(E,{all_vars},V,{prev_p})",
-                f"p_{nxt.suffix}_c({nxt.var}, V, P{i + 1})",
-                f"{acc} = {prev_p}*P{i + 1}",
-            ]
-        body += [f"{acc_p} = {acc}/10", f"#int({acc})", f"#int({acc_p})", "p(V, D)"]
+        body = [
+            ent_tr,
+            prev_atom,
+            f"p_{feat.suffix}_c({feat.var}, V, P{i + 1})",
+            f"{acc} = {prev_p}*P{i + 1}",
+            f"{acc_p} = {acc}/10",
+            f"#int({acc})",
+            f"#int({acc_p})",
+            "p(V, D)",
+        ]
         prob_rules.append(_wrap(f"{head} :- {', '.join(body)}."))
-    last_p = stages[len(features) - 2] + "p"
+        prev_atom, prev_p = head, acc_p
     pb_body = [
         ent_tr,
-        f"prob_{len(features) - 1}(E,{all_vars},V,{last_p})",
+        prev_atom,
         "p(V, D)",
-        f"F = {last_p}*D",
+        f"F = {prev_p}*D",
         "Fp = F/10",
         "#int(F)",
         "#int(Fp)",
@@ -240,26 +251,15 @@ def emit_cip(
         f"ent(E,{all_vars},tr) :- ent(E,{all_vars},do)."
     )
     f_pos, f_neg = f"F{positive}", f"F{negative}"
-    blocks.append(
-        _wrap(
-            f"cls(E,{all_vars},{positive}) :- {ent_tr}, "
-            f"pb_num(E,{all_vars},{positive},{f_pos}), "
-            f"pb_num(E,{all_vars},{negative},{f_neg}), {f_pos} >= {f_neg}."
-        )
-        + "\n"
-        + _wrap(
-            f"cls(E,{all_vars},{negative}) :- {ent_tr}, "
-            f"pb_num(E,{all_vars},{positive},{f_pos}), "
-            f"pb_num(E,{all_vars},{negative},{f_neg}), {f_pos} < {f_neg}."
-        )
-    )
+    scores = ", ".join(f"pb_num(E,{all_vars},{label},F{label})" for label in pmodel.labels)
+    blocks.append("\n".join(
+        _wrap(f"cls(E,{all_vars},{label}) :- {ent_tr}, {scores}, {f_pos} {op} {f_neg}.")
+        for label, op in ((positive, ">="), (negative, "<"))
+    ))
 
     # --- disjunctive intervention rule ---------------------------------------
-    cs = constraints
-    blocked: set[str] = set()
-    if cs is not None:
-        blocked = set(n.lower() for n in (cs.immutable | cs.dependency_targets))
-    intervenable = [f for f in features if f.name not in blocked]
+    blocked = cs.immutable | cs.dependency_targets
+    intervenable = [f for f, name in zip(features, schema.names) if name not in blocked]
     if not intervenable:
         raise EmitError("every feature is blocked; nothing can be intervened")
 
@@ -307,69 +307,35 @@ def emit_cip(
     primed_vars = ",".join(f.var_p for f in features)
     ent_o = f"ent(E,{all_vars},o)"
     ent_s = f"ent(E,{primed_vars},s)"
-    expl_rules = [
-        f"expl(E,{f.name},{f.var}) :- {ent_o}, {ent_s}, {f.var} != {f.var_p}."
-        for f in features
-    ]
-    blocks.append("\n".join(_wrap(r) for r in expl_rules))
+    # feature f differs between o and s: the expl body and the weak constraint
+    changes = [f"{ent_o}, {ent_s}, {f.var} != {f.var_p}" for f in features]
+    blocks.append("\n".join(
+        _wrap(f"expl(E,{f.name},{f.var}) :- {change}.")
+        for f, change in zip(features, changes)
+    ))
 
-    blocks.append(
-        "\n".join(
-            [
-                "cause(E,U) :- expl(E,U,X).",
-                "cauCont(E,U,I) :- expl(E,U,X), expl(E,I,Z), U != I.",
-                "preCont(E,U,{I}) :- cauCont(E,U,I).",
-                _wrap(
-                    "preCont(E,U,#union(Co,{I})) :- cauCont(E,U,I), "
-                    "preCont(E,U,Co), not #member(I,Co)."
-                ),
-                "cont(E,U,Co) :- preCont(E,U,Co), not HoleIn(E,U,Co).",
-                _wrap(
-                    "HoleIn(E,U,Co) :- preCont(E,U,Co), cauCont(E,U,I), "
-                    "not #member(I,Co)."
-                ),
-                "tmpCont(E,U) :- cont(E,U,Co), not #card(Co,0).",
-                "cont(E,U,{}) :- cause(E,U), not tmpCont(E,U).",
-            ]
-        )
-    )
-    blocks.append("invResp(E,U,R) :- cont(E,U,S), #card(S,M), R = M+1, #int(R).")
-    blocks.append("fullExpl(E,U,R,S) :- expl(E,U,X), cont(E,U,S), invResp(E,U,R).")
+    blocks.append(_CONTINGENCY_RULES)
 
     # --- domain knowledge -----------------------------------------------------
-    if cs is not None and opts.include_domain_rules:
-        knowledge = []
-        for combo in cs.forbidden:
-            args = [combo.get(name, "_") for name, _ in schema.features]
-            knowledge.append(f":- ent(E,{','.join(args)},tr).")
-        for dep in cs.dependencies:
-            for sval in schema.domain(dep.source):
-                tval = dep.mapping[sval]
-                head_args = []
-                body_args = []
-                for f, (name, _) in zip(features, schema.features):
-                    if name == dep.source:
-                        head_args.append(sval)
-                        body_args.append(sval)
-                    elif name == dep.target:
-                        head_args.append(tval)
-                        body_args.append(f.var)
-                    else:
-                        head_args.append(f.var)
-                        body_args.append(f.var)
-                knowledge.append(
-                    f"ent(E,{','.join(head_args)},tr) :- "
-                    f"ent(E,{','.join(body_args)},tr)."
-                )
-        if knowledge:
-            blocks.append("\n".join(knowledge))
+    knowledge = [
+        f":- ent(E,{','.join(combo.get(name, '_') for name in schema.names)},tr)."
+        for combo in cs.forbidden
+    ]
+    for dep in cs.dependencies:
+        target = schema.index(dep.target)
+        for sval in schema.domain(dep.source):
+            body = [
+                sval if name == dep.source else f.var
+                for f, name in zip(features, schema.names)
+            ]
+            head = body[:target] + [dep.mapping[sval]] + body[target + 1:]
+            knowledge.append(f"ent(E,{','.join(head)},tr) :- ent(E,{','.join(body)},tr).")
+    if knowledge:
+        blocks.append("\n".join(knowledge))
 
     # --- weak constraints -------------------------------------------------------
     if opts.include_weak_constraints:
-        weak = [
-            f":~ {ent_o}, {ent_s}, {f.var} != {f.var_p}." for f in features
-        ]
-        blocks.append("\n".join(weak))
+        blocks.append("\n".join(f":~ {change}." for change in changes))
 
     return "\n\n".join(blocks) + "\n"
 

@@ -10,14 +10,14 @@ dependency-propagated values included; it is never replayed.  Feature
 names appear lowercased as constants; contingency sets are set-valued
 arguments.
 
-Models are materialized per predicate, on demand: the predicates of a
-version and their arities are known up front, and a predicate's tuples are
-built the first time they are read.  The ``cls`` and ``pb_num`` atoms take
-their scores only from the search that built the versions: in the answer
-set a version stands for, every state's class is the one that decided the
-search.  Versions the search did not score with the same model object and
-ceiling are refused.  Versions with the same changed features share their
-explanation tables.
+Models are materialized per predicate, on demand.  The predicates and their
+arities depend only on the model (``pb_num`` only for a staged one), so a
+query can be checked before any search; a predicate's tuples are built the
+first time they are read.  ``cls`` and ``pb_num`` take their scores only
+from the search that built the versions: in the answer set a version stands
+for, every state's class is the one that decided the search.  Versions the
+search did not score with the same model object and ceiling are refused.
+Versions with the same changed features share their explanation tables.
 
 Query text copies the solver convention: comma-separated literals ending in
 ``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Identifiers starting uppercase
@@ -98,6 +98,18 @@ class _LazyAtoms(Mapping):
         return len(self.arity)
 
 
+def _arities(model: NaiveBayesModel | PercentModel) -> dict[str, int]:
+    """Predicate -> arity in the atom set of any version; staged models add pb_num."""
+    width = len(model.schema)
+    arity = {
+        "ent": width + 2, "cls": width + 2, "expl": 3, "cause": 2,
+        "cont": 3, "invResp": 3, "fullExpl": 4,
+    }
+    if isinstance(model, PercentModel):
+        arity["pb_num"] = width + 3
+    return arity
+
+
 class _Materializer:
     """Builds the lazy atom sets of one run's versions, sharing the work.
 
@@ -108,17 +120,11 @@ class _Materializer:
     """
 
     def __init__(self, model: NaiveBayesModel | PercentModel, original: Entity,
-                 include_pb_num: bool, maxint: int) -> None:
+                 maxint: int) -> None:
         self.model = model
         self.original_values = tuple(original.values)
         self.maxint = maxint
-        width = len(model.schema)
-        self.arity = {
-            "ent": width + 2, "cls": width + 2, "expl": 3, "cause": 2,
-            "cont": 3, "invResp": 3, "fullExpl": 4,
-        }
-        if include_pb_num and isinstance(model, PercentModel):
-            self.arity["pb_num"] = width + 3
+        self.arity = _arities(model)
         self._explanations: dict[tuple[str, frozenset[str]], dict] = {}
 
     def atom_set(self, version: CounterfactualVersion) -> ModelAtomSet:
@@ -146,12 +152,11 @@ class _Materializer:
             return frozenset((eid, *state, score[state][0]) for state in states)
         if predicate == "pb_num":
             score = version._scores.by_state
-            positive, negative = self.model.labels
-            atoms = []
-            for state in states:
-                _, f_pos, f_neg = score[state]
-                atoms += [(eid, *state, positive, f_pos), (eid, *state, negative, f_neg)]
-            return frozenset(atoms)
+            return frozenset(
+                (eid, *state, label, num)
+                for state in states
+                for label, num in zip(self.model.labels, score[state][1:])
+            )
         key = (eid, version.changed)
         tables = self._explanations.get(key)
         if tables is None:
@@ -181,17 +186,16 @@ def model_atom_sets(
     model: NaiveBayesModel | PercentModel,
     original: Entity,
     *,
-    include_pb_num: bool = True,
     maxint: int = DEFAULT_MAXINT,
 ) -> list[ModelAtomSet]:
     """The atom sets of ``versions``, sharing explanation tables.
 
-    ``cls`` and ``pb_num`` read the scores the search recorded for each
-    version's states; nothing is classified here.  A version that
-    ``enumerate_counterfactuals`` did not build with this same ``model``
-    object and ``maxint`` raises QueryError.
+    ``cls`` and, for a staged model, ``pb_num`` read the scores the search
+    recorded for each version's states; nothing is classified here.  A
+    version that ``enumerate_counterfactuals`` did not build with this same
+    ``model`` object and ``maxint`` raises QueryError.
     """
-    materializer = _Materializer(model, original, include_pb_num, maxint)
+    materializer = _Materializer(model, original, maxint)
     return [materializer.atom_set(v) for v in versions]
 
 
@@ -409,6 +413,11 @@ def answer(
     return _sorted_rows(rows)
 
 
+def _check_query(query: Query, model: NaiveBayesModel | PercentModel) -> None:
+    """Check ``query`` against ``model``'s atom sets before any search."""
+    _check_inventory(query, {p: {n} for p, n in _arities(model).items()})
+
+
 def _check_arities(query: Query, models: Sequence[ModelAtomSet]) -> None:
     """Every queried predicate must occur in some model, at the query's arity.
 
@@ -429,6 +438,10 @@ def _check_arities(query: Query, models: Sequence[ModelAtomSet]) -> None:
             found = {p: {len(row) for row in atoms[p]} for p in names if p in atoms}
         for predicate, arities in found.items():
             known.setdefault(predicate, set()).update(arities)
+    _check_inventory(query, known)
+
+
+def _check_inventory(query: Query, known: Mapping[str, set[int]]) -> None:
     for pattern in query.atoms:
         if pattern.predicate not in known:
             raise QueryError(f"unknown predicate: {pattern.predicate}")
@@ -465,9 +478,6 @@ class _Plan:
         slot_of: dict[str, int] = {}
         self.steps: list[tuple[int, tuple, tuple, tuple]] = []
         self.echo: list[int] = []
-        # per argument position of each atom: (echo index, None) or (None,
-        # accepted values), to rebuild an atom from its answer row
-        layouts: list[list[tuple[int | None, frozenset | None]]] = []
         slots = 0
         for pattern in query.atoms:
             constants, binds, checks, layout = [], [], [], []
@@ -489,8 +499,10 @@ class _Plan:
             self.steps.append(
                 (len(pattern.args), tuple(constants), tuple(binds), tuple(checks))
             )
-            layouts.append(layout)
-        self._layout = layouts[0]
+        # per argument position: (echo index, None) or (None, accepted
+        # values), to rebuild an atom from its answer row; only ``yields``
+        # reads it, for one-atom queries, whose last atom is the only one
+        self._layout: list[tuple[int | None, frozenset | None]] = layout
         self._slots = slots
         self._tests = [_compile_comparison(cmp, slot_of) for cmp in query.comparisons]
 

@@ -26,6 +26,13 @@ DEMO_PROGRAM = DATA_DIR / "demo_program.lp"
 # and Wind.  Its minimum-change versions lie at two search depths.
 TWO_DEPTH_DEPEND = "depend Outlook -> Humidity: sunny->normal, overcast->high, rain->high"
 
+# The README's domain-knowledge example, one directive of each kind.
+README_CONSTRAINTS = (
+    "forbid Temperature=high, Wind=strong\n"
+    "depend Temperature -> Humidity: high->normal, medium->high, low->high\n"
+    "immutable Outlook\n"
+)
+
 
 @pytest.fixture(scope="session")
 def weather_dataset():

@@ -305,7 +305,6 @@ def oracle_atoms_of(
     model,
     original: Entity,
     *,
-    include_pb_num: bool = True,
     maxint: int = DEFAULT_MAXINT,
 ) -> dict[str, frozenset[tuple]]:
     """Every predicate of one version's model, built at once."""
@@ -318,7 +317,7 @@ def oracle_atoms_of(
         "ent": set(), "cls": set(), "expl": set(), "cause": set(),
         "cont": set(), "invResp": set(), "fullExpl": set(),
     }
-    if include_pb_num and isinstance(model, PercentModel):
+    if isinstance(model, PercentModel):
         atoms["pb_num"] = set()
 
     atoms["ent"].add((eid, *states[0], "o"))

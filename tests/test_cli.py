@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
+
 import pytest
 
 from xresp import (
@@ -11,11 +13,17 @@ from xresp import (
     to_percent,
     train,
 )
-from xresp.cli import main
+from xresp.cli import _build_parser, main
 from xresp.constraints import parse_constraints
 from xresp.queries import answer, load_queries, render_row
 
-from conftest import DEMO_PROGRAM, TEST_DATA, TWO_DEPTH_DEPEND, WEATHER_CSV
+from conftest import (
+    DEMO_PROGRAM,
+    README_CONSTRAINTS,
+    TEST_DATA,
+    TWO_DEPTH_DEPEND,
+    WEATHER_CSV,
+)
 
 DATA = str(WEATHER_CSV)
 ENTITY = "rain,high,normal,weak"
@@ -66,6 +74,44 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+MODEL_AND_ENTITY = {"--data", "--model", "--entity", "--eid"}
+BACKEND = {"--classifier", "--maxint"}
+ENGINE = {"--constraints", "--strict"}
+
+EXPECTED_OPTIONS = {
+    "train": {"--data", "--positive-label", "--out"},
+    "classify": MODEL_AND_ENTITY | BACKEND,
+    "counterfactuals": MODEL_AND_ENTITY | BACKEND | ENGINE | {"--min-change"},
+    "explain": MODEL_AND_ENTITY | BACKEND | ENGINE,
+    "query": MODEL_AND_ENTITY | BACKEND | ENGINE
+    | {"--queries", "--brave", "--cautious", "--min-change"},
+    "emit-dlv": MODEL_AND_ENTITY | {"--constraints", "--weak", "--maxint", "--out"},
+    "solve-asp": set(),
+}
+
+
+def test_cli_options_are_pinned():
+    # a switch is added to or removed from the CLI on purpose
+    (subcommands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for name, parser in subcommands.choices.items()
+    }
+    assert options == EXPECTED_OPTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +287,37 @@ def test_query_min_change_restricts_the_models(run_cli, tmp_path):
     assert out == "rain, high, high, weak\n"
 
 
-def test_query_no_pb_num_drops_the_predicate(run_cli, tmp_path):
-    queries = write_queries(tmp_path, "pb_num(e,O,T,H,W,yes,F)?")
+@pytest.mark.parametrize("entity", ["sunny,high,high,weak", ENTITY])
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        ("foo(X)?", "unknown predicate: foo"),
+        ("invResp(E)?",
+         "arity mismatch for invResp: query has 1 arguments, models have [3]"),
+    ],
+)
+def test_query_is_checked_before_the_search(run_cli, tmp_path, entity, query, error):
+    # the sunny entity has no strict versions; the query is refused all the same
+    queries = write_queries(tmp_path, query)
     code, out, err = run_cli(
+        "query", "--data", DATA, "--entity", entity, "--strict", "--brave",
+        "--queries", queries,
+    )
+    assert (code, out, err) == (1, "", f"xresp: QueryError: {error}\n")
+
+
+def test_exact_query_has_no_pb_num(run_cli, tmp_path):
+    queries = write_queries(tmp_path, "pb_num(e,O,T,H,W,yes,F)?")
+    code, out, _ = run_cli(
         "query", "--data", DATA, "--entity", ENTITY, "--queries", queries, "--brave"
     )
-    assert code == 0 and out  # scores are queryable by default
-
+    assert code == 0 and out  # staged scores are queryable
     code, out, err = run_cli(
         "query", "--data", DATA, "--entity", ENTITY, "--queries", queries,
-        "--brave", "--no-pb-num",
+        "--brave", "--classifier", "exact",
     )
-    assert code == 1 and out == ""
-    assert err.startswith("xresp: QueryError: unknown predicate")
+    assert (code, out) == (1, "")
+    assert err == "xresp: QueryError: unknown predicate: pb_num\n"
 
 
 def test_query_with_a_dependency_materialises_propagated_states(run_cli, tmp_path):
@@ -370,6 +434,18 @@ def test_emit_dlv_matches_golden(run_cli, tmp_path):
     assert out_path.read_text(encoding="utf-8") == golden
 
 
+def test_emit_dlv_with_constraints_and_weak_matches_golden(run_cli, tmp_path):
+    golden = TEST_DATA / "weather_cip_constrained_golden.lp"
+    knowledge = tmp_path / "constraints.txt"
+    knowledge.write_text(README_CONSTRAINTS, encoding="utf-8")
+    code, out, err = run_cli(
+        "emit-dlv", "--data", DATA, "--entity", ENTITY,
+        "--constraints", str(knowledge), "--weak",
+    )
+    assert (code, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_emit_dlv_options(run_cli, tmp_path):
     code, weak_out, _ = run_cli(
         "emit-dlv", "--data", DATA, "--entity", ENTITY, "--weak"
@@ -385,13 +461,6 @@ def test_emit_dlv_options(run_cli, tmp_path):
     )
     assert code == 0
     assert ":- ent(E,_,high,_,strong,tr)." in constrained
-
-    code, silent, _ = run_cli(
-        "emit-dlv", "--data", DATA, "--entity", ENTITY,
-        "--constraints", str(knowledge), "--no-domain-rules",
-    )
-    assert code == 0
-    assert ":- ent(E,_,high,_,strong,tr)." not in silent
 
     code, capped, _ = run_cli(
         "emit-dlv", "--data", DATA, "--entity", ENTITY, "--maxint", "54321"

@@ -15,11 +15,12 @@ from xresp.dlv_emit import (
 from xresp.naive_bayes import DEFAULT_MAXINT, PercentModel
 from xresp.schema import Entity, FeatureSchema, SchemaError
 
-from conftest import TEST_DATA
+from conftest import README_CONSTRAINTS, TEST_DATA
 from helpers import normalize_tokens, split_statements
 
 GOLDEN = TEST_DATA / "weather_cip_golden.lp"
 LEGACY = TEST_DATA / "weather_cip_legacy.lp"
+CONSTRAINED_GOLDEN = TEST_DATA / "weather_cip_constrained_golden.lp"
 
 
 def tiny_percent_model(features, labels=("yes", "no")):
@@ -62,6 +63,15 @@ def test_weather_program_matches_golden_bytes(weather_percent, weather_entity):
     assert emitted == GOLDEN.read_text(encoding="utf-8")
     # emission is deterministic
     assert emit_cip(weather_percent, weather_entity) == emitted
+
+
+def test_constrained_weak_program_matches_golden_bytes(weather_percent,
+                                                      weather_entity):
+    # forbid, depend and immutable lines, and the weak constraints
+    constraints = parse_constraints(README_CONSTRAINTS, weather_percent.schema)
+    options = EmitterOptions(include_weak_constraints=True)
+    emitted = emit_cip(weather_percent, weather_entity, constraints, options)
+    assert emitted == CONSTRAINED_GOLDEN.read_text(encoding="utf-8")
 
 
 def assert_matches_handwritten_reference(emitted, legacy):
@@ -169,17 +179,6 @@ def test_forbidden_combination_and_dependency_rules(weather_percent, weather_ent
     assert "chosen_h(" not in text
     assert "dom_h(Hp)" not in text
 
-    silent = emit_cip(
-        weather_percent,
-        weather_entity,
-        constraints,
-        options=EmitterOptions(include_domain_rules=False),
-    )
-    assert ":- ent(E,_,high,_,strong,tr)." not in silent
-    assert "ent(E,O,high,normal,W,tr)" not in silent
-    # blocking still applies even when the rules are not emitted
-    assert "chosen_h(" not in silent
-
 
 def test_immutable_feature_leaves_the_disjunction(weather_percent, weather_entity):
     constraints = parse_constraints("immutable Outlook", weather_percent.schema)
@@ -209,6 +208,15 @@ def test_rejects_names_colliding_after_lowercasing():
     # the schema refuses them, so no model emit_cip sees has such names
     with pytest.raises(SchemaError, match="differ only in case: Wind, wind"):
         tiny_percent_model([("Wind", ("a", "b")), ("wind", ("c", "d"))])
+
+
+def test_feature_variables_avoid_the_reserved_ones():
+    # S is reserved, so sun's variable is lengthened to SU; e cannot be
+    model = tiny_percent_model([("sun", ("a", "b")), ("wind", ("c", "d"))])
+    assert "ent(E,SU,W,tr) :- ent(E,SU,W,o)." in emit_cip(model, Entity("e", ("a", "c")))
+    model = tiny_percent_model([("e", ("a", "b")), ("wind", ("c", "d"))])
+    with pytest.raises(EmitError, match="cannot derive a distinct variable for 'e'"):
+        emit_cip(model, Entity("e", ("a", "c")))
 
 
 def test_rejects_single_feature_schemas():

@@ -149,14 +149,6 @@ def test_atom_sets_carry_staged_scores(weather_atom_sets):
     assert ("e", "rain", "high", "high", "weak", "no", 18432) in pb
 
 
-def test_pb_num_can_be_suppressed(weather_versions, weather_percent,
-                                  weather_entity):
-    (plain,) = model_atom_sets(
-        weather_versions[:1], weather_percent, weather_entity, include_pb_num=False
-    )
-    assert plain.tuples("pb_num") == frozenset()
-
-
 def test_exact_models_have_no_pb_num(weather_model, weather_entity):
     versions = enumerate_counterfactuals(weather_model, weather_entity)
     (atom_set,) = model_atom_sets(versions[:1], weather_model, weather_entity)
@@ -203,18 +195,15 @@ def test_lazy_atom_sets_match_the_eager_oracle(weather_versions, weather_percent
 
 
 def test_lazy_atom_sets_match_the_oracle_without_pb_num_and_exact(
-    weather_percent, weather_model, weather_entity
+    weather_model, weather_entity
 ):
-    for model, include_pb_num in ((weather_percent, False), (weather_model, True)):
-        versions = enumerate_counterfactuals(model, weather_entity)
-        atom_sets = model_atom_sets(
-            versions, model, weather_entity, include_pb_num=include_pb_num
+    versions = enumerate_counterfactuals(weather_model, weather_entity)
+    atom_sets = model_atom_sets(versions, weather_model, weather_entity)
+    for version, atom_set in zip(versions, atom_sets):
+        assert "pb_num" not in atom_set.atoms
+        assert dict(atom_set.atoms.items()) == oracle_atoms_of(
+            version, weather_model, weather_entity
         )
-        for version, atom_set in zip(versions, atom_sets):
-            assert "pb_num" not in atom_set.atoms
-            assert dict(atom_set.atoms.items()) == oracle_atoms_of(
-                version, model, weather_entity, include_pb_num=include_pb_num
-            )
 
 
 def test_lazy_atom_sets_match_the_oracle_under_a_dependency(tmp_path):
