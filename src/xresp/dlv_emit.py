@@ -12,7 +12,10 @@ Naming is derived from the schema: each feature contributes a predicate
 suffix (its shortest unique lowercase prefix: ``p_o_c``, ``dom_o`` for
 ``Outlook``) and a body variable (the suffix uppercased, lengthened when it
 would collide with the reserved rule variables).  Feature names themselves
-appear lowercased as constants, e.g. ``expl(E,humidity,H)``.
+appear lowercased as constants, e.g. ``expl(E,humidity,H)``.  Names,
+values, labels and entity ids are written as they are: the schema, model
+and entity refused any text that is not a DLV constant when they were built
+(see ``schema``).
 
 ``parse_facts`` recovers the percent model and entity from emitted text, so
 emit -> parse -> emit is a fixed point.
@@ -40,12 +43,6 @@ class FactParseError(ValueError):
 # Variables with fixed roles in the generated rules; feature variables must
 # not collide with these.
 _RESERVED_VARS = {"E", "V", "D", "F", "U", "X", "Z", "I", "Co", "S", "M", "R"}
-
-# A DLV constant: a lowercase-initial identifier or a run of digits.  Any
-# other text (``Sunny`` is a variable) would change the program's meaning.
-# Feature names appear lowercased, as constants and in predicate names.
-_CONSTANT_RE = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
-_LOWERED_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -86,27 +83,6 @@ def _unique_prefixes(names: list[str]) -> list[str]:
                 f"{', '.join(colliders)}"
             )
     return prefixes
-
-
-def _check_constants(pmodel: PercentModel, entity: Entity) -> None:
-    for name in pmodel.schema.names:
-        if not _LOWERED_NAME_RE.fullmatch(name.lower()):
-            raise EmitError(
-                f"feature name {name!r} does not lowercase to a DLV identifier"
-            )
-    texts = [("entity id", entity.eid)]
-    texts += [("label", label) for label in pmodel.labels]
-    texts += [
-        (f"value of {name}", value)
-        for name, domain in pmodel.schema.features
-        for value in domain
-    ]
-    for kind, text in texts:
-        if not _CONSTANT_RE.fullmatch(text):
-            raise EmitError(
-                f"{kind} {text!r} is not a DLV constant (a lowercase-initial "
-                f"identifier or a run of digits)"
-            )
 
 
 def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
@@ -174,6 +150,9 @@ def emit_cip(
     """Render the complete program for one entity as DLV-Complex text.
 
     Every constraint is compiled in, as rules or as a blocked intervention.
+    With every feature blocked, the intervention rule has no disjuncts and
+    is a constraint, so the program has no answer set, as the search finds
+    no version.
     """
     opts = options or EmitterOptions()
     schema = pmodel.schema
@@ -181,7 +160,6 @@ def emit_cip(
     validate_values(schema, entity.values)
     if len(schema) < 2:
         raise EmitError("emitting needs at least two features")
-    _check_constants(pmodel, entity)
     features = _feature_names(schema)
     positive, negative = pmodel.labels
 
@@ -260,8 +238,6 @@ def emit_cip(
     # --- disjunctive intervention rule ---------------------------------------
     blocked = cs.immutable | cs.dependency_targets
     intervenable = [f for f, name in zip(features, schema.names) if name not in blocked]
-    if not intervenable:
-        raise EmitError("every feature is blocked; nothing can be intervened")
 
     cls_yes = f"cls(E,{all_vars},{positive})"
     disjuncts = []
@@ -276,7 +252,7 @@ def emit_cip(
         f"chosen_{f.suffix}({all_vars},{f.var_p})" for f in intervenable
     ]
     body += [f"dom_{f.suffix}({f.var_p})" for f in intervenable]
-    blocks.append(_wrap(f"{' v '.join(disjuncts)} :- {', '.join(body)}."))
+    blocks.append(_wrap(f"{' v '.join(disjuncts)} :- {', '.join(body)}.".lstrip()))
 
     chosen_rules = []
     for feat in intervenable:
@@ -330,14 +306,13 @@ def emit_cip(
             ]
             head = body[:target] + [dep.mapping[sval]] + body[target + 1:]
             knowledge.append(f"ent(E,{','.join(head)},tr) :- ent(E,{','.join(body)},tr).")
-    if knowledge:
-        blocks.append("\n".join(knowledge))
+    blocks.append("\n".join(knowledge))
 
     # --- weak constraints -------------------------------------------------------
     if opts.include_weak_constraints:
         blocks.append("\n".join(f":~ {change}." for change in changes))
 
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(block for block in blocks if block) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .schema import Dataset, FeatureSchema, SchemaError, validate_values
+from .schema import (
+    _NAME_RE, Dataset, FeatureSchema, SchemaError, _check_text, validate_values,
+)
 
 
 class ModelFormatError(ValueError):
@@ -53,6 +55,8 @@ class NaiveBayesModel:
     conditional: Mapping[tuple[str, str, str], Fraction]
 
     def __post_init__(self) -> None:
+        for label in self.labels:
+            _check_text("label", label)
         _check_distributions(self, 1, "")
         object.__setattr__(self, "_table", _score_table(self))
 
@@ -85,6 +89,8 @@ class PercentModel:
     conditional: Mapping[tuple[str, str, str], int]
 
     def __post_init__(self) -> None:
+        for label in self.labels:
+            _check_text("label", label)
         _check_distributions(self, 100, "percent ")
         object.__setattr__(self, "_table", _score_table(self))
 
@@ -329,33 +335,15 @@ def _score_rows(model: NaiveBayesModel | PercentModel, values: tuple[str, ...]) 
 # byte-identical.
 
 
-def _one_line(text: str) -> bool:
-    return "".join(text.splitlines()) == text == text.strip()
-
-
-def _check_readable(model: NaiveBayesModel, class_column: str) -> None:
-    """Raise ModelFormatError on text ``parse_model`` would not read back."""
-    texts = [("class column", class_column, _one_line(class_column))]
-    # labels are split on commas, and prior lines on whitespace
-    texts += [("label", l, l.split() == [l] and "," not in l) for l in model.labels]
-    for name, domain in model.schema.features:
-        # a conditional line is split on commas and starts with its feature name
-        keyword = name.startswith(("labels:", "class-column:", "prior:", "%"))
-        texts.append(("feature name", name, _one_line(name) and "," not in name
-                      and not keyword))
-        texts += [
-            (f"value of {name}", v, _one_line(v) and "," not in v) for v in domain
-        ]
-    for kind, text, readable in texts:
-        if not readable:
-            raise ModelFormatError(
-                f"{kind} {text!r} would not read back from a model file"
-            )
-
-
 def serialize_model(model: NaiveBayesModel, class_column: str = "class") -> str:
-    """Model file text; raises ModelFormatError if it would not load unchanged."""
-    _check_readable(model, class_column)
+    """Model file text, which ``parse_model`` reads back unchanged.
+
+    The schema and the model checked their names, values and labels when
+    they were built; the class column is checked here.  Text that passes
+    holds no comma, whitespace or ``:``, so every line splits back as it
+    was written.
+    """
+    _check_text("class column", class_column, _NAME_RE)
     lines = [f"labels: {model.labels[0]},{model.labels[1]}"]
     lines.append(f"class-column: {class_column}")
     for label in model.labels:

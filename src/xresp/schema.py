@@ -9,11 +9,19 @@ Datasets are comma-separated text files with a header row; the last column
 is the class label.  Domains are inferred from the observed values in
 first-occurrence order, which keeps every derived artifact (percent tables,
 emitted programs, query answers) reproducible.
+
+Text is checked where it becomes an object, by one policy that every
+reader and writer shares (model files, emitted programs, queries).  Values,
+labels and entity ids are DLV constants: a lowercase-initial identifier or
+a run of digits (``Sunny`` would read as a variable).  Feature names and
+the class column are letter-initial identifiers, so that they lowercase to
+constants.  Anything else raises DataError.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 
 
@@ -25,6 +33,21 @@ class DataError(ValueError):
     """Invalid dataset or entity text."""
 
 
+_CONSTANT_RE = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _check_text(kind: str, text: str, pattern: re.Pattern = _CONSTANT_RE) -> None:
+    """Raise DataError unless all of ``text`` matches ``pattern``."""
+    if not pattern.fullmatch(text):
+        what = (
+            "a DLV constant (a lowercase-initial identifier or a run of digits)"
+            if pattern is _CONSTANT_RE
+            else "a letter-initial identifier of letters, digits and _"
+        )
+        raise DataError(f"{kind} {text!r} is not {what}")
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Ordered categorical features with finite ordered domains."""
@@ -34,8 +57,10 @@ class FeatureSchema:
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.features]
-        if any(not name for name in names):
-            raise SchemaError("feature names must be non-empty")
+        for name, domain in self.features:
+            _check_text("feature name", name, _NAME_RE)
+            for value in domain:
+                _check_text(f"value of {name}", value)
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate feature names: {', '.join(dupes)}")
@@ -76,6 +101,9 @@ class Entity:
     eid: str
     values: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        _check_text("entity id", self.eid)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -111,9 +139,10 @@ def load_dataset(path: str) -> Dataset:
 
     The header row names the features; the final column is the class label.
     Each feature's domain is inferred from its column in first-occurrence
-    order, and the labels likewise; there must be exactly two.
+    order, and the labels likewise; there must be exactly two.  A leading
+    byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -128,6 +128,7 @@ def test_train_writes_model_to_stdout(run_cli):
 
 
 def test_train_refuses_a_model_file_it_could_not_load(run_cli, tmp_path):
+    # the value is refused when the dataset is loaded, before any model exists
     data = tmp_path / "weather.csv"
     data.write_text(
         WEATHER_CSV.read_text(encoding="utf-8").replace("weak", '"x,1"'),
@@ -137,8 +138,8 @@ def test_train_refuses_a_model_file_it_could_not_load(run_cli, tmp_path):
     code, out, err = run_cli("train", "--data", str(data), "--out", str(model_path))
     assert code == 1 and out == ""
     assert err == (
-        "xresp: ModelFormatError: value of Wind 'x,1' would not read back "
-        "from a model file\n"
+        "xresp: DataError: value of Wind 'x,1' is not a DLV constant "
+        "(a lowercase-initial identifier or a run of digits)\n"
     )
     assert not model_path.exists()
 
@@ -469,18 +470,85 @@ def test_emit_dlv_options(run_cli, tmp_path):
     assert "#maxint = 54321." in capped
 
 
-def test_emit_dlv_rejects_values_that_read_as_variables(run_cli, tmp_path):
+SUNNY_REFUSED = (
+    "xresp: DataError: value of Outlook 'Sunny' is not a DLV constant "
+    "(a lowercase-initial identifier or a run of digits)\n"
+)
+
+
+def _sunny_data(tmp_path):
     data = tmp_path / "weather.csv"
     data.write_text(
         WEATHER_CSV.read_text(encoding="utf-8").replace("sunny", "Sunny"),
         encoding="utf-8",
     )
+    return str(data)
+
+
+def test_emit_dlv_rejects_values_that_read_as_variables(run_cli, tmp_path):
     code, out, err = run_cli(
-        "emit-dlv", "--data", str(data), "--entity", "Sunny,high,normal,weak"
+        "emit-dlv", "--data", _sunny_data(tmp_path), "--entity", "Sunny,high,normal,weak"
     )
-    assert code == 1 and out == ""
-    assert err.startswith("xresp: EmitError: value of Outlook 'Sunny' is not a DLV constant")
-    assert err.count("\n") == 1
+    assert (code, out, err) == (1, "", SUNNY_REFUSED)
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "classify", "counterfactuals", "explain", "query"]
+)
+def test_every_subcommand_refuses_values_that_read_as_variables(
+    run_cli, tmp_path, command
+):
+    queries = tmp_path / "q.txt"
+    queries.write_text("cause(E,U)?\n", encoding="utf-8")
+    argv = ("--entity", "Sunny,high,normal,weak")
+    argv = {
+        "train": (),
+        "query": argv + ("--queries", str(queries), "--brave"),
+    }.get(command, argv)
+    code, out, err = run_cli(command, "--data", _sunny_data(tmp_path), *argv)
+    assert (code, out, err) == (1, "", SUNNY_REFUSED)
+
+
+@pytest.mark.parametrize("command", ["classify", "explain", "emit-dlv"])
+def test_an_entity_id_that_reads_as_a_variable_is_refused(run_cli, command):
+    code, out, err = run_cli(command, "--data", DATA, "--entity", ENTITY, "--eid", "E1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "xresp: DataError: entity id 'E1' is not a DLV constant "
+        "(a lowercase-initial identifier or a run of digits)\n"
+    )
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_feature_name(run_cli, tmp_path):
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + WEATHER_CSV.read_bytes())
+    knowledge = tmp_path / "k.txt"
+    knowledge.write_text("immutable Outlook\n", encoding="utf-8")
+    for argv in ((), ("--constraints", str(knowledge))):
+        runs = [
+            run_cli("explain", "--data", path, "--entity", ENTITY, *argv)
+            for path in (str(data), DATA)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+@pytest.mark.parametrize("command", ["counterfactuals", "explain", "emit-dlv"])
+def test_every_feature_immutable_gives_no_versions(run_cli, tmp_path, command):
+    names = ("Outlook", "Temperature", "Humidity", "Wind")
+    knowledge = tmp_path / "k.txt"
+    knowledge.write_text("".join(f"immutable {n}\n" for n in names), encoding="utf-8")
+    code, out, err = run_cli(
+        command, "--data", DATA, "--entity", ENTITY, "--constraints", str(knowledge)
+    )
+    assert (code, err) == (0, "")
+    if command == "emit-dlv":
+        # no intervention: the program has no answer set (see test_emitter)
+        assert "\n:- ent(E,O,T,H,W,tr), cls(E,O,T,H,W,yes).\n" in out
+        assert "chosen_" not in out and ",do) v " not in out
+    else:
+        explain = "".join(f"x-resp {n.lower()} = 0\n" for n in names)
+        assert out == {"counterfactuals": "", "explain": explain}[command]
 
 
 @pytest.mark.parametrize("command", ["train", "explain", "query"])

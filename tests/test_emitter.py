@@ -13,7 +13,7 @@ from xresp.dlv_emit import (
     parse_facts,
 )
 from xresp.naive_bayes import DEFAULT_MAXINT, PercentModel
-from xresp.schema import Entity, FeatureSchema, SchemaError
+from xresp.schema import DataError, Entity, FeatureSchema, SchemaError
 
 from conftest import README_CONSTRAINTS, TEST_DATA
 from helpers import normalize_tokens, split_statements
@@ -246,10 +246,24 @@ WEATHERISH = [("outlook", ("sunny", "rain")), ("wind", ("a", "b"))]
     ],
 )
 def test_rejects_text_that_is_not_a_constant(features, labels, eid, offending):
-    model = tiny_percent_model(features, labels)
-    entity = Entity(eid, tuple(domain[0] for _, domain in features))
-    with pytest.raises(EmitError, match=offending):
-        emit_cip(model, entity)
+    # refused where the text becomes a schema, a model or an entity, so it
+    # never reaches emit_cip
+    with pytest.raises(DataError, match=offending):
+        tiny_percent_model(features, labels)
+        Entity(eid, tuple(domain[0] for _, domain in features))
+
+
+@pytest.mark.parametrize(
+    "old, new, offending",
+    [
+        ("sunny", "Sunny", "value of outlook 'Sunny'"),
+        ("yes", "Yes", "label 'Yes'"),
+        ("ent(e,", "ent(E1,", "entity id 'E1'"),
+    ],
+)
+def test_parse_facts_rejects_text_that_is_not_a_constant(old, new, offending):
+    with pytest.raises(DataError, match=offending):
+        parse_facts(GOLDEN.read_text(encoding="utf-8").replace(old, new))
 
 
 def test_accepts_identifiers_and_digit_runs():
@@ -259,13 +273,18 @@ def test_accepts_identifiers_and_digit_runs():
     assert "ent(e7,r_Ain2,17,o)." in program
 
 
-def test_rejects_fully_blocked_schemas(weather_percent, weather_entity):
+def test_fully_blocked_schemas_emit_a_constraint(weather_percent, weather_entity):
+    # the search finds no version, and the program has no answer set
     constraints = parse_constraints(
         "immutable Outlook\nimmutable Temperature\nimmutable Humidity\nimmutable Wind",
         weather_percent.schema,
     )
-    with pytest.raises(EmitError, match="blocked"):
-        emit_cip(weather_percent, weather_entity, constraints)
+    blocked = emit_cip(weather_percent, weather_entity, constraints)
+    assert "\n:- ent(E,O,T,H,W,tr), cls(E,O,T,H,W,yes).\n" in blocked
+    heads = [rule.split(":-")[0] for rule in facts_and_rules(blocked)[1]]
+    assert "ent ( E , O , T , H , W , s ) " in heads
+    assert not [head for head in heads if ", do )" in head]
+    assert "chosen_" not in blocked and "\n\n\n" not in blocked
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ and every staged value by folding the integer pipeline by hand.
 """
 
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, given, reject, settings, strategies as st
 
 from xresp import (
     DataError,
@@ -26,8 +27,10 @@ from xresp import (
     to_percent,
     train,
 )
+from xresp.dlv_emit import EmitError, emit_cip, parse_facts
 from xresp.naive_bayes import parse_model
-from xresp.schema import validate_values
+from xresp.queries import ModelAtomSet, answer, parse_query
+from xresp.schema import Entity, validate_values
 
 from oracles import all_grid_tuples
 
@@ -227,50 +230,49 @@ def test_serialize_model_format(weather_model):
 
 
 def test_serialize_model_rejects_text_it_cannot_read_back(weather_model):
-    schema = FeatureSchema(
-        tuple(
-            (name, tuple("x,1" if v == "weak" else v for v in domain))
-            for name, domain in weather_model.schema.features
-        )
-    )
-    conditional = {
-        (name, "x,1" if value == "weak" else value, label): frac
-        for (name, value, label), frac in weather_model.conditional.items()
-    }
-    model = NaiveBayesModel(schema=schema, labels=weather_model.labels,
-                            prior=weather_model.prior, conditional=conditional)
-    with pytest.raises(ModelFormatError, match="value of Wind 'x,1'"):
-        serialize_model(model, "Play")
-    with pytest.raises(ModelFormatError, match="class column ' Play'"):
+    # names, values and labels are refused when their objects are built, and
+    # the class column when the model file is written
+    with pytest.raises(DataError, match="^value of Wind 'x,1' is not a DLV constant"):
+        FeatureSchema((("Wind", ("weak", "x,1")), ("Humidity", ("high", "normal"))))
+    with pytest.raises(DataError, match="^class column ' Play' is not"):
         serialize_model(weather_model, " Play")
-
-
-def _unchecked_model_text(model, class_column):
-    """The model file layout, written without any readability check."""
-    lines = [f"labels: {model.labels[0]},{model.labels[1]}",
-             f"class-column: {class_column}"]
-    lines += [f"prior: {label} {model.prior[label]}" for label in model.labels]
-    lines += [
-        f"{name},{value},{label},{model.conditional[(name, value, label)]}"
-        for name, domain in model.schema.features
-        for value in domain
-        for label in model.labels
-    ]
-    return "\n".join(lines) + "\n"
+    text = serialize_model(weather_model, "Play")
+    for old, new, refused in [
+        ("yes", "Yes", "label 'Yes'"),
+        ("weak", "We ak", "value of Wind 'We ak'"),
+        ("Outlook,", "Out look,", "feature name 'Out look'"),
+    ]:
+        with pytest.raises(DataError, match=f"^{refused} is not"):
+            parse_model(text.replace(old, new))
 
 
 ADVERSARIAL_IDENTIFIERS = [
-    "ok", "Sunny", "42", "x,1", "50%", "%x", "a b", " pad", "pad ",
-    "labels: a", "labels:b", "prior: c", "prior:d", "class-column: e", "",
-    "two\nlines", "cr\rhere", "tab\tin",
+    "ok", "Sunny", "42", "007", "x_", "E1", "1a", "_r", "-1", "1.5", "a-b",
+    "x,1", "50%", "%x",
+    "a b", " pad", "pad ", "labels: a", "labels:b", "prior: c", "prior:d",
+    "class-column: e", "", "two\nlines", "cr\rhere", "tab\tin", "\ufeffbom", "é",
 ]
-# mostly plain identifiers, so that whole models also round-trip often
+# mostly plain identifiers, so that whole chains also round-trip often
 MODEL_TEXT = st.integers(0, 7).flatmap(
     lambda k: st.one_of(st.sampled_from(ADVERSARIAL_IDENTIFIERS),
                         st.text(alphabet="aZ09,% :_\t\n-", max_size=6))
     if k == 0
     else st.sampled_from(["a", "b", "Hot", "mild", "x1", "y_2", "yes", "no", "Play"])
 )
+
+
+def _is_identifier(text):
+    """Letter-initial ASCII letters, digits and underscores."""
+    return text[:1].isalpha() and all(
+        c.isascii() and (c.isalnum() or c == "_") for c in text
+    )
+
+
+def _is_constant(text):
+    """A DLV constant: a lowercase-initial identifier or a run of digits."""
+    return (text.isascii() and text.isdigit()) or (
+        text[:1].islower() and _is_identifier(text)
+    )
 
 
 def _trained(names, domains, labels, class_column):
@@ -286,43 +288,62 @@ def _trained(names, domains, labels, class_column):
                          class_column=class_column))
 
 
-def assert_round_trips_or_is_refused(model, class_column):
-    """``serialize_model`` raises exactly when its text would not load unchanged."""
-    raw = _unchecked_model_text(model, class_column)
+def assert_chain_round_trips_or_is_refused(names, domains, labels, class_column, eid):
+    """Text is refused with DataError exactly when it breaks the identifier
+    policy, as its object is built; otherwise it round-trips: train ->
+    serialize_model -> parse_model -> emit_cip -> parse_facts -> emit_cip,
+    and every constant is matched by a query constant written the same way."""
+    constants = [v for domain in domains for v in domain] + [*labels, eid]
+    bad = [t for t in [*names, class_column] if not _is_identifier(t)]
+    bad += [t for t in constants if not _is_constant(t)]
     try:
-        reads_back = parse_model(raw) == (model, class_column)
-    except ModelFormatError:
-        reads_back = False
-    if reads_back:
-        assert serialize_model(model, class_column) == raw
-    else:
-        with pytest.raises(ModelFormatError, match="would not read back"):
-            serialize_model(model, class_column)
-    return reads_back
+        model = _trained(names, domains, labels, class_column)
+        text = serialize_model(model, class_column)
+        entity = Entity(eid, tuple(domain[0] for domain in domains))
+    except DataError as refused:
+        assert any(repr(t) in str(refused) for t in bad), (str(refused), bad)
+        return False
+    assert not bad
+    assert parse_model(text) == (model, class_column)
+    try:
+        program = emit_cip(to_percent(model), entity)
+    except EmitError as exc:
+        # the emitter's own naming limits, which no identifier policy covers
+        assert re.search("cannot be disambiguated|cannot derive a distinct", str(exc))
+        reject()
+    parsed, parsed_entity = parse_facts(program)
+    assert parsed_entity == entity
+    assert emit_cip(parsed, parsed_entity) == program
+    for constant in constants + [name.lower() for name in names]:
+        atoms = ModelAtomSet({"c": frozenset({(constant,)})})
+        assert answer(parse_query(f"c({constant})?"), [atoms], "brave") == [()]
+    return True
 
 
 def test_each_adversarial_identifier_round_trips_or_is_refused():
-    # one adversarial text at a time, in each place a model file names things
+    # one adversarial text at a time, in each place the chain names things
+    outcomes = set()
     for text in ADVERSARIAL_IDENTIFIERS:
         places = [
-            (["f", "g"], [["a", text], ["c", "d"]], ["yes", "no"], "class"),
-            (["f", "g"], [["a", "b"], ["c", "d"]], [text, "no"], "class"),
-            (["f", "g"], [["a", "b"], ["c", "d"]], ["yes", "no"], text),
+            ([text, "wind"], [["a", "b"], ["c", "d"]], ["yes", "no"], "class", "e"),
+            (["out", "wind"], [["a", text], ["c", "d"]], ["yes", "no"], "class", "e"),
+            (["out", "wind"], [["a", "b"], ["c", "d"]], [text, "no"], "class", "e"),
+            (["out", "wind"], [["a", "b"], ["c", "d"]], ["yes", "no"], text, "e"),
+            (["out", "wind"], [["a", "b"], ["c", "d"]], ["yes", "no"], "class", text),
         ]
-        if text:
-            places.append(([text, "g"], [["a", "b"], ["c", "d"]], ["yes", "no"], "class"))
-        for names, domains, labels, class_column in places:
-            model = _trained(names, domains, labels, class_column)
-            assert_round_trips_or_is_refused(model, class_column)
-    plain = _trained(["f", "g"], [["a", "b"], ["c", "d"]], ["Sunny", "42"], "Play")
-    assert assert_round_trips_or_is_refused(plain, "Play")
+        for place in places:
+            outcomes.add(assert_chain_round_trips_or_is_refused(*place))
+    assert outcomes == {True, False}
+    assert assert_chain_round_trips_or_is_refused(
+        ["Outlook", "x_"], [["r_Ain2", "0"], ["007", "7"]], ["n0", "42"], "Play", "e7"
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_model_files_round_trip_or_are_refused(data):
-    names = data.draw(st.lists(MODEL_TEXT.filter(bool), min_size=2,
-                               max_size=2, unique=True))
+def test_the_identifier_chain_round_trips_or_is_refused(data):
+    names = data.draw(st.lists(MODEL_TEXT, min_size=2, max_size=2,
+                               unique_by=str.lower))
     domains = [
         data.draw(st.lists(MODEL_TEXT, min_size=2, max_size=3, unique=True))
         for _ in names
@@ -330,9 +351,11 @@ def test_model_files_round_trip_or_are_refused(data):
     labels = data.draw(st.lists(MODEL_TEXT, min_size=2, max_size=2,
                                 unique=True))
     class_column = data.draw(MODEL_TEXT)
-    model = _trained(names, domains, labels, class_column)
-    reads_back = assert_round_trips_or_is_refused(model, class_column)
-    event("reads back" if reads_back else "refused")
+    eid = data.draw(MODEL_TEXT)
+    round_trips = assert_chain_round_trips_or_is_refused(
+        names, domains, labels, class_column, eid
+    )
+    event("round-trips" if round_trips else "refused")
 
 
 def test_parse_model_errors():

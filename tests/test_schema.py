@@ -90,7 +90,7 @@ def test_schema_construction_errors():
         FeatureSchema(features=(("A", ("x", "y")), ("A", ("u", "v"))))
     with pytest.raises(SchemaError):
         FeatureSchema(features=(("A", ("x", "x")),))
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="feature name ''"):
         FeatureSchema(features=(("", ("x", "y")),))
     with pytest.raises(SchemaError):
         FeatureSchema(features=(("A", ("x",)),))  # singleton domain
