@@ -14,11 +14,12 @@ it works from first principles:
 3. if weak constraints are present, only stable models violating the fewest
    of them are kept.
 
-Everything is exhaustive subset enumeration over the Herbrand base, bounded
-by a cap of 20 atoms that only the XRESP_ASP_ATOM_CAP environment variable
-overrides.  Transparency and testability are the point here, not speed:
-this kernel is the executable definition the rest of the package is
-validated against.
+A depth-first search branches on one atom at a time and propagates each
+partial assignment first: a rule whose body holds forces its last open head
+atom, and an atom no rule can still support is forced false.  A total
+assignment that survives is kept exactly when it meets 2.  The Herbrand base
+is capped at 20 atoms, which only the XRESP_ASP_ATOM_CAP environment
+variable overrides.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ProgramSyntaxError(ValueError):
 
 
 class EnumerationCapError(ValueError):
-    """Herbrand base too large for exhaustive enumeration."""
+    """Herbrand base larger than the atom cap."""
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,71 @@ def _check_cap(program: GroundProgram) -> None:
             raise ValueError(f"{ATOM_CAP_ENV} must be an integer, got {env!r}") from exc
     if len(program.atoms) > limit:
         raise EnumerationCapError(
-            f"Herbrand base has {len(program.atoms)} atoms; exhaustive "
-            f"enumeration is capped at {limit} (set {ATOM_CAP_ENV} to raise it)"
+            f"Herbrand base has {len(program.atoms)} atoms; the stable-model "
+            f"search is capped at {limit} (set {ATOM_CAP_ENV} to raise it)"
         )
 
 
-def _satisfies(mask: int, rule_masks: list[tuple[int, int, int]]) -> bool:
-    for head, pos, neg in rule_masks:
-        if pos & mask == pos and neg & mask == 0:
-            if head & mask == 0:
+def _bits(mask: int):
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _propagate(true: int, false: int, rules: list, atoms: int) -> tuple[int, int] | None:
+    """The fixpoint of both propagation rules, or None if the branch fails.
+
+    A rule whose body holds and whose head has no true atom forces its one
+    open head atom and fails with none.  A rule supports a head atom while
+    its body is not false and no other head atom is true.  Every atom of a
+    stable model has such a rule, or dropping the atom would leave a model
+    of the reduct.
+    """
+    while True:
+        supported = forced = 0
+        for head, pos, neg in rules:
+            if pos & false or neg & true:
+                continue
+            held = head & true
+            if not held:
+                supported |= head
+                if pos & true == pos and neg & false == neg:
+                    open_ = head & ~false
+                    if not open_:
+                        return None
+                    if not open_ & (open_ - 1):
+                        forced |= open_
+            elif not held & (held - 1):
+                supported |= held
+        unsupported = atoms & ~supported
+        if unsupported & true:
+            return None
+        if not (forced & ~true or unsupported & ~false):
+            return true, false
+        true |= forced
+        false |= unsupported
+
+
+def _is_minimal(model: int, rules: list) -> bool:
+    """Whether no model of the reduct lies inside ``model`` minus one atom.
+
+    Each search grows a set from empty by a head atom of a violated rule, so
+    every model inside its bound contains a set the search reaches.
+    """
+    reduct = [(head & model, pos) for head, pos, neg in rules
+              if not neg & model and pos & model == pos]
+    for dropped in _bits(model):
+        stack, seen = [0], {0}
+        while stack:
+            current = stack.pop()
+            for head, pos in reduct:
+                if pos & current == pos and not head & current:
+                    grown = {current | bit for bit in _bits(head & ~dropped)} - seen
+                    seen |= grown
+                    stack.extend(grown)
+                    break
+            else:
                 return False
     return True
 
@@ -175,35 +232,33 @@ def stable_models(program: GroundProgram) -> tuple[frozenset[str], ...]:
     """
     _check_cap(program)
     order = sorted(program.atoms)
-    index = {atom: i for i, atom in enumerate(order)}
+    bit = {atom: 1 << i for i, atom in enumerate(order)}
 
     def mask_of(atoms: frozenset[str]) -> int:
-        m = 0
-        for atom in atoms:
-            m |= 1 << index[atom]
-        return m
+        return sum(bit[atom] for atom in atoms)
 
     rule_masks = [
         (mask_of(r.head), mask_of(r.pos), mask_of(r.neg)) for r in program.rules
     ]
     weak_pairs = [(mask_of(w.pos), mask_of(w.neg)) for w in program.weak]
+    every_atom = (1 << len(order)) - 1
 
+    # each branch fixes the lowest unassigned atom, so no total assignment
+    # is reached twice
     stable_masks: list[int] = []
-    for candidate in range(1 << len(order)):
-        # a rule whose negative body meets the candidate holds in it, so the
-        # candidate models its reduct iff it models the program
-        if not _satisfies(candidate, rule_masks):
+    stack = [(0, 0)]
+    while stack:
+        state = _propagate(*stack.pop(), rule_masks, every_atom)
+        if state is None:
             continue
-        # reduct: drop rules blocked by the candidate, strip the negation
-        reduct = [(head, pos, 0) for head, pos, neg in rule_masks if neg & candidate == 0]
-        # minimality: no proper submask may satisfy the reduct
-        sub = candidate
-        while sub:
-            sub = (sub - 1) & candidate
-            if _satisfies(sub, reduct):
-                break
-        else:
-            stable_masks.append(candidate)
+        true, false = state
+        unassigned = every_atom & ~(true | false)
+        if unassigned:
+            lowest = unassigned & -unassigned
+            stack.append((true, false | lowest))
+            stack.append((true | lowest, false))
+        elif _is_minimal(true, rule_masks):
+            stable_masks.append(true)
 
     if program.weak and stable_masks:
         def violations(mask: int) -> int:
@@ -213,8 +268,5 @@ def stable_models(program: GroundProgram) -> tuple[frozenset[str], ...]:
         best = min(violations(m) for m in stable_masks)
         stable_masks = [m for m in stable_masks if violations(m) == best]
 
-    models = [
-        frozenset(atom for i, atom in enumerate(order) if m >> i & 1)
-        for m in stable_masks
-    ]
+    models = [frozenset(a for a in order if bit[a] & m) for m in stable_masks]
     return tuple(sorted(models, key=lambda model: tuple(sorted(model))))

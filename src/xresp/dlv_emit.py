@@ -11,7 +11,8 @@ number of changed features.
 Naming is derived from the schema: each feature contributes a predicate
 suffix (its shortest unique lowercase prefix: ``p_o_c``, ``dom_o`` for
 ``Outlook``) and a body variable (the suffix uppercased, lengthened when it
-would collide with the reserved rule variables).  Feature names themselves
+would collide with the reserved rule variables or a staged percentage
+``P1``, ``P2``, ...).  Feature names themselves
 appear lowercased as constants, e.g. ``expl(E,humidity,H)``.  Names,
 values, labels and entity ids are written as they are: the schema, model
 and entity refused any text that is not a DLV constant when they were built
@@ -41,8 +42,9 @@ class FactParseError(ValueError):
 
 
 # Variables with fixed roles in the generated rules; feature variables must
-# not collide with these.
+# not collide with these, nor with the staged percentages P1, P2, ...
 _RESERVED_VARS = {"E", "V", "D", "F", "U", "X", "Z", "I", "Co", "S", "M", "R"}
+_STAGED_PERCENT_RE = re.compile(r"P[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
     for name, prefix in zip(lowered, prefixes):
         for length in range(len(prefix), len(name) + 1):
             var = name[:length].upper()
-            if var not in taken and var + "p" not in taken:
+            staged = _STAGED_PERCENT_RE.fullmatch(var)
+            if not staged and var not in taken and var + "p" not in taken:
                 break
         else:
             raise EmitError(f"cannot derive a distinct variable for {name!r}")

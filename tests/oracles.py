@@ -30,6 +30,7 @@ from xresp import (
     PercentModel,
     QueryError,
     Rule,
+    WeakConstraint,
     min_change_versions,
 )
 from xresp.queries import Constant, Variable
@@ -437,6 +438,34 @@ def random_program(rng: random.Random) -> GroundProgram:
         rules.append(Rule(head=frozenset({rng.choice(atoms)}), pos=frozenset(), neg=frozenset()))
 
     return GroundProgram(atoms=frozenset(atoms), rules=tuple(rules), weak=())
+
+
+def random_wide_program(rng: random.Random) -> GroundProgram:
+    """A ground program of up to 10 atoms whose bodies may use head atoms.
+
+    Unlike ``random_program``, a body may mention its own head (``a :- a.``,
+    ``a :- not a.``, ``a v b :- a.``), some atoms never occur in a head,
+    constraints are drawn on purpose, and weak constraints may be present.
+    """
+    n_atoms = rng.randint(1, 10)
+    atoms = [f"a{i}" for i in range(n_atoms)]
+    heads = atoms[: rng.randint(1, n_atoms)]  # the rest occur only in bodies
+
+    def literals(k: int) -> frozenset[str]:
+        return frozenset(rng.sample(atoms, rng.randint(0, min(k, n_atoms))))
+
+    rules = []
+    for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.15:
+            head = frozenset()
+        else:
+            head = frozenset(rng.sample(heads, rng.randint(1, min(3, len(heads)))))
+        rules.append(Rule(head=head, pos=literals(2), neg=literals(2)))
+    weak = tuple(
+        WeakConstraint(pos=literals(2), neg=literals(1))
+        for _ in range(rng.randint(0, 2))
+    )
+    return GroundProgram(atoms=frozenset(atoms), rules=tuple(rules), weak=weak)
 
 
 def random_positive_program(rng: random.Random) -> GroundProgram:

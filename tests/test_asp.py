@@ -1,5 +1,7 @@
 """Tests for the ground disjunctive stable-model kernel."""
 
+from itertools import product
+
 import pytest
 
 from xresp.asp import (
@@ -153,6 +155,16 @@ def test_mutual_support_under_disjunction():
     assert models_as_sets(stable_models(program)) == {("a", "b")}
 
 
+def test_an_odd_loop_below_a_disjunction_kills_every_model():
+    # every model holds b, so c :- b, not c. leaves no stable one.  With a
+    # true, b is forced and a loses its support (a v b. has two true heads);
+    # a search that kept a true past that point would treat b :- a. as
+    # blocked and report {a, b}
+    program = parse_program("a v b.\nb :- a.\nc :- b, not c.\n")
+    assert stable_models(program) == ()
+    assert oracle_stable_models(program) == set()
+
+
 def test_weak_constraints_keep_minimum_violation_models():
     base = "a v b.\n"
     assert models_as_sets(stable_models(parse_program(base + ":~ a.\n"))) == {("b",)}
@@ -220,6 +232,24 @@ def test_cap_environment_variable(monkeypatch):
     monkeypatch.setenv(ATOM_CAP_ENV, "not-a-number")
     with pytest.raises(ValueError, match=ATOM_CAP_ENV):
         stable_models(program)
+
+
+def test_ten_even_loops_at_the_cap_have_1024_models(monkeypatch):
+    # each loop aI :- not bI. bI :- not aI. is stable with either atom alone,
+    # so the 20-atom program's models are every choice of one atom per pair
+    monkeypatch.delenv(ATOM_CAP_ENV, raising=False)
+    program = parse_program("".join(
+        f"a{i} :- not b{i}. b{i} :- not a{i}.\n" for i in range(10)
+    ))
+    assert len(program.atoms) == DEFAULT_ATOM_CAP
+    models = stable_models(program)
+    expected = {
+        frozenset(f"{side}{i}" for i, side in enumerate(sides))
+        for sides in product("ab", repeat=10)
+    }
+    assert len(models) == 1024
+    assert set(models) == expected
+    assert list(models) == sorted(models, key=lambda model: tuple(sorted(model)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Randomized cross-checks of the stable-model kernel against the oracle.
 
-The oracle in tests/oracles.py re-implements the reduct/minimality
-definitions from scratch over plain sets, so set-equality on hundreds of
-seeded random programs is strong evidence the bitmask kernel computes the
-same semantics.
+The kernel searches partial assignments with propagation and checks each
+total one for minimality; the oracle in tests/oracles.py instead tries every
+subset against the reduct/minimality definitions over plain sets, so
+agreement on hundreds of seeded random programs is strong evidence that the
+search neither loses nor invents a model.  The wide programs let bodies
+mention their own heads (self-supporting and self-defeating rules), which is
+where the propagation's support rule has to stay sound.
 """
 
 import random
@@ -16,9 +19,11 @@ from oracles import (
     oracle_stable_models,
     random_positive_program,
     random_program,
+    random_wide_program,
 )
 
 N_PROGRAMS = 200
+N_WIDE_PROGRAMS = 300
 SEED = 20260814
 
 
@@ -68,3 +73,25 @@ def test_weak_constraint_selection_matches_oracle():
             weak.append(WeakConstraint(pos=pos, neg=neg))
         program = GroundProgram(atoms=base.atoms, rules=base.rules, weak=tuple(weak))
         assert set(stable_models(program)) == oracle_min_violation_models(program)
+
+
+def test_wide_programs_match_the_oracle_in_order():
+    rng = random.Random(SEED + 4)
+    nonempty = several = weighed = 0
+    for _ in range(N_WIDE_PROGRAMS):
+        program = random_wide_program(rng)
+        got = stable_models(program)
+        if program.weak:
+            expected = oracle_min_violation_models(program)
+            stable = stable_models(GroundProgram(atoms=program.atoms, rules=program.rules))
+            weighed += len(got) < len(stable)
+        else:
+            expected = stable = oracle_stable_models(program)
+        # the kernel sorts its models by their sorted atoms
+        assert list(got) == sorted(expected, key=lambda model: tuple(sorted(model)))
+        nonempty += bool(stable)
+        several += len(stable) > 1
+    # satisfiable, multi-model and weak-filtered programs must all occur
+    assert nonempty > N_WIDE_PROGRAMS // 2
+    assert several > N_WIDE_PROGRAMS // 10
+    assert weighed > N_WIDE_PROGRAMS // 60

@@ -219,6 +219,18 @@ def test_feature_variables_avoid_the_reserved_ones():
         emit_cip(model, Entity("e", ("a", "c")))
 
 
+def test_feature_variables_avoid_the_staged_percentages():
+    # P1, P2, ... name the staged percentages, so p1x's variable is P1X; a
+    # feature named p1 has no other variable to take
+    model = tiny_percent_model([("p1x", ("a", "b")), ("p2y", ("c", "d"))])
+    program = emit_cip(model, Entity("e", ("a", "c")))
+    assert "p_p1_c(P1X, V, P1)" in program
+    assert "ent(E,P1X,P2Y,tr) :- ent(E,P1X,P2Y,o)." in program
+    model = tiny_percent_model([("p1", ("a", "b")), ("p2", ("c", "d"))])
+    with pytest.raises(EmitError, match="cannot derive a distinct variable for 'p1'"):
+        emit_cip(model, Entity("e", ("a", "c")))
+
+
 def test_rejects_single_feature_schemas():
     model = tiny_percent_model([("only", ("x", "y"))])
     with pytest.raises(EmitError, match="at least two features"):
