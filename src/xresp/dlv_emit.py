@@ -12,8 +12,9 @@ Naming is derived from the schema: each feature contributes a predicate
 suffix (its shortest unique lowercase prefix: ``p_o_c``, ``dom_o`` for
 ``Outlook``) and a body variable (the suffix uppercased, lengthened when it
 would collide with the reserved rule variables or a staged percentage
-``P1``, ``P2``, ...).  Feature names themselves
-appear lowercased as constants, e.g. ``expl(E,humidity,H)``.  Names,
+``P1``, ``P2``, ...; a name such as ``p1`` that is itself a staged
+percentage gets ``P1f`` instead).  Feature names themselves appear
+lowercased as constants, e.g. ``expl(E,humidity,H)``.  Names,
 values, labels and entity ids are written as they are: the schema, model
 and entity refused any text that is not a DLV constant when they were built
 (see ``schema``).
@@ -100,7 +101,12 @@ def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
             if not staged and var not in taken and var + "p" not in taken:
                 break
         else:
-            raise EmitError(f"cannot derive a distinct variable for {name!r}")
+            if not staged:
+                raise EmitError(f"cannot derive a distinct variable for {name!r}")
+            # the whole name reads as a staged percentage: suffix it instead
+            var += "f"
+            while var in taken or var + "p" in taken:
+                var += "f"
         taken.add(var)
         taken.add(var + "p")
         out.append(_FeatureNames(name=name, suffix=prefix, var=var))

@@ -13,7 +13,8 @@ reachability over entities:
 * the exact original tuple is never re-entered;
 * a state whose label differs is terminal and reported as a counterfactual
   version, with the states of one shortest intervention chain recorded
-  (dependency-propagated values included).
+  (dependency-propagated values included); the last of them is the
+  version's ``final`` state.
 
 The search runs level by level: a state at depth k differs from the
 original in exactly k intervened free features, plus whatever dependency
@@ -41,13 +42,15 @@ and raises only when the search reads it: its score then comes from
 backend, minimum-change searches (which often stop after a few states) and
 grids of more than ``_FOLD_LIMIT`` cells score each cell on demand through
 ``classify`` instead, each cell at most once.  Either way the versions
-carry the scores of their states, and the query layer reads only those.
+carry the search's scorer, whose ``by_state`` holds the scores of their
+states, and the query layer reads only those.
 
 Every feature changed in a version is a cause; the remaining changed
-features form its contingency set, and the inverse responsibility of the
-explanation is the total number of changes.  The x-Resp score of a feature
-is the reciprocal of its minimum inverse responsibility, or 0 when the
-feature is changed in no version.
+features form its contingency set, and the inverse responsibility
+``inv_resp`` of the explanation is ``|contingency| + 1``, the total number
+of changes.  Like ``final``, it is derived, never stored.  The x-Resp
+score of a feature is the reciprocal of its minimum inverse
+responsibility, or 0 when the feature is changed in no version.
 """
 
 from __future__ import annotations
@@ -66,49 +69,52 @@ from .schema import Entity, FeatureSchema, validate_values
 class CounterfactualVersion:
     """A label-flipping variant of the original entity.
 
-    ``states`` runs from the original tuple to ``final``; consecutive states
-    differ in one intervened feature plus whatever dependency propagation
-    then overwrote.
+    ``states`` runs from the original tuple to ``final``, its last state;
+    consecutive states differ in one intervened feature plus whatever
+    dependency propagation then overwrote.  ``changed`` names the features
+    in which ``final`` differs from the original.
     """
 
     eid: str
-    final: tuple[str, ...]
     changed: frozenset[str]
     states: tuple[tuple[str, ...], ...]
-    label: str
-    # the search's scores of ``states``, the only scores the query layer reads
-    _scores: _StateScores | None = field(default=None, compare=False, repr=False)
+    # the search's scorer: its ``by_state`` holds the only scores the query
+    # layer reads, those of ``states``
+    _scores: _FoldedCells | _CellsOnDemand | None = field(default=None, compare=False,
+                                                          repr=False)
+
+    @property
+    def final(self) -> tuple[str, ...]:
+        return self.states[-1]
 
 
 @dataclass(frozen=True)
 class Explanation:
     """A cause feature value with its contingency set.
 
-    ``inv_resp`` is always ``len(contingency) + 1``; the witnessing version
-    is carried for reporting but ignored by equality so explanation sets
-    deduplicate by content.
+    ``inv_resp``, the inverse responsibility, is ``len(contingency) + 1``:
+    the number of features the explaining versions change.
     """
 
     eid: str
     cause_feature: str
     cause_value: str
     contingency: frozenset[str]
-    inv_resp: int
-    witness: CounterfactualVersion = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.cause_feature in self.contingency:
             raise ValueError("cause feature cannot appear in its own contingency")
-        if self.inv_resp != len(self.contingency) + 1:
-            raise ValueError("inv_resp must equal |contingency| + 1")
+
+    @property
+    def inv_resp(self) -> int:
+        return len(self.contingency) + 1
 
 
 @dataclass(frozen=True)
 class ResponsibilityReport:
-    """Per-feature x-Resp scores plus one minimum-contingency witness each."""
+    """Per-feature x-Resp scores."""
 
     scores: Mapping[str, Fraction]
-    witnesses: Mapping[str, CounterfactualVersion]
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +214,13 @@ class _FoldedCells:
 
     ``labels`` holds each cell's label index (0 positive, 1 negative), or
     ``_OVERFLOW`` where the staged product exceeds ``maxint``; reading such
-    a cell's score classifies it, which raises the overflow.
+    a cell's score classifies it, which raises the overflow.  ``by_state``
+    maps the states of the versions returned to their scores.
     """
 
     def __init__(self, model: PercentModel, grid: _Grid, maxint: int) -> None:
         self.model, self.grid, self.maxint = model, grid, maxint
+        self.by_state: dict[tuple[str, ...], tuple] = {}
         self.pos, self.neg = model._grid_scores(grid.domains, maxint)
         try:
             self.labels = bytearray(map(operator.lt, self.pos, self.neg))
@@ -230,12 +238,13 @@ class _FoldedCells:
 
 
 class _CellsOnDemand(dict):
-    """Cell code -> label index; a cell is classified the first time it is read."""
+    """Cell code -> label index, classified when first read; ``by_state`` as above."""
 
     def __init__(self, model: NaiveBayesModel | PercentModel, grid: _Grid,
                  maxint: int) -> None:
         super().__init__()
         self.model, self.grid, self.maxint = model, grid, maxint
+        self.by_state: dict[tuple[str, ...], tuple] = {}
         self.labels = self  # read like ``_FoldedCells.labels``
         self._scores: dict[int, tuple] = {}
 
@@ -249,14 +258,6 @@ class _CellsOnDemand(dict):
     def score(self, code: int) -> tuple:
         self[code]
         return self._scores[code]
-
-
-class _StateScores:
-    """What ``model`` scored each state of a search under ``maxint``."""
-
-    def __init__(self, model: NaiveBayesModel | PercentModel, maxint: int) -> None:
-        self.model, self.maxint = model, maxint
-        self.by_state: dict[tuple[str, ...], tuple] = {}
 
 
 def enumerate_counterfactuals(
@@ -356,8 +357,7 @@ def enumerate_counterfactuals(
         frontier = next_frontier
         depth += 1
 
-    scores = _StateScores(model, maxint)
-    scores.by_state[original] = cells.score(start)
+    cells.by_state[original] = cells.score(start)
     # the states from the original to each cell, decoded and scored once
     paths: dict[int, tuple[tuple[str, ...], ...]] = {start: (original,)}
 
@@ -365,7 +365,7 @@ def enumerate_counterfactuals(
         states = paths.get(code)
         if states is None:
             values = grid.decode(code)
-            scores.by_state[values] = cells.score(code)
+            cells.by_state[values] = cells.score(code)
             states = paths[code] = path(parent[code]) + (values,)
         return states
 
@@ -374,17 +374,13 @@ def enumerate_counterfactuals(
     versions = []
     for code in found:
         states = path(code)
-        final = states[-1]
-        moved = tuple(map(operator.ne, original, final))
+        moved = tuple(map(operator.ne, original, states[-1]))
         changed = changed_sets.get(moved)
         if changed is None:
             changed = changed_sets[moved] = frozenset(
                 name for name, m in zip(schema.names, moved) if m
             )
-        versions.append(CounterfactualVersion(
-            eid=entity.eid, final=final, changed=changed, states=states,
-            label=scores.by_state[final][0], _scores=scores,
-        ))
+        versions.append(CounterfactualVersion(entity.eid, changed, states, cells))
     if min_change:
         return min_change_versions(versions)
     return tuple(sorted(versions, key=lambda v: (len(v.changed), v.final)))
@@ -395,15 +391,8 @@ def min_change_versions(
 ) -> tuple[CounterfactualVersion, ...]:
     """The versions with the fewest changed features; empty input stays empty."""
     pool = list(versions)
-    if not pool:
-        return ()
-    best = min(len(v.changed) for v in pool)
-    return tuple(
-        sorted(
-            (v for v in pool if len(v.changed) == best),
-            key=lambda v: (len(v.changed), v.final),
-        )
-    )
+    best = min((len(v.changed) for v in pool), default=0)
+    return tuple(sorted((v for v in pool if len(v.changed) == best), key=lambda v: v.final))
 
 
 # ---------------------------------------------------------------------------
@@ -421,48 +410,33 @@ def explanations_of(
     The cause keeps the feature's original value; the contingency is the
     version's remaining changed features.  A single-change version yields
     the empty contingency.  A cause and its contingency fix the changed
-    set, so each distinct changed set is expanded once, with its first
-    version as the witness.
+    set, so each distinct changed set is expanded once.  A version whose
+    states do not start from ``original`` raises ValueError.
     """
-    first: dict[tuple[str, frozenset[str]], CounterfactualVersion] = {}
+    values = tuple(original.values)
+    changed_sets: dict[tuple[str, frozenset[str]], None] = {}
     for version in versions:
-        first.setdefault((version.eid, version.changed), version)
+        if version.states[0] != values:
+            raise ValueError("version states do not start from the original entity")
+        changed_sets[version.eid, version.changed] = None
     explanations = [
-        Explanation(
-            eid=eid,
-            cause_feature=cause,
-            cause_value=original.values[schema.index(cause)],
-            contingency=changed - {cause},
-            inv_resp=len(changed),
-            witness=version,
-        )
-        for (eid, changed), version in first.items()
+        Explanation(eid, cause, values[schema.index(cause)], changed - {cause})
+        for eid, changed in changed_sets
         for cause in changed
     ]
-    return tuple(
-        sorted(
-            explanations,
-            key=lambda ex: (ex.cause_feature, ex.inv_resp, sorted(ex.contingency)),
-        )
-    )
+    return tuple(sorted(
+        explanations, key=lambda ex: (ex.cause_feature, ex.inv_resp, sorted(ex.contingency))
+    ))
 
 
 def xresp(
     explanations: Iterable[Explanation], schema: FeatureSchema
 ) -> ResponsibilityReport:
     """Per-feature score 1/(minimum inv_resp), or 0 for features never changed."""
-    best: dict[str, Explanation] = {}
+    best: dict[str, int] = {}
     for ex in explanations:
-        current = best.get(ex.cause_feature)
-        if current is None or ex.inv_resp < current.inv_resp:
-            best[ex.cause_feature] = ex
-
-    scores: dict[str, Fraction] = {}
-    witnesses: dict[str, CounterfactualVersion] = {}
-    for name in schema.names:
-        if name in best:
-            scores[name] = Fraction(1, best[name].inv_resp)
-            witnesses[name] = best[name].witness
-        else:
-            scores[name] = Fraction(0)
-    return ResponsibilityReport(scores=scores, witnesses=witnesses)
+        best[ex.cause_feature] = min(ex.inv_resp, best.get(ex.cause_feature, ex.inv_resp))
+    return ResponsibilityReport(scores={
+        name: Fraction(1, best[name]) if name in best else Fraction(0)
+        for name in schema.names
+    })

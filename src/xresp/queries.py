@@ -128,10 +128,9 @@ class _Materializer:
         self._explanations: dict[tuple[str, frozenset[str]], dict] = {}
 
     def atom_set(self, version: CounterfactualVersion) -> ModelAtomSet:
-        states = version.states
-        if states[0] != self.original_values or states[-1] != version.final:
+        if version.states[0] != self.original_values:
             # the caller mixed versions and originals from different runs
-            raise QueryError("version states do not run from original to final")
+            raise QueryError("version states do not start from the original entity")
         scores = version._scores
         if scores is None or scores.model is not self.model or scores.maxint != self.maxint:
             # cls atoms from another classification belong to no answer set

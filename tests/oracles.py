@@ -223,8 +223,7 @@ def oracle_versions(
                             if old != new
                         )
                         found.append(CounterfactualVersion(
-                            eid=entity.eid, final=successor, changed=changed,
-                            states=successor_chain, label=successor_label,
+                            eid=entity.eid, changed=changed, states=successor_chain,
                         ))
                         best = min(best, len(changed))
                     else:

@@ -1,5 +1,6 @@
 """Tests for the DLV-Complex program emitter and fact recovery."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -221,14 +222,18 @@ def test_feature_variables_avoid_the_reserved_ones():
 
 def test_feature_variables_avoid_the_staged_percentages():
     # P1, P2, ... name the staged percentages, so p1x's variable is P1X; a
-    # feature named p1 has no other variable to take
+    # feature named p1 is itself one, so its variable takes a suffix
     model = tiny_percent_model([("p1x", ("a", "b")), ("p2y", ("c", "d"))])
     program = emit_cip(model, Entity("e", ("a", "c")))
     assert "p_p1_c(P1X, V, P1)" in program
     assert "ent(E,P1X,P2Y,tr) :- ent(E,P1X,P2Y,o)." in program
     model = tiny_percent_model([("p1", ("a", "b")), ("p2", ("c", "d"))])
-    with pytest.raises(EmitError, match="cannot derive a distinct variable for 'p1'"):
-        emit_cip(model, Entity("e", ("a", "c")))
+    entity = Entity("e", ("a", "c"))
+    program = emit_cip(model, entity)
+    (variables,) = re.findall(r"^ent\(E,(.*),tr\) :- ent\(E,\1,o\)\.$", program, re.M)
+    assert variables == "P1f,P2f"
+    assert not any(re.fullmatch(r"P[0-9]+", var) for var in variables.split(","))
+    assert parse_facts(program) == (model, entity)
 
 
 def test_rejects_single_feature_schemas():

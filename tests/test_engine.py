@@ -56,10 +56,10 @@ EXPECTED_SCORES = {
 # ---------------------------------------------------------------------------
 
 
-def test_exactly_the_ten_versions(weather_versions):
+def test_exactly_the_ten_versions(weather_percent, weather_versions):
     found = {v.final: set(v.changed) for v in weather_versions}
     assert found == EXPECTED_VERSIONS
-    assert all(v.label == "no" for v in weather_versions)
+    assert all(weather_percent.classify(v.final)[0] == "no" for v in weather_versions)
     assert all(v.eid == "e" for v in weather_versions)
 
 
@@ -216,11 +216,13 @@ def test_explanations_dedupe_and_satisfy_inv_resp(weather_percent, weather_entit
     )
     keys = [(ex.cause_feature, ex.contingency) for ex in explanations]
     assert len(keys) == len(set(keys))
+    changed_sets = {v.changed for v in weather_versions}
     for ex in explanations:
         assert ex.inv_resp == len(ex.contingency) + 1
         assert ex.cause_feature not in ex.contingency
         assert ex.cause_value == ORIGINAL[weather_percent.schema.index(ex.cause_feature)]
-        assert ex.contingency | {ex.cause_feature} == ex.witness.changed
+        # a cause and its contingency are what some version changes
+        assert ex.contingency | {ex.cause_feature} in changed_sets
     # the minimum-contingency explanation per feature
     best = {}
     for ex in explanations:
@@ -235,10 +237,6 @@ def test_xresp_scores(weather_percent, weather_entity, weather_versions):
     )
     report = xresp(explanations, weather_percent.schema)
     assert dict(report.scores) == EXPECTED_SCORES
-    assert report.witnesses["Humidity"].final == ("rain", "high", "high", "weak")
-    # every witness actually changes the feature it witnesses
-    for name, version in report.witnesses.items():
-        assert name in version.changed
 
 
 def test_xresp_zero_for_never_changed_feature(weather_percent, weather_entity):
@@ -251,7 +249,6 @@ def test_xresp_zero_for_never_changed_feature(weather_percent, weather_entity):
         weather_percent.schema,
     )
     assert report.scores["Outlook"] == Fraction(0)
-    assert "Outlook" not in report.witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +349,7 @@ def test_strict_requires_positive_original(weather_percent):
     # the permissive default still explains negative entities
     versions = enumerate_counterfactuals(weather_percent, negative)
     assert versions
-    assert all(v.label == "yes" for v in versions)
+    assert all(weather_percent.classify(v.final)[0] == "yes" for v in versions)
 
 
 def test_strict_discards_inadmissible_original(weather_percent, weather_entity):
@@ -399,26 +396,22 @@ def test_rejects_out_of_domain_entity(weather_percent):
 # ---------------------------------------------------------------------------
 
 
-def test_explanation_validates_its_own_shape(weather_versions):
-    witness = weather_versions[0]
+def test_explanation_validates_its_own_shape():
     with pytest.raises(ValueError, match="contingency"):
         Explanation(
             eid="e",
             cause_feature="Humidity",
             cause_value="normal",
             contingency=frozenset({"Humidity"}),
-            inv_resp=2,
-            witness=witness,
         )
-    with pytest.raises(ValueError, match="inv_resp"):
-        Explanation(
-            eid="e",
-            cause_feature="Humidity",
-            cause_value="normal",
-            contingency=frozenset(),
-            inv_resp=2,
-            witness=witness,
-        )
+
+
+def test_explanations_refuse_versions_of_another_original(weather_percent,
+                                                          weather_versions):
+    # the cause values would come from the wrong entity
+    other = Entity("e", ("sunny", "low", "high", "strong"))
+    with pytest.raises(ValueError, match="do not start from the original entity"):
+        explanations_of(weather_versions, other, weather_percent.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +522,11 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                         outcomes["overflow", min_change] += 1
                         continue
                     outcomes["versions"] += bool(got)
-                    # the scores the query layer reads are classify's
+                    # the scores the query layer reads are classify's, and
+                    # every final state flips the original label
+                    original_label = model.classify(entity.values, maxint)[0]
                     for version in got:
+                        assert model.classify(version.final, maxint)[0] != original_label
                         by_state = version._scores.by_state
                         for state in version.states:
                             assert by_state[state] == model.classify(state, maxint)

@@ -4,6 +4,7 @@ The public API is what the CLI, the README and the benchmark use; helpers
 only tests need live in their modules or under ``tests/``.
 """
 
+import dataclasses
 import re
 
 import xresp
@@ -67,6 +68,21 @@ def test_public_names_are_pinned():
     assert set(xresp.__all__) == EXPECTED_PUBLIC_NAMES
     for name in xresp.__all__:
         assert hasattr(xresp, name), name
+
+
+# Each result type stores a fact once: ``CounterfactualVersion.final`` and
+# ``Explanation.inv_resp`` are properties derived from these fields.
+EXPECTED_RESULT_FIELDS = {
+    "CounterfactualVersion": ["eid", "changed", "states", "_scores"],
+    "Explanation": ["eid", "cause_feature", "cause_value", "contingency"],
+    "ResponsibilityReport": ["scores"],
+}
+
+
+def test_result_fields_are_pinned():
+    for name, expected in EXPECTED_RESULT_FIELDS.items():
+        fields = dataclasses.fields(getattr(xresp, name))
+        assert [f.name for f in fields] == expected, name
 
 
 def test_traced_benchmark_runner_only_uses_public_names():
