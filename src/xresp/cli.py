@@ -15,27 +15,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .asp import parse_program, stable_models
-from .constraints import ConstraintSet, load_constraints
-from .dlv_emit import EmitterOptions, emit_cip
-from .engine import (
-    enumerate_counterfactuals,
-    explanations_of,
-    xresp,
-)
-from .naive_bayes import (
-    DEFAULT_MAXINT,
-    NaiveBayesModel,
-    PercentModel,
-    load_model,
-    serialize_model,
-    to_percent,
-    train,
-)
-from .queries import _check_query, answer, load_queries, model_atom_sets, render_row
-from .schema import Entity, load_dataset, parse_entity
+if TYPE_CHECKING:
+    from .constraints import ConstraintSet
+    from .naive_bayes import NaiveBayesModel, PercentModel
+    from .schema import Entity
+
+# Each handler imports the modules it runs inside its body, so a subcommand
+# compiles only those: solve-asp needs asp alone, emit-dlv never loads
+# engine, queries or asp, and the search subcommands skip dlv_emit and asp.
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -51,6 +40,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+# naive_bayes.DEFAULT_MAXINT, written out so that building the parser imports
+# no module of the package (a test pins the two equal)
+_MAXINT_DEFAULT_HELP = "(default: 100000000)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,8 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument(
         "--maxint",
         type=int,
-        default=DEFAULT_MAXINT,
-        help="#maxint ceiling written into the program",
+        help=f"#maxint ceiling written into the program {_MAXINT_DEFAULT_HELP}",
     )
     p_emit.add_argument("--out", help="output file (default: stdout)")
     p_emit.set_defaults(handler=_cmd_emit)
@@ -183,7 +176,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--maxint",
         type=int,
-        help=f"overflow ceiling for staged products (default: {DEFAULT_MAXINT})",
+        help=f"overflow ceiling for staged products {_MAXINT_DEFAULT_HELP}",
     )
 
 
@@ -205,6 +198,9 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _base_model(args: argparse.Namespace) -> NaiveBayesModel:
+    from .naive_bayes import load_model, train
+    from .schema import load_dataset
+
     if args.model:
         model, _ = load_model(args.model)
         return model
@@ -213,6 +209,8 @@ def _base_model(args: argparse.Namespace) -> NaiveBayesModel:
 
 
 def _active_model(args: argparse.Namespace) -> NaiveBayesModel | PercentModel:
+    from .naive_bayes import to_percent
+
     if args.classifier == "exact" and args.maxint is not None:
         raise ValueError(
             "--maxint bounds the staged backend's integer products "
@@ -225,32 +223,52 @@ def _active_model(args: argparse.Namespace) -> NaiveBayesModel | PercentModel:
 
 
 def _maxint(args: argparse.Namespace) -> int:
-    return DEFAULT_MAXINT if args.maxint is None else args.maxint
+    """The staged ceiling: ``--maxint`` if given, else the library default.
+
+    Handlers read it first, so a ceiling below 1 is refused before any file
+    is read, with the same message for every subcommand.
+    """
+    from .naive_bayes import DEFAULT_MAXINT
+
+    if args.maxint is None:
+        return DEFAULT_MAXINT
+    if args.maxint < 1:
+        raise ValueError(f"--maxint must be at least 1, got {args.maxint}")
+    return args.maxint
 
 
 def _entity_of(
     args: argparse.Namespace, model: NaiveBayesModel | PercentModel
 ) -> Entity:
+    from .schema import parse_entity
+
     return parse_entity(args.entity, model.schema, eid=args.eid)
 
 
 def _constraints_of(
     args: argparse.Namespace, model: NaiveBayesModel | PercentModel
 ) -> ConstraintSet | None:
+    from .constraints import load_constraints
+
     if not args.constraints:
         return None
     return load_constraints(args.constraints, model.schema)
 
 
 def _versions_of(
-    args: argparse.Namespace, model: NaiveBayesModel | PercentModel, entity: Entity
+    args: argparse.Namespace,
+    model: NaiveBayesModel | PercentModel,
+    entity: Entity,
+    maxint: int,
 ):
+    from .engine import enumerate_counterfactuals
+
     return enumerate_counterfactuals(
         model,
         entity,
         _constraints_of(args, model),
         strict=args.strict,
-        maxint=_maxint(args),
+        maxint=maxint,
         min_change=getattr(args, "min_change", False),
     )
 
@@ -269,6 +287,9 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .naive_bayes import serialize_model, train
+    from .schema import load_dataset
+
     dataset = load_dataset(args.data)
     model = train(dataset, positive_label=args.positive_label)
     _write_out(serialize_model(model, dataset.class_column), args.out)
@@ -276,9 +297,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    maxint = _maxint(args)
     model = _active_model(args)
     entity = _entity_of(args, model)
-    label, *scores = model.classify(entity.values, _maxint(args))
+    label, *scores = model.classify(entity.values, maxint)
     print(f"label: {label}")
     for name, score in zip(model.labels, scores):
         print(f"{name}: {score}")
@@ -286,17 +308,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterfactuals(args: argparse.Namespace) -> int:
+    maxint = _maxint(args)
     model = _active_model(args)
     entity = _entity_of(args, model)
-    for version in _versions_of(args, model, entity):
+    for version in _versions_of(args, model, entity, maxint):
         print(f"ent({version.eid},{','.join(version.final)},s)")
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .engine import explanations_of, xresp
+    from .schema import render_row
+
+    maxint = _maxint(args)
     model = _active_model(args)
     entity = _entity_of(args, model)
-    versions = _versions_of(args, model, entity)
+    versions = _versions_of(args, model, entity, maxint)
     explanations = explanations_of(versions, entity, model.schema)
     report = xresp(explanations, model.schema)
     for name in model.schema.names:
@@ -313,6 +340,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .queries import _check_query, answer, load_queries, model_atom_sets
+    from .schema import render_row
+
+    maxint = _maxint(args)
     model = _active_model(args)
     entity = _entity_of(args, model)
     with open(args.queries, "r", encoding="utf-8") as handle:
@@ -321,13 +352,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise ValueError(f"no queries in {args.queries}")
     for query in queries:
         _check_query(query, model)
-    versions = _versions_of(args, model, entity)
-    atom_sets = model_atom_sets(
-        versions,
-        model,
-        entity,
-        maxint=_maxint(args),
-    )
+    versions = _versions_of(args, model, entity, maxint)
+    atom_sets = model_atom_sets(versions, model, entity, maxint=maxint)
     blocks = []
     for query in queries:
         rows = answer(query, atom_sets, args.semantics)
@@ -339,19 +365,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
-    base = _base_model(args)
-    pmodel = to_percent(base)
+    from .dlv_emit import EmitterOptions, emit_cip
+    from .naive_bayes import to_percent
+
+    maxint = _maxint(args)
+    pmodel = to_percent(_base_model(args))
     entity = _entity_of(args, pmodel)
     constraints = _constraints_of(args, pmodel)
-    options = EmitterOptions(
-        include_weak_constraints=args.weak,
-        maxint=args.maxint,
-    )
+    options = EmitterOptions(include_weak_constraints=args.weak, maxint=maxint)
     _write_out(emit_cip(pmodel, entity, constraints, options), args.out)
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .asp import parse_program, stable_models
+
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read())
     for model in stable_models(program):

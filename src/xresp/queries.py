@@ -32,8 +32,9 @@ combination of the tables its atoms name, so models sharing tables share
 the work.  An answer row echoes the matched value of every non-constant
 argument position, in positional order; constants echo nothing.  Brave
 answers hold in some model, cautious answers in all models.  Rows are
-deduplicated and sorted canonically; sets render as ``{a,b}``
-(alphabetical, no spaces) and row values join with a comma and space.
+deduplicated and sorted canonically.  ``render_row`` (defined in ``schema``)
+prints sets as ``{a,b}`` (alphabetical, no spaces) and joins row values
+with a comma and space.
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 from .engine import CounterfactualVersion
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity
+# answers print through the text rules in schema; kept importable from here
+from .schema import render_row, render_value
 
 Value = Union[str, int, frozenset]
 
@@ -588,13 +591,3 @@ def _sorted_rows(rows: Iterable[tuple[Value, ...]]) -> list[tuple[Value, ...]]:
         return key
 
     return sorted(rows, key=lambda row: tuple(map(value_key, row)))
-
-
-def render_value(value: Value) -> str:
-    if isinstance(value, frozenset):
-        return "{" + ",".join(sorted(value)) + "}"
-    return str(value)
-
-
-def render_row(row: tuple[Value, ...]) -> str:
-    return ", ".join(render_value(value) for value in row)

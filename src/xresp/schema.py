@@ -15,7 +15,8 @@ reader and writer shares (model files, emitted programs, queries).  Values,
 labels and entity ids are DLV constants: a lowercase-initial identifier or
 a run of digits (``Sunny`` would read as a variable).  Feature names and
 the class column are letter-initial identifiers, so that they lowercase to
-constants.  Anything else raises DataError.
+constants.  Anything else raises DataError.  The one rule for printing
+answer values back out (``render_row``) lives here too.
 """
 
 from __future__ import annotations
@@ -184,3 +185,14 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(
         schema=schema, rows=tuple(rows), labels=labels, class_column=header[-1]
     )
+
+
+def render_value(value: str | int | frozenset[str]) -> str:
+    """A query answer value as the CLI prints it; a set prints sorted in braces."""
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(value)) + "}"
+    return str(value)
+
+
+def render_row(row: tuple[str | int | frozenset[str], ...]) -> str:
+    return ", ".join(render_value(value) for value in row)

@@ -5,6 +5,7 @@ import argparse
 import pytest
 
 from xresp import (
+    DEFAULT_MAXINT,
     enumerate_counterfactuals,
     load_dataset,
     min_change_versions,
@@ -631,6 +632,40 @@ def test_staged_maxint_defaults_to_the_library_ceiling(run_cli):
         "classify", "--data", DATA, "--entity", ENTITY, "--maxint", str(10**8)
     )
     assert default == explicit == (0, "label: yes\nyes: 20665\nno: 4608\n", "")
+
+
+@pytest.mark.parametrize(
+    "command", ["classify", "counterfactuals", "explain", "query", "emit-dlv"]
+)
+@pytest.mark.parametrize("maxint", ["0", "-5"])
+def test_a_maxint_below_one_is_refused_alike_by_every_subcommand(
+    run_cli, tmp_path, command, maxint
+):
+    extra = ["--queries", write_queries(tmp_path, "cause(E,U)?"), "--brave"]
+    code, out, err = run_cli(
+        command, "--data", DATA, "--entity", ENTITY, "--maxint", maxint,
+        *(extra if command == "query" else []),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"xresp: ValueError: --maxint must be at least 1, got {maxint}\n"
+
+
+def test_maxint_help_states_the_library_default():
+    # the parser writes the default out rather than import naive_bayes for it
+    (subcommands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    helps = [
+        action
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        if "--maxint" in action.option_strings
+    ]
+    assert len(helps) == 5
+    for action in helps:
+        assert action.default is None
+        assert action.help.endswith(f"(default: {DEFAULT_MAXINT})")
 
 
 @pytest.mark.parametrize(

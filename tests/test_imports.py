@@ -1,0 +1,69 @@
+"""Each subcommand loads only the package modules it runs.
+
+``import xresp`` resolves its public names on first access, and every CLI
+handler imports its modules inside its body.  These checks run in a fresh
+interpreter, because the test process has already imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import DEMO_PROGRAM, REPO_ROOT, WEATHER_CSV
+
+ENTITY = "rain,high,normal,weak"
+
+# Runs its argv through the CLI, then prints the loaded xresp submodules.
+PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from xresp.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+else:
+    import xresp
+print(json.dumps(sorted(m[6:] for m in sys.modules if m.startswith("xresp."))))
+"""
+
+
+def loaded_modules(*argv):
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(list(argv))],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(json.loads(result.stdout))
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_modules() == set()
+
+
+def test_solve_asp_loads_only_the_kernel():
+    loaded = loaded_modules("solve-asp", str(DEMO_PROGRAM))
+    assert "asp" in loaded
+    assert not loaded & {"engine", "queries", "dlv_emit", "naive_bayes", "constraints"}
+
+
+def test_emit_dlv_skips_the_search_the_queries_and_the_kernel():
+    loaded = loaded_modules(
+        "emit-dlv", "--data", str(WEATHER_CSV), "--entity", ENTITY
+    )
+    assert "dlv_emit" in loaded
+    assert not loaded & {"engine", "queries", "asp"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--data", str(WEATHER_CSV), "--entity", ENTITY],
+    ["counterfactuals", "--data", str(WEATHER_CSV), "--entity", ENTITY],
+    ["train", "--data", str(WEATHER_CSV)],
+], ids=["explain", "counterfactuals", "train"])
+def test_search_subcommands_skip_the_queries_the_emitter_and_the_kernel(argv):
+    loaded = loaded_modules(*argv)
+    assert "naive_bayes" in loaded
+    assert not loaded & {"queries", "dlv_emit", "asp"}

@@ -7,6 +7,8 @@ only tests need live in their modules or under ``tests/``.
 import dataclasses
 import re
 
+import pytest
+
 import xresp
 
 from conftest import REPO_ROOT
@@ -68,6 +70,22 @@ def test_public_names_are_pinned():
     assert set(xresp.__all__) == EXPECTED_PUBLIC_NAMES
     for name in xresp.__all__:
         assert hasattr(xresp, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from xresp import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(xresp.__all__)
+
+
+def test_dir_lists_the_public_names():
+    assert set(xresp.__all__) <= set(dir(xresp))
+
+
+def test_an_unknown_attribute_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        xresp.no_such_name
 
 
 # Each result type stores a fact once: ``CounterfactualVersion.final`` and
