@@ -73,6 +73,8 @@ class ConstraintSet:
                         f"dependency {dep.source} -> {dep.target}: image {tval!r} "
                         f"not in domain of {dep.target}"
                     )
+            if dep.target in targets:
+                raise ConstraintError(f"{dep.target} is the target of two dependencies")
             targets.add(dep.target)
         for name in self.immutable:
             if name not in names:
@@ -139,8 +141,10 @@ def parse_constraints(text: str, schema: FeatureSchema) -> ConstraintSet:
                     raise ConstraintError(
                         f"line {lineno}: expected Feature=value, got {part.strip()!r}"
                     )
-                name, value = part.split("=", 1)
-                combo[name.strip()] = value.strip()
+                name, value = map(str.strip, part.split("=", 1))
+                if name in combo:
+                    raise ConstraintError(f"line {lineno}: feature {name} is bound twice")
+                combo[name] = value
             forbidden.append(combo)
         elif line.startswith("depend "):
             head, _, mapping_text = line[len("depend "):].partition(":")
@@ -155,8 +159,10 @@ def parse_constraints(text: str, schema: FeatureSchema) -> ConstraintSet:
                     raise ConstraintError(
                         f"line {lineno}: expected v->w, got {part.strip()!r}"
                     )
-                sval, _, tval = part.partition("->")
-                mapping[sval.strip()] = tval.strip()
+                sval, tval = map(str.strip, part.split("->", 1))
+                if sval in mapping:
+                    raise ConstraintError(f"line {lineno}: source value {sval} is mapped twice")
+                mapping[sval] = tval
             dependencies.append(
                 Dependency(source=source.strip(), target=target.strip(), mapping=mapping)
             )

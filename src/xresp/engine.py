@@ -36,14 +36,15 @@ tuples are decoded only for the chains of the versions returned.
 A full search with the staged backend first folds the scores of every cell
 of the grid: level by level in schema order, with the same ``// 10`` as
 ``PercentModel.classify``, so each prefix product is computed once for all
-the cells that share it.  A cell whose fold exceeds ``maxint`` is marked,
-and raises only when the search reads it: its score then comes from
-``classify``, which raises the overflow with its usual message.  The exact
+the cells that share it.  It folds only when ``maxint`` is at least the
+model's covering ceiling, the largest staged product of any state, so no
+folded cell can overflow.  Under a lower ``maxint``, and for the exact
 backend, minimum-change searches (which often stop after a few states) and
-grids of more than ``_FOLD_LIMIT`` cells score each cell on demand through
-``classify`` instead, each cell at most once.  Either way the versions
-carry the search's scorer, whose ``by_state`` holds the scores of their
-states, and the query layer reads only those.
+grids of more than ``_FOLD_LIMIT`` cells, each cell is scored on demand
+through ``classify`` instead, each at most once; a staged overflow then
+raises at the first overflowing cell the search reaches.  Either way the
+versions carry the search's scorer, whose ``by_state`` holds the scores of
+their states, and the query layer reads only those.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -122,10 +123,9 @@ class ResponsibilityReport:
 # ---------------------------------------------------------------------------
 
 # A staged grid with more cells than this is scored on demand, not folded:
-# the fold keeps two integers and a label byte for every cell.
+# the fold keeps two integers and a label byte for every cell.  A grid the
+# covering ceiling does not cover is scored on demand whatever its size.
 _FOLD_LIMIT = 1 << 20
-# The label index of a folded cell whose staged product overflows.
-_OVERFLOW = 2
 
 
 class _Grid:
@@ -194,8 +194,8 @@ class _Grid:
     def propagate(self, code: int) -> int:
         """Overwrite dependency targets from their sources, to a fixed point.
 
-        Dependencies are applied in declaration order; they are acyclic, so
-        the passes reach a fixed point.
+        Dependencies are applied in declaration order; they are acyclic and
+        no feature is the target of two, so the passes reach a fixed point.
         """
         moved = True
         while moved:
@@ -212,29 +212,20 @@ class _Grid:
 class _FoldedCells:
     """The scores of every cell of a staged grid, folded once.
 
-    ``labels`` holds each cell's label index (0 positive, 1 negative), or
-    ``_OVERFLOW`` where the staged product exceeds ``maxint``; reading such
-    a cell's score classifies it, which raises the overflow.  ``by_state``
-    maps the states of the versions returned to their scores.
+    Built only under a ``maxint`` that covers every cell, so no score
+    overflows.  ``labels`` holds each cell's label index (0 positive,
+    1 negative).  ``by_state`` maps the states of the versions returned to
+    their scores.
     """
 
     def __init__(self, model: PercentModel, grid: _Grid, maxint: int) -> None:
-        self.model, self.grid, self.maxint = model, grid, maxint
+        self.model, self.maxint = model, maxint
         self.by_state: dict[tuple[str, ...], tuple] = {}
-        self.pos, self.neg = model._grid_scores(grid.domains, maxint)
-        try:
-            self.labels = bytearray(map(operator.lt, self.pos, self.neg))
-        except TypeError:  # None marks an overflowing cell
-            self.labels = bytearray(
-                _OVERFLOW if p is None or n is None else p < n
-                for p, n in zip(self.pos, self.neg)
-            )
+        self.pos, self.neg = model._grid_scores(grid.domains)
+        self.labels = bytearray(map(operator.lt, self.pos, self.neg))
 
     def score(self, code: int) -> tuple:
-        label = self.labels[code]
-        if label == _OVERFLOW:
-            return self.model.classify(self.grid.decode(code), self.maxint)
-        return self.model.labels[label], self.pos[code], self.neg[code]
+        return self.model.labels[self.labels[code]], self.pos[code], self.neg[code]
 
 
 class _CellsOnDemand(dict):
@@ -297,7 +288,8 @@ def enumerate_counterfactuals(
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
     grid = _Grid(schema, original, cs)
-    if isinstance(model, PercentModel) and not min_change and grid.size <= _FOLD_LIMIT:
+    if (isinstance(model, PercentModel) and not min_change and grid.size <= _FOLD_LIMIT
+            and model._covering_maxint() <= maxint):
         cells = _FoldedCells(model, grid, maxint)
     else:
         cells = _CellsOnDemand(model, grid, maxint)
@@ -348,8 +340,6 @@ def enumerate_counterfactuals(
                     if label == original_label:
                         next_frontier.append((successor, intervened | bit))
                         continue
-                    if label == _OVERFLOW:
-                        cells.score(successor)  # raises the staged overflow
                     found.append(successor)
                     if min_change:
                         changes = sum(map(operator.ne, original, grid.decode(successor)))

@@ -106,39 +106,31 @@ class PercentModel:
         rows = _score_rows(self, values)
         scores = []
         for i, label in enumerate(self.labels):
-            acc: int | None = None
-            for row in rows:
-                pct = row[i]
-                acc = pct if acc is None else self._checked_mul(acc, pct, maxint) // 10
-            acc = 1 if acc is None else acc  # only a zero-feature schema
+            acc = rows[0][i]
+            for row in rows[1:]:
+                acc = self._checked_mul(acc, row[i], maxint) // 10
             scores.append(self._checked_mul(acc, self.prior[label], maxint) // 10)
         pos, neg = scores
         return self.labels[0] if pos >= neg else self.labels[1], pos, neg
 
-    def _grid_scores(
-        self, domains: tuple[tuple[str, ...], ...], maxint: int
-    ) -> list[list[int | None]]:
+    def _grid_scores(self, domains: tuple[tuple[str, ...], ...]) -> list[list[int]]:
         """``classify``'s score per label of every cell of a grid, in label order.
 
         ``domains`` gives each feature's values in digit order; a cell's
         index reads its digits mixed-radix, feature 0 most significant.  The
         fold runs level by level in schema order, so each prefix product is
         computed once for every cell that shares it, with the same ``// 10``
-        as ``classify``.  A cell whose fold exceeds ``maxint`` scores None.
+        as ``classify``.  No product is checked: the search folds only under
+        a ``maxint`` of at least ``_covering_maxint()``, which no cell exceeds.
         """
         folds = []
         for i, label in enumerate(self.labels):
-            acc: list[int | None] | None = None
-            top: int | None = None  # the largest value of a clean level
-            for column, domain in zip(self._table, domains):
-                pcts = [column[value][i] for value in domain]
-                if acc is None:
-                    acc, top = pcts, max(pcts)
-                else:
-                    acc, top = _fold_level(acc, top, pcts, maxint)
-            if acc is None:  # only a zero-feature schema
-                acc, top = [1], 1
-            folds.append(_fold_level(acc, top, [self.prior[label]], maxint)[0])
+            levels = [[column[value][i] for value in domain]
+                      for column, domain in zip(self._table, domains)]
+            acc = levels[0]
+            for pcts in levels[1:] + [[self.prior[label]]]:
+                acc = [a * p // 10 for a in acc for p in pcts]
+            folds.append(acc)
         return folds
 
     def _checked_mul(self, a: int, b: int, maxint: int) -> int:
@@ -159,36 +151,12 @@ class PercentModel:
         """
         largest = 0
         for i, label in enumerate(self.labels):
-            acc: int | None = None
-            for column in self._table:
-                pct = max(row[i] for row in column.values())
-                if acc is None:
-                    acc = pct
-                else:
-                    largest = max(largest, acc * pct)
-                    acc = acc * pct // 10
-            acc = 1 if acc is None else acc
-            largest = max(largest, acc * self.prior[label])
+            tops = [max(row[i] for row in column.values()) for column in self._table]
+            acc = tops[0]
+            for pct in tops[1:] + [self.prior[label]]:
+                largest = max(largest, acc * pct)
+                acc = acc * pct // 10
         return largest
-
-
-def _fold_level(
-    acc: list[int | None], top: int | None, pcts: list[int], maxint: int
-) -> tuple[list[int | None], int | None]:
-    """Each prefix times each percentage, ``// 10``; None marks an overflow.
-
-    ``top`` is the largest prefix, or None once some prefix overflowed.
-    The fold is monotone in every factor, so while ``top`` times the
-    largest percentage stays within ``maxint`` no product of the level
-    needs checking.
-    """
-    if top is not None and top * max(pcts) <= maxint:
-        return [a * p // 10 for a in acc for p in pcts], top * max(pcts) // 10
-    return [
-        None if a is None or a * p > maxint else a * p // 10
-        for a in acc
-        for p in pcts
-    ], None
 
 
 def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesModel:

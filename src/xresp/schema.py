@@ -57,6 +57,8 @@ class FeatureSchema:
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.features:
+            raise SchemaError("schema needs at least one feature")
         names = [name for name, _ in self.features]
         for name, domain in self.features:
             _check_text("feature name", name, _NAME_RE)

@@ -74,7 +74,7 @@ class CountingModel(PercentModel):
         self.calls[tuple(values)] += 1
         return super().classify(values, maxint)
 
-    def _grid_scores(self, domains, maxint):
-        scores = super()._grid_scores(domains, maxint)
+    def _grid_scores(self, domains):
+        scores = super()._grid_scores(domains)
         self.folds.append(len(scores[0]))
         return scores

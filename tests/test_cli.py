@@ -1,6 +1,10 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process, except where
+a run could hang)."""
 
 import argparse
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +25,7 @@ from xresp.queries import answer, load_queries, render_row
 from conftest import (
     DEMO_PROGRAM,
     README_CONSTRAINTS,
+    REPO_ROOT,
     TEST_DATA,
     TWO_DEPTH_DEPEND,
     WEATHER_CSV,
@@ -209,6 +214,28 @@ def test_counterfactuals_respect_eid_and_constraints(run_cli, tmp_path):
     lines = out.splitlines()
     assert len(lines) == 4
     assert all(line.startswith("ent(x,rain,") for line in lines)
+
+
+@pytest.mark.parametrize("command", ["counterfactuals", "emit-dlv"])
+def test_two_dependencies_with_one_target_are_refused(tmp_path, command):
+    # propagation between the two would set Humidity back and forth without
+    # end, so the CLI runs in a subprocess that a timeout can stop
+    knowledge = tmp_path / "knowledge.txt"
+    knowledge.write_text(
+        "depend Outlook -> Humidity: sunny->high, overcast->normal, rain->high\n"
+        "depend Wind -> Humidity: weak->normal, strong->high\n",
+        encoding="utf-8",
+    )
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "xresp.cli", command, "--data", DATA,
+         "--entity", ENTITY, "--constraints", str(knowledge)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "xresp: ConstraintError: Humidity is the target of two dependencies\n"
+    )
 
 
 def test_strict_silences_negative_originals(run_cli):

@@ -67,6 +67,10 @@ def test_parse_empty_text_gives_empty_constraints(weather_dataset):
         ("depend Temperature -> Humidity: high=normal", "line 1"),
         ("permit Outlook=sunny", "unrecognized directive"),
         ("forbid Outlook=sunny\nbogus", "line 2"),
+        ("forbid Outlook=sunny\nforbid Outlook=overcast, Outlook=sunny",
+         "line 2: feature Outlook is bound twice"),
+        ("depend Outlook -> Humidity: sunny->high, rain->high, rain->normal",
+         "line 1: source value rain is mapped twice"),
     ],
 )
 def test_parse_errors_carry_line_numbers(weather_dataset, text, fragment):
@@ -135,6 +139,16 @@ def test_construction_rejects_immutable_dependency_target(weather_dataset):
     )
     with pytest.raises(ConstraintError, match="both dependency target and immutable"):
         ConstraintSet(schema=schema, dependencies=(dep,), immutable=frozenset({"Humidity"}))
+
+
+def test_construction_rejects_two_dependencies_with_one_target(weather_dataset):
+    schema = weather_dataset.schema
+    by_outlook = Dependency(
+        "Outlook", "Humidity", {"sunny": "high", "overcast": "normal", "rain": "high"}
+    )
+    by_wind = Dependency("Wind", "Humidity", {"weak": "normal", "strong": "high"})
+    with pytest.raises(ConstraintError, match="^Humidity is the target of two dependencies$"):
+        ConstraintSet(schema=schema, dependencies=(by_outlook, by_wind))
 
 
 def test_construction_rejects_dependency_cycles(weather_dataset):

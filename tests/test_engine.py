@@ -198,6 +198,25 @@ def test_searches_above_the_fold_limit_score_each_cell_on_demand(
     assert len(model.calls) < 36
 
 
+def test_the_search_folds_only_grids_the_covering_ceiling_covers(weather_percent,
+                                                                 weather_entity,
+                                                                 weather_versions):
+    covering = weather_percent._covering_maxint()
+    assert covering == 580160
+    model = CountingModel.of(weather_percent)
+    assert enumerate_counterfactuals(model, weather_entity, maxint=covering) \
+        == weather_versions
+    assert model.folds == [36] and not model.calls
+    # one below the ceiling, every state is scored on demand and the first
+    # overflowing state the search reaches raises, as in the oracle
+    model = CountingModel.of(weather_percent)
+    got = outcome(enumerate_counterfactuals, model, weather_entity, maxint=covering - 1)
+    assert not model.folds and model.calls
+    assert got[0] is StagedOverflowError
+    assert got == outcome(oracle_versions, weather_percent, weather_entity,
+                          maxint=covering - 1)
+
+
 def test_min_change_search_never_classifies_the_overflowing_states(weather_percent,
                                                                   weather_entity):
     # 500000 covers the original and its neighbours, not the deeper states
@@ -531,6 +550,7 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                         for state in version.states:
                             assert by_state[state] == model.classify(state, maxint)
     assert outcomes["constrained"] > 200
-    # overflows both in folded grids and in cells scored on demand
+    # overflows both in full searches and in minimum-change searches; a full
+    # search under a ceiling below the covering one scores on demand
     assert outcomes["overflow", False] > 50 and outcomes["overflow", True] > 50
     assert outcomes["versions"] > 800

@@ -370,6 +370,9 @@ def test_parse_model_errors():
             "prior: no 1/2\n"
             "A,x,yes,1/2\n"  # incomplete conditional table
         )
+    # labels and priors but no conditional lines
+    with pytest.raises(ModelFormatError, match="^bad feature table: .*at least one feature"):
+        parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n")
 
 
 def test_model_distribution_validation(weather_model):

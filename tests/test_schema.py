@@ -94,6 +94,8 @@ def test_schema_construction_errors():
         FeatureSchema(features=(("", ("x", "y")),))
     with pytest.raises(SchemaError):
         FeatureSchema(features=(("A", ("x",)),))  # singleton domain
+    with pytest.raises(SchemaError, match="at least one feature"):
+        FeatureSchema(features=())
 
 
 def test_ragged_row_error(tmp_path):
