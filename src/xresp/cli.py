@@ -25,6 +25,9 @@ if TYPE_CHECKING:
 # Each handler imports the modules it runs inside its body, so a subcommand
 # compiles only those: solve-asp needs asp alone, emit-dlv never loads
 # engine, queries or asp, and the search subcommands skip dlv_emit and asp.
+# Every handler that reads a model gets it, with its entity and the staged
+# ceiling, from one call to _instance, which refuses a bad --maxint before
+# it reads any file.
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -93,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_entity(p_explain)
     _add_backend_flags(p_explain)
     _add_engine_flags(p_explain)
-    p_explain.set_defaults(handler=_cmd_explain)
+    p_explain.set_defaults(handler=_cmd_explain, min_change=False)
 
     p_query = sub.add_parser(
         "query", help="answer queries over the counterfactual models"
@@ -142,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"#maxint ceiling written into the program {_MAXINT_DEFAULT_HELP}",
     )
     p_emit.add_argument("--out", help="output file (default: stdout)")
-    p_emit.set_defaults(handler=_cmd_emit)
+    # emit-dlv always writes the staged program
+    p_emit.set_defaults(handler=_cmd_emit, classifier="staged")
 
     p_solve = sub.add_parser(
         "solve-asp", help="stable models of a ground disjunctive program"
@@ -197,52 +201,28 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _base_model(args: argparse.Namespace) -> NaiveBayesModel:
-    from .naive_bayes import load_model, train
-    from .schema import load_dataset
+def _instance(
+    args: argparse.Namespace,
+) -> tuple[NaiveBayesModel | PercentModel, Entity, int]:
+    """The model (percent for staged), entity and ceiling a subcommand runs on."""
+    from .naive_bayes import DEFAULT_MAXINT, load_model, to_percent, train
+    from .schema import load_dataset, parse_entity
 
-    if args.model:
-        model, _ = load_model(args.model)
-        return model
-    dataset = load_dataset(args.data)
-    return train(dataset)
-
-
-def _active_model(args: argparse.Namespace) -> NaiveBayesModel | PercentModel:
-    from .naive_bayes import to_percent
-
+    if args.maxint is not None and args.maxint < 1:
+        raise ValueError(f"--maxint must be at least 1, got {args.maxint}")
     if args.classifier == "exact" and args.maxint is not None:
         raise ValueError(
             "--maxint bounds the staged backend's integer products "
             "and has no effect with --classifier exact"
         )
-    base = _base_model(args)
+    if args.model:
+        model, _ = load_model(args.model)
+    else:
+        model = train(load_dataset(args.data))
     if args.classifier == "staged":
-        return to_percent(base)
-    return base
-
-
-def _maxint(args: argparse.Namespace) -> int:
-    """The staged ceiling: ``--maxint`` if given, else the library default.
-
-    Handlers read it first, so a ceiling below 1 is refused before any file
-    is read, with the same message for every subcommand.
-    """
-    from .naive_bayes import DEFAULT_MAXINT
-
-    if args.maxint is None:
-        return DEFAULT_MAXINT
-    if args.maxint < 1:
-        raise ValueError(f"--maxint must be at least 1, got {args.maxint}")
-    return args.maxint
-
-
-def _entity_of(
-    args: argparse.Namespace, model: NaiveBayesModel | PercentModel
-) -> Entity:
-    from .schema import parse_entity
-
-    return parse_entity(args.entity, model.schema, eid=args.eid)
+        model = to_percent(model)
+    entity = parse_entity(args.entity, model.schema, eid=args.eid)
+    return model, entity, DEFAULT_MAXINT if args.maxint is None else args.maxint
 
 
 def _constraints_of(
@@ -269,7 +249,7 @@ def _versions_of(
         _constraints_of(args, model),
         strict=args.strict,
         maxint=maxint,
-        min_change=getattr(args, "min_change", False),
+        min_change=args.min_change,
     )
 
 
@@ -297,9 +277,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    maxint = _maxint(args)
-    model = _active_model(args)
-    entity = _entity_of(args, model)
+    model, entity, maxint = _instance(args)
     label, *scores = model.classify(entity.values, maxint)
     print(f"label: {label}")
     for name, score in zip(model.labels, scores):
@@ -308,9 +286,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterfactuals(args: argparse.Namespace) -> int:
-    maxint = _maxint(args)
-    model = _active_model(args)
-    entity = _entity_of(args, model)
+    model, entity, maxint = _instance(args)
     for version in _versions_of(args, model, entity, maxint):
         print(f"ent({version.eid},{','.join(version.final)},s)")
     return 0
@@ -320,9 +296,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .engine import explanations_of, xresp
     from .schema import render_row
 
-    maxint = _maxint(args)
-    model = _active_model(args)
-    entity = _entity_of(args, model)
+    model, entity, maxint = _instance(args)
     versions = _versions_of(args, model, entity, maxint)
     explanations = explanations_of(versions, entity, model.schema)
     report = xresp(explanations, model.schema)
@@ -343,9 +317,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .queries import _check_query, answer, load_queries, model_atom_sets
     from .schema import render_row
 
-    maxint = _maxint(args)
-    model = _active_model(args)
-    entity = _entity_of(args, model)
+    model, entity, maxint = _instance(args)
     with open(args.queries, "r", encoding="utf-8") as handle:
         queries = load_queries(handle.read())
     if not queries:
@@ -366,11 +338,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_emit(args: argparse.Namespace) -> int:
     from .dlv_emit import EmitterOptions, emit_cip
-    from .naive_bayes import to_percent
 
-    maxint = _maxint(args)
-    pmodel = to_percent(_base_model(args))
-    entity = _entity_of(args, pmodel)
+    pmodel, entity, maxint = _instance(args)
     constraints = _constraints_of(args, pmodel)
     options = EmitterOptions(include_weak_constraints=args.weak, maxint=maxint)
     _write_out(emit_cip(pmodel, entity, constraints, options), args.out)

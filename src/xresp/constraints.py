@@ -52,7 +52,7 @@ class ConstraintSet:
                     raise ConstraintError(
                         f"forbidden combination: {value!r} not in domain of {name}"
                     )
-        targets = set()
+        source_of: dict[str, str] = {}
         for dep in self.dependencies:
             if dep.source not in names or dep.target not in names:
                 raise ConstraintError(
@@ -73,46 +73,29 @@ class ConstraintSet:
                         f"dependency {dep.source} -> {dep.target}: image {tval!r} "
                         f"not in domain of {dep.target}"
                     )
-            if dep.target in targets:
+            if dep.target in source_of:
                 raise ConstraintError(f"{dep.target} is the target of two dependencies")
-            targets.add(dep.target)
+            source_of[dep.target] = dep.source
         for name in self.immutable:
             if name not in names:
                 raise ConstraintError(f"immutable: unknown feature {name}")
-        clash = targets & self.immutable
+        clash = source_of.keys() & self.immutable
         if clash:
             raise ConstraintError(
                 f"feature(s) both dependency target and immutable: {', '.join(sorted(clash))}"
             )
-        _reject_cycles(self.dependencies)
+        # every target has one source, so walking up from a target on a cycle
+        # returns to it within len(source_of) steps
+        for target in source_of:
+            node = source_of[target]
+            for _ in source_of:
+                if node == target:
+                    raise ConstraintError(f"cyclic dependencies involving {target}")
+                node = source_of.get(node)
 
     @property
     def dependency_targets(self) -> frozenset[str]:
         return frozenset(dep.target for dep in self.dependencies)
-
-
-def _reject_cycles(dependencies: tuple[Dependency, ...]) -> None:
-    # source -> target edges; any directed cycle is a construction error
-    edges: dict[str, set[str]] = {}
-    for dep in dependencies:
-        edges.setdefault(dep.source, set()).add(dep.target)
-
-    visiting: set[str] = set()
-    done: set[str] = set()
-
-    def visit(node: str) -> None:
-        if node in done:
-            return
-        if node in visiting:
-            raise ConstraintError(f"cyclic dependencies involving {node}")
-        visiting.add(node)
-        for nxt in edges.get(node, ()):
-            visit(nxt)
-        visiting.discard(node)
-        done.add(node)
-
-    for start in list(edges):
-        visit(start)
 
 
 # ---------------------------------------------------------------------------

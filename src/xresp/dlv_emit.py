@@ -382,14 +382,25 @@ def parse_facts(text: str) -> tuple[PercentModel, Entity]:
             if pred.startswith("dom_"):
                 dom.setdefault(pred[4:], []).append(args[0])
             elif pred == "entSchema":
+                if schema_names is not None:
+                    raise FactParseError(f"line {lineno}: repeated entSchema fact")
                 schema_names = args
             elif pred == "ent":
                 if args[-1] == "o":
+                    if entity is not None:
+                        raise FactParseError(
+                            f"line {lineno}: repeated o-annotated ent fact"
+                        )
                     entity = (args[0], tuple(args[1:-1]))
             elif pred == "p":
                 priors.append((args[0], int(args[1])))
             elif pred.startswith("p_") and pred.endswith("_c"):
-                cond[(pred[2:-2], args[0], args[1])] = int(args[2])
+                key = (pred[2:-2], args[0], args[1])
+                if key in cond:
+                    raise FactParseError(
+                        f"line {lineno}: repeated {pred} fact for {args[0]},{args[1]}"
+                    )
+                cond[key] = int(args[2])
             else:
                 raise FactParseError(
                     f"line {lineno}: unrecognized fact predicate {pred!r}"

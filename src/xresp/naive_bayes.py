@@ -332,7 +332,7 @@ def load_model(path: str) -> tuple[NaiveBayesModel, str]:
 
 def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
     labels: tuple[str, str] | None = None
-    class_column = "class"
+    class_column: str | None = None
     prior: dict[str, Fraction] = {}
     cond: dict[tuple[str, str, str], Fraction] = {}
     feature_order: list[str] = []
@@ -346,15 +346,22 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
             parts = [p.strip() for p in line[len("labels:"):].split(",")]
             if len(parts) != 2 or not all(parts):
                 raise ModelFormatError(f"line {lineno}: need exactly two labels")
+            if labels is not None:
+                raise ModelFormatError(f"line {lineno}: repeated 'labels:' line")
             labels = (parts[0], parts[1])
         elif line.startswith("class-column:"):
+            if class_column is not None:
+                raise ModelFormatError(f"line {lineno}: repeated 'class-column:' line")
             class_column = line[len("class-column:"):].strip()
         elif line.startswith("prior:"):
             try:
-                label, frac = line[len("prior:"):].split()
-                prior[label] = Fraction(frac)
+                label, frac_text = line[len("prior:"):].split()
+                frac = Fraction(frac_text)
             except ValueError as exc:
                 raise ModelFormatError(f"line {lineno}: bad prior: {raw!r}") from exc
+            if label in prior:
+                raise ModelFormatError(f"line {lineno}: repeated prior for {label}")
+            prior[label] = frac
         else:
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 4:
@@ -368,6 +375,10 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
                 raise ModelFormatError(
                     f"line {lineno}: bad fraction {frac_text!r}"
                 ) from exc
+            if (name, value, label) in cond:
+                raise ModelFormatError(
+                    f"line {lineno}: repeated conditional for {name},{value},{label}"
+                )
             if name not in feature_order:
                 feature_order.append(name)
                 domains[name] = []
@@ -392,4 +403,4 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
         )
     except KeyError as exc:
         raise ModelFormatError(f"incomplete conditional table: missing {exc}") from exc
-    return model, class_column
+    return model, "class" if class_column is None else class_column

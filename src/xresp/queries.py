@@ -20,12 +20,13 @@ search did not score with the same model object and ceiling are refused.
 Versions with the same changed features share their explanation tables.
 
 Query text copies the solver convention: comma-separated literals ending in
-``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Identifiers starting uppercase
-are variables, ``_`` is anonymous, ``{a,b}``/``{}`` are set literals, and
-comparisons may use ``<``, ``<=``, ``=``, ``!=`` (ordered ones only between
-integers).  Entity values are strings, so an integer constant matches both
-the integer and the string it is written as: ``1`` matches ``1`` and
-``"1"``.
+``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Constants follow the text
+policy of ``schema``; identifiers starting uppercase are variables, ``_`` is
+anonymous, ``{a,b}``/``{}`` are sets of constants, any other term (``_X``)
+is refused, and comparisons may use ``<``, ``<=``, ``=``, ``!=`` (ordered
+ones only between integers).  Entity values are strings, so an integer
+constant matches both the integer and the string it is written as: ``1``
+matches ``1`` and ``"1"``.
 
 A query is compiled once; it is then evaluated once per distinct
 combination of the tables its atoms name, so models sharing tables share
@@ -46,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .engine import CounterfactualVersion
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
-from .schema import Entity
+from .schema import _CONSTANT_RE, Entity
 # answers print through the text rules in schema; kept importable from here
 from .schema import render_row, render_value
 
@@ -246,7 +247,7 @@ class Query:
     comparisons: tuple[Comparison, ...]
 
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 _ATOM_TEXT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\((.*)\)$")
 _COMPARISON_RE = re.compile(r"^(.*?)(<=|!=|<|=)(.*)$")
 
@@ -345,14 +346,16 @@ def _parse_term(text: str, anon_counter: int) -> tuple[Term, int]:
             if inner
             else frozenset()
         )
+        if not all(_CONSTANT_RE.fullmatch(member) for member in members):
+            raise QueryError(f"bad term: {text!r} (set members are constants)")
         return Constant(value=members), anon_counter
     if re.fullmatch(r"-?\d+", text):
         return Constant(value=int(text), spelling=text), anon_counter
-    if not _IDENT_RE.match(text):
-        raise QueryError(f"bad term: {text!r}")
-    if text[0].isupper():
+    if _CONSTANT_RE.fullmatch(text):
+        return Constant(value=text), anon_counter
+    if _VARIABLE_RE.fullmatch(text):
         return Variable(name=text), anon_counter
-    return Constant(value=text), anon_counter
+    raise QueryError(f"bad term: {text!r}")
 
 
 def load_queries(text: str) -> list[Query]:

@@ -335,6 +335,17 @@ def test_query_is_checked_before_the_search(run_cli, tmp_path, entity, query, er
     assert (code, out, err) == (1, "", f"xresp: QueryError: {error}\n")
 
 
+@pytest.mark.parametrize("query", ["cause(E,_U)?", "cont(E,U,{Humidity})?"])
+def test_query_terms_outside_the_constant_policy_are_refused(run_cli, tmp_path, query):
+    # both used to parse as constants that no value matches, printing nothing
+    code, out, err = run_cli(
+        "query", "--data", DATA, "--entity", ENTITY, "--brave",
+        "--queries", write_queries(tmp_path, query),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("xresp: QueryError: bad term") and err.count("\n") == 1
+
+
 def test_exact_query_has_no_pb_num(run_cli, tmp_path):
     queries = write_queries(tmp_path, "pb_num(e,O,T,H,W,yes,F)?")
     code, out, _ = run_cli(
@@ -675,6 +686,33 @@ def test_a_maxint_below_one_is_refused_alike_by_every_subcommand(
     )
     assert (code, out) == (1, "")
     assert err == f"xresp: ValueError: --maxint must be at least 1, got {maxint}\n"
+
+
+COMMAND_EXTRAS = {"query": ["--queries", "missing.q", "--brave"]}
+
+
+@pytest.mark.parametrize(
+    "command", ["classify", "counterfactuals", "explain", "query", "emit-dlv"]
+)
+def test_maxint_is_checked_before_any_file_is_read(run_cli, tmp_path, command):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli(
+        command, "--data", missing, "--entity", ENTITY, "--maxint", "0",
+        *COMMAND_EXTRAS.get(command, []),
+    )
+    assert (code, out) == (1, "")
+    assert err == "xresp: ValueError: --maxint must be at least 1, got 0\n"
+    if command != "emit-dlv":  # emit-dlv is staged only and has no --classifier
+        code, out, err = run_cli(
+            command, "--data", missing, "--entity", ENTITY,
+            "--classifier", "exact", "--maxint", "5",
+            *COMMAND_EXTRAS.get(command, []),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "xresp: ValueError: --maxint bounds the staged backend's integer "
+            "products and has no effect with --classifier exact\n"
+        )
 
 
 def test_maxint_help_states_the_library_default():

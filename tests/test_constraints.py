@@ -163,6 +163,29 @@ def test_construction_rejects_dependency_cycles(weather_dataset):
     )
     ConstraintSet(schema=schema, dependencies=(chain, forward))
 
+    def dep(source, target):
+        image = schema.domain(target)[0]
+        return Dependency(source, target, {v: image for v in schema.domain(source)})
+
+    three_cycle = (
+        dep("Outlook", "Temperature"),
+        dep("Temperature", "Humidity"),
+        dep("Humidity", "Outlook"),
+    )
+    with pytest.raises(ConstraintError, match="cyclic"):
+        ConstraintSet(schema=schema, dependencies=three_cycle)
+    # a walk up from Outlook enters the Humidity/Wind cycle and never returns
+    branch = (dep("Humidity", "Wind"), dep("Wind", "Humidity"), dep("Humidity", "Outlook"))
+    for order in (branch, branch[::-1]):
+        with pytest.raises(ConstraintError, match="cyclic"):
+            ConstraintSet(schema=schema, dependencies=order)
+    three_links = (
+        dep("Outlook", "Temperature"),
+        dep("Temperature", "Humidity"),
+        dep("Humidity", "Wind"),
+    )
+    ConstraintSet(schema=schema, dependencies=three_links)
+
 
 # ---------------------------------------------------------------------------
 # Semantics: admits and propagate

@@ -385,6 +385,11 @@ def test_parse_facts_on_handwritten_text():
                         for l in lines], "expected 2 prior facts"),
         (lambda lines: [l for l in lines if "dom_b" not in l], "missing dom_b facts"),
         (lambda lines: [l for l in lines if "ent(e" not in l], "missing o-annotated"),
+        (lambda lines: lines + ["entSchema(beta,alpha)."], "line 10: repeated entSchema"),
+        (lambda lines: lines + ["ent(f,y,v,o)."], "line 10: repeated o-annotated ent"),
+        # the later fact used to win, though each label still sums to 100
+        (lambda lines: lines + ["p_a_c(x, yes, 45). p_a_c(y, yes, 55)."],
+         "line 10: repeated p_a_c fact for x,yes"),
     ],
 )
 def test_parse_facts_errors(mutate, fragment):

@@ -375,6 +375,25 @@ def test_parse_model_errors():
         parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n")
 
 
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        # still sums to 1 per label, so only the repeat gives it away
+        ("Outlook,sunny,yes,4/9\nOutlook,overcast,yes,2/9",
+         "repeated conditional for Outlook,sunny,yes"),
+        ("labels: no,yes", "repeated 'labels:' line"),
+        ("class-column: Outcome", "repeated 'class-column:' line"),
+        ("prior: yes 5/14\nprior: no 9/14", "repeated prior for yes"),
+    ],
+)
+def test_parse_model_refuses_repeated_statements(weather_dataset, extra, fragment):
+    text = serialize_model(train(weather_dataset), weather_dataset.class_column)
+    assert parse_model(text)  # the file as written loads
+    first_extra = len(text.splitlines()) + 1
+    with pytest.raises(ModelFormatError, match=f"^line {first_extra}: {fragment}"):
+        parse_model(text + extra + "\n")
+
+
 def test_model_distribution_validation(weather_model):
     broken_prior = dict(weather_model.prior)
     broken_prior["yes"] = F(1, 2)

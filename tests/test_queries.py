@@ -335,6 +335,9 @@ def test_parse_query_without_question_mark():
         ("p()?", "at least one argument"),
         ("p(X,,Y)?", "empty literal"),
         ("p(9x)?", "bad term"),
+        ("p(_X)?", "bad term: '_X'"),
+        ("p({a,B})?", "bad term: '{a,B}'"),
+        ("p({a,})?", "bad term"),
         ("p(X))?", "unbalanced"),
         ("p({a,b)?", "unterminated set literal"),
         ("p(X) q(Y)?", "unbalanced brackets"),
