@@ -30,8 +30,10 @@ as a deeper one, or more.
 States are searched as integer cell codes: a state's value indices read as
 mixed-radix digits, feature 0 most significant.  An immutable feature keeps
 only its original value, so the grid leaves out cells no search can reach;
-forbidden combinations and dependencies are checks on digits.  Value
-tuples are decoded only for the chains of the versions returned.
+forbidden combinations and dependencies are checks on digits.  The search
+keeps each version as its cell and a bitmask of its changed features, so
+the changed sets that explanations read come straight from the masks;
+value tuples and their chains are decoded only when versions are read.
 
 A full search with the staged backend first folds the scores of every cell
 of the grid: level by level in schema order, with the same ``// 10`` as
@@ -44,7 +46,7 @@ grids of more than ``_FOLD_LIMIT`` cells, each cell is scored on demand
 through ``classify`` instead, each at most once; a staged overflow then
 raises at the first overflowing cell the search reaches.  Either way the
 versions carry the search's scorer, whose ``by_state`` holds the scores of
-their states, and the query layer reads only those.
+their states once they are read, and the query layer reads only those.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -57,6 +59,7 @@ responsibility, or 0 when the feature is changed in no version.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -214,7 +217,7 @@ class _FoldedCells:
 
     Built only under a ``maxint`` that covers every cell, so no score
     overflows.  ``labels`` holds each cell's label index (0 positive,
-    1 negative).  ``by_state`` maps the states of the versions returned to
+    1 negative).  ``by_state`` maps the states of the versions read to
     their scores.
     """
 
@@ -251,6 +254,75 @@ class _CellsOnDemand(dict):
         return self._scores[code]
 
 
+class _SearchResult(Sequence):
+    """The versions one search found, kept as cells until they are read.
+
+    ``found`` maps each version's cell, in the order the search reached it,
+    to the bitmask of its changed features (bit i for feature i).  ``len``,
+    ``bool`` and ``changed_sets``, the distinct changed sets, read only
+    those.  The first index or iteration decodes every version's chain from
+    ``parent``, records the scores of its states in the scorer's
+    ``by_state`` and sorts the versions by ``(len(changed), final)``.
+    """
+
+    def __init__(self, eid: str, original: tuple[str, ...], names: tuple[str, ...],
+                 grid: _Grid, cells: _FoldedCells | _CellsOnDemand,
+                 parent: dict[int, int | None], start: int,
+                 found: dict[int, int]) -> None:
+        self.eid, self.original = eid, original
+        self._grid, self._cells, self._parent, self._start = grid, cells, parent, start
+        self._found = found
+        # the changed-feature set of each distinct mask
+        self._changed = {
+            mask: frozenset(name for i, name in enumerate(names) if mask >> i & 1)
+            for mask in set(found.values())
+        }
+        self.changed_sets = frozenset(self._changed.values())
+        self._versions: tuple[CounterfactualVersion, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self._found) if self._versions is None else len(self._versions)
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _SearchResult):
+            other = other._decoded()
+        return self._decoded() == other
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+    def _decoded(self) -> tuple[CounterfactualVersion, ...]:
+        if self._versions is not None:
+            return self._versions
+        grid, cells, parent, original = self._grid, self._cells, self._parent, self.original
+        cells.by_state[original] = cells.score(self._start)
+        # the states from the original to each cell, decoded and scored once
+        paths: dict[int, tuple[tuple[str, ...], ...]] = {self._start: (original,)}
+
+        def path(code: int) -> tuple[tuple[str, ...], ...]:
+            states = paths.get(code)
+            if states is None:
+                values = grid.decode(code)
+                cells.by_state[values] = cells.score(code)
+                states = paths[code] = path(parent[code]) + (values,)
+            return states
+
+        versions = [
+            CounterfactualVersion(self.eid, self._changed[mask], path(code), cells)
+            for code, mask in self._found.items()
+        ]
+        self._versions = tuple(sorted(versions, key=lambda v: (len(v.changed), v.final)))
+        # the versions hold all a reader needs; the search's cells can go
+        self._parent = self._found = None
+        return self._versions
+
+
 def enumerate_counterfactuals(
     model: NaiveBayesModel | PercentModel,
     entity: Entity,
@@ -259,7 +331,7 @@ def enumerate_counterfactuals(
     strict: bool = False,
     maxint: int = DEFAULT_MAXINT,
     min_change: bool = False,
-) -> tuple[CounterfactualVersion, ...]:
+) -> Sequence[CounterfactualVersion]:
     """All label-flipping entities reachable by admissible interventions.
 
     Each step changes one feature, each feature at most once, and chains
@@ -267,6 +339,12 @@ def enumerate_counterfactuals(
     whose label flips is terminal and becomes a version.  Pass a
     PercentModel to classify with the staged integer pipeline (the default
     pairing) or a NaiveBayesModel for exact rationals.
+
+    The result is an immutable sequence of versions sorted by the number of
+    changed features, then by ``final``.  Its length, truth value and
+    ``changed_sets`` (the distinct changed sets, which is all
+    ``explanations_of`` reads) come from the search's cells; the first
+    index or iteration decodes every version's chain.
 
     ``strict`` tightens admissibility twice over: interventions only run
     when the original label is the positive one, and forbidden combinations
@@ -296,15 +374,17 @@ def enumerate_counterfactuals(
     labels = cells.labels
     start = grid.encode(original)
     original_label = model.labels.index(cells.score(start)[0])
-    if strict and (original_label != 0 or not grid.admits(start)):
-        return ()
 
     blocked = cs.immutable | cs.dependency_targets
     # per free feature: its bit, and the code steps to each other value
     moves = []
-    for i, (name, domain) in enumerate(schema.features):
-        if name not in blocked:
-            digit = start // grid.weights[i] % len(domain)
+    # per dependency target: its bit, its place and its original digit
+    targets = []
+    for i, (name, domain) in enumerate(zip(schema.names, grid.domains)):
+        digit = start // grid.weights[i] % len(domain)
+        if name in cs.dependency_targets:
+            targets.append((1 << i, grid.weights[i], len(domain), digit))
+        elif name not in blocked:
             steps = [(d - digit) * grid.weights[i] for d in range(len(domain)) if d != digit]
             moves.append((1 << i, steps))
     propagate_cell = grid.propagate if cs.dependencies else None
@@ -312,9 +392,14 @@ def enumerate_counterfactuals(
 
     # the cell each cell was first reached from; doubles as the seen set
     parent: dict[int, int | None] = {start: None}
-    found: list[int] = []
-    # (cell, bits of the features intervened on to reach it)
-    frontier = [(start, 0)]
+    # each version's cell -> the bits of the features it changes
+    found: dict[int, int] = {}
+    # (cell, bits of the features intervened on to reach it); a strict
+    # search from a negative or inadmissible original searches nothing
+    if strict and (original_label != 0 or not grid.admits(start)):
+        frontier = []
+    else:
+        frontier = [(start, 0)]
     # the fewest changed features of any version found so far; no version
     # changes more than every feature
     best = len(schema)
@@ -340,40 +425,22 @@ def enumerate_counterfactuals(
                     if label == original_label:
                         next_frontier.append((successor, intervened | bit))
                         continue
-                    found.append(successor)
+                    # an intervened feature never returns to its original
+                    # value; a dependency target is changed if it moved
+                    mask = intervened | bit
+                    for t_bit, t_weight, t_radix, t_digit in targets:
+                        if successor // t_weight % t_radix != t_digit:
+                            mask |= t_bit
+                    found[successor] = mask
                     if min_change:
-                        changes = sum(map(operator.ne, original, grid.decode(successor)))
-                        best = min(best, changes)
+                        best = min(best, mask.bit_count())
         frontier = next_frontier
         depth += 1
 
-    cells.by_state[original] = cells.score(start)
-    # the states from the original to each cell, decoded and scored once
-    paths: dict[int, tuple[tuple[str, ...], ...]] = {start: (original,)}
-
-    def path(code: int) -> tuple[tuple[str, ...], ...]:
-        states = paths.get(code)
-        if states is None:
-            values = grid.decode(code)
-            cells.by_state[values] = cells.score(code)
-            states = paths[code] = path(parent[code]) + (values,)
-        return states
-
-    # the changed-feature set of each pattern of changed positions
-    changed_sets: dict[tuple[bool, ...], frozenset[str]] = {}
-    versions = []
-    for code in found:
-        states = path(code)
-        moved = tuple(map(operator.ne, original, states[-1]))
-        changed = changed_sets.get(moved)
-        if changed is None:
-            changed = changed_sets[moved] = frozenset(
-                name for name, m in zip(schema.names, moved) if m
-            )
-        versions.append(CounterfactualVersion(entity.eid, changed, states, cells))
     if min_change:
-        return min_change_versions(versions)
-    return tuple(sorted(versions, key=lambda v: (len(v.changed), v.final)))
+        found = {code: mask for code, mask in found.items() if mask.bit_count() == best}
+    return _SearchResult(entity.eid, original, schema.names, grid, cells, parent, start,
+                         found)
 
 
 def min_change_versions(
@@ -391,27 +458,26 @@ def min_change_versions(
 
 
 def explanations_of(
-    versions: Iterable[CounterfactualVersion],
+    versions: _SearchResult,
     original: Entity,
     schema: FeatureSchema,
 ) -> tuple[Explanation, ...]:
     """One explanation per (version, changed feature), deduplicated by content.
 
-    The cause keeps the feature's original value; the contingency is the
-    version's remaining changed features.  A single-change version yields
-    the empty contingency.  A cause and its contingency fix the changed
-    set, so each distinct changed set is expanded once.  A version whose
-    states do not start from ``original`` raises ValueError.
+    ``versions`` is a result of ``enumerate_counterfactuals``.  The cause
+    keeps the feature's original value; the contingency is the version's
+    remaining changed features.  A single-change version yields the empty
+    contingency.  A cause and its contingency fix the changed set, so each
+    of the result's distinct ``changed_sets`` is expanded once and no
+    version is read.  A result searched from another entity than
+    ``original`` raises ValueError.
     """
     values = tuple(original.values)
-    changed_sets: dict[tuple[str, frozenset[str]], None] = {}
-    for version in versions:
-        if version.states[0] != values:
-            raise ValueError("version states do not start from the original entity")
-        changed_sets[version.eid, version.changed] = None
+    if versions.original != values:
+        raise ValueError("version states do not start from the original entity")
     explanations = [
-        Explanation(eid, cause, values[schema.index(cause)], changed - {cause})
-        for eid, changed in changed_sets
+        Explanation(versions.eid, cause, values[schema.index(cause)], changed - {cause})
+        for changed in versions.changed_sets
         for cause in changed
     ]
     return tuple(sorted(

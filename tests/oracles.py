@@ -25,6 +25,7 @@ from xresp import (
     ConstraintSet,
     CounterfactualVersion,
     Entity,
+    Explanation,
     FeatureSchema,
     GroundProgram,
     PercentModel,
@@ -234,6 +235,18 @@ def oracle_versions(
     if min_change:
         return min_change_versions(found)
     return tuple(sorted(found, key=lambda v: (len(v.changed), v.final)))
+
+
+def oracle_explanations(versions, entity: Entity, schema: FeatureSchema) -> set[Explanation]:
+    """The explanations of the definition: every feature a version changes
+    is a cause with its original value, and the version's other changed
+    features are its contingency."""
+    return {
+        Explanation(version.eid, cause, entity.values[schema.index(cause)],
+                    version.changed - {cause})
+        for version in versions
+        for cause in version.changed
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,12 @@ from xresp.schema import Entity, load_dataset
 
 from conftest import TWO_DEPTH_DEPEND
 from helpers import CountingModel
-from oracles import oracle_versions, random_instance, strict_actual_cause
+from oracles import (
+    oracle_explanations,
+    oracle_versions,
+    random_instance,
+    strict_actual_cause,
+)
 
 ORIGINAL = ("rain", "high", "normal", "weak")
 
@@ -248,6 +253,34 @@ def test_explanations_dedupe_and_satisfy_inv_resp(weather_percent, weather_entit
         if ex.cause_feature not in best or ex.inv_resp < best[ex.cause_feature]:
             best[ex.cause_feature] = ex.inv_resp
     assert best == {"Humidity": 1, "Outlook": 2, "Wind": 2, "Temperature": 3}
+
+
+def test_explain_decodes_no_chain_and_builds_no_version(weather_percent, weather_entity,
+                                                       monkeypatch):
+    decoded, built = [], []
+    decode, version = engine._Grid.decode, engine.CounterfactualVersion
+
+    def counting_decode(grid, code):
+        decoded.append(code)
+        return decode(grid, code)
+
+    def counting_version(*args):
+        built.append(args)
+        return version(*args)
+
+    monkeypatch.setattr(engine._Grid, "decode", counting_decode)
+    monkeypatch.setattr(engine, "CounterfactualVersion", counting_version)
+    versions = enumerate_counterfactuals(weather_percent, weather_entity)
+    assert len(versions) == 10 and versions
+    assert versions.changed_sets == {frozenset(s) for s in EXPECTED_VERSIONS.values()}
+    report = xresp(explanations_of(versions, weather_entity, weather_percent.schema),
+                   weather_percent.schema)
+    assert dict(report.scores) == EXPECTED_SCORES
+    assert not decoded and not built
+    # the first read decodes every version once
+    assert {v.final for v in versions} == set(EXPECTED_VERSIONS)
+    assert decoded and len(built) == 10
+    assert versions[0].final == ("rain", "high", "high", "weak") and len(built) == 10
 
 
 def test_xresp_scores(weather_percent, weather_entity, weather_versions):
@@ -535,12 +568,25 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                     options = dict(strict=strict, maxint=maxint, min_change=min_change)
                     got = outcome(enumerate_counterfactuals, model, entity,
                                   constraints, **options)
-                    assert got == outcome(oracle_versions, model, entity,
-                                          constraints, **options)
-                    if got and got[0] is StagedOverflowError:
+                    want = outcome(oracle_versions, model, entity, constraints, **options)
+                    if want and want[0] is StagedOverflowError:
+                        assert got == want
                         outcomes["overflow", min_change] += 1
                         continue
+                    # the changed sets and explanations come from the masks,
+                    # before any version is read
+                    assert got.changed_sets == {v.changed for v in want}
+                    explanations = explanations_of(got, entity, model.schema)
+                    assert len(explanations) == len(set(explanations))
+                    assert set(explanations) == oracle_explanations(want, entity,
+                                                                    model.schema)
+                    assert got == want
+                    assert got.changed_sets == {v.changed for v in got}
                     outcomes["versions"] += bool(got)
+                    outcomes["target changed"] += any(
+                        changed & constraints.dependency_targets
+                        for changed in got.changed_sets
+                    )
                     # the scores the query layer reads are classify's, and
                     # every final state flips the original label
                     original_label = model.classify(entity.values, maxint)[0]
@@ -554,3 +600,5 @@ def test_search_matches_the_per_state_oracle(tmp_path):
     # search under a ceiling below the covering one scores on demand
     assert outcomes["overflow", False] > 50 and outcomes["overflow", True] > 50
     assert outcomes["versions"] > 800
+    # dependency targets changed in some version's mask
+    assert outcomes["target changed"] > 100

@@ -15,7 +15,7 @@ import pytest
 
 from xresp.cli import main
 
-from conftest import REPO_ROOT, WEATHER_CSV
+from conftest import README_CONSTRAINTS, REPO_ROOT, WEATHER_CSV
 
 QUERIES = (
     "fullExpl(E,U,R,S), R < 3?\n"
@@ -71,3 +71,17 @@ def test_traced_min_change_digest_matches_the_cli(tmp_path, capsys, command, fla
     traced_and_cli_stdout(
         tmp_path, capsys, command, ["--classifier", "exact", *flags], queries
     )
+
+
+@pytest.mark.parametrize("constraints", [None, README_CONSTRAINTS],
+                         ids=["plain", "constrained"])
+def test_traced_explain_digest_matches_the_cli(tmp_path, capsys, constraints):
+    flags = []
+    if constraints is not None:
+        # one forbid, one depend and one immutable line
+        path = tmp_path / "weather.constraints"
+        path.write_text(constraints, encoding="utf-8")
+        flags = ["--constraints", str(path)]
+    stdout, report = traced_and_cli_stdout(tmp_path, capsys, "explain", flags)
+    # one x-resp line per feature, then one line per explanation
+    assert report["counts"]["explanations"] == len(stdout.splitlines()) - 4 > 0
