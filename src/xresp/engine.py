@@ -45,8 +45,8 @@ backend, minimum-change searches (which often stop after a few states) and
 grids of more than ``_FOLD_LIMIT`` cells, each cell is scored on demand
 through ``classify`` instead, each at most once; a staged overflow then
 raises at the first overflowing cell the search reaches.  Either way the
-versions carry the search's scorer, whose ``by_state`` holds the scores of
-their states once they are read, and the query layer reads only those.
+result keeps the search's scorer, and the query layer reads each chain
+cell's score from it: nothing is classified twice.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -82,10 +82,6 @@ class CounterfactualVersion:
     eid: str
     changed: frozenset[str]
     states: tuple[tuple[str, ...], ...]
-    # the search's scorer: its ``by_state`` holds the only scores the query
-    # layer reads, those of ``states``
-    _scores: _FoldedCells | _CellsOnDemand | None = field(default=None, compare=False,
-                                                          repr=False)
 
     @property
     def final(self) -> tuple[str, ...]:
@@ -217,13 +213,11 @@ class _FoldedCells:
 
     Built only under a ``maxint`` that covers every cell, so no score
     overflows.  ``labels`` holds each cell's label index (0 positive,
-    1 negative).  ``by_state`` maps the states of the versions read to
-    their scores.
+    1 negative).
     """
 
     def __init__(self, model: PercentModel, grid: _Grid, maxint: int) -> None:
         self.model, self.maxint = model, maxint
-        self.by_state: dict[tuple[str, ...], tuple] = {}
         self.pos, self.neg = model._grid_scores(grid.domains)
         self.labels = bytearray(map(operator.lt, self.pos, self.neg))
 
@@ -232,13 +226,12 @@ class _FoldedCells:
 
 
 class _CellsOnDemand(dict):
-    """Cell code -> label index, classified when first read; ``by_state`` as above."""
+    """Cell code -> label index, classified when first read."""
 
     def __init__(self, model: NaiveBayesModel | PercentModel, grid: _Grid,
                  maxint: int) -> None:
         super().__init__()
         self.model, self.grid, self.maxint = model, grid, maxint
-        self.by_state: dict[tuple[str, ...], tuple] = {}
         self.labels = self  # read like ``_FoldedCells.labels``
         self._scores: dict[int, tuple] = {}
 
@@ -258,30 +251,29 @@ class _SearchResult(Sequence):
     """The versions one search found, kept as cells until they are read.
 
     ``found`` maps each version's cell, in the order the search reached it,
-    to the bitmask of its changed features (bit i for feature i).  ``len``,
-    ``bool`` and ``changed_sets``, the distinct changed sets, read only
-    those.  The first index or iteration decodes every version's chain from
-    ``parent``, records the scores of its states in the scorer's
-    ``by_state`` and sorts the versions by ``(len(changed), final)``.
+    to the bitmask of its changed features (bit i for feature i), ``masks``
+    each distinct mask to its changed set, and ``parent`` each reached cell
+    to the cell it was first reached from.  ``len``, ``bool``,
+    ``changed_sets`` and the query layer read only these and ``scorer``;
+    the first index or iteration decodes every version's chain.
     """
 
     def __init__(self, eid: str, original: tuple[str, ...], names: tuple[str, ...],
-                 grid: _Grid, cells: _FoldedCells | _CellsOnDemand,
+                 grid: _Grid, scorer: _FoldedCells | _CellsOnDemand,
                  parent: dict[int, int | None], start: int,
                  found: dict[int, int]) -> None:
-        self.eid, self.original = eid, original
-        self._grid, self._cells, self._parent, self._start = grid, cells, parent, start
-        self._found = found
-        # the changed-feature set of each distinct mask
-        self._changed = {
+        self.eid, self.original, self._names = eid, original, names
+        self.grid, self.scorer, self.parent, self.start = grid, scorer, parent, start
+        self.found = found
+        self.masks = {
             mask: frozenset(name for i, name in enumerate(names) if mask >> i & 1)
             for mask in set(found.values())
         }
-        self.changed_sets = frozenset(self._changed.values())
+        self.changed_sets = frozenset(self.masks.values())
         self._versions: tuple[CounterfactualVersion, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self._found) if self._versions is None else len(self._versions)
+        return len(self.found)
 
     def __getitem__(self, index):
         return self._decoded()[index]
@@ -297,29 +289,34 @@ class _SearchResult(Sequence):
     def __repr__(self) -> str:
         return repr(self._decoded())
 
+    def ordered(self) -> list[int]:
+        """The found cells in version order: by number of changes, then final state."""
+        found, decode = self.found, self.grid.decode
+        return sorted(found, key=lambda code: (found[code].bit_count(), decode(code)))
+
+    def fewest_changes(self) -> _SearchResult:
+        """This result restricted to the versions with the fewest changed features."""
+        best = min(map(int.bit_count, self.found.values()), default=0)
+        found = {code: m for code, m in self.found.items() if m.bit_count() == best}
+        return _SearchResult(self.eid, self.original, self._names, self.grid, self.scorer,
+                             self.parent, self.start, found)
+
     def _decoded(self) -> tuple[CounterfactualVersion, ...]:
-        if self._versions is not None:
-            return self._versions
-        grid, cells, parent, original = self._grid, self._cells, self._parent, self.original
-        cells.by_state[original] = cells.score(self._start)
-        # the states from the original to each cell, decoded and scored once
-        paths: dict[int, tuple[tuple[str, ...], ...]] = {self._start: (original,)}
+        if self._versions is None:
+            grid, parent = self.grid, self.parent
+            # the states from the original to each cell, decoded once
+            paths: dict[int, tuple[tuple[str, ...], ...]] = {self.start: (self.original,)}
 
-        def path(code: int) -> tuple[tuple[str, ...], ...]:
-            states = paths.get(code)
-            if states is None:
-                values = grid.decode(code)
-                cells.by_state[values] = cells.score(code)
-                states = paths[code] = path(parent[code]) + (values,)
-            return states
+            def path(code: int) -> tuple[tuple[str, ...], ...]:
+                states = paths.get(code)
+                if states is None:
+                    states = paths[code] = path(parent[code]) + (grid.decode(code),)
+                return states
 
-        versions = [
-            CounterfactualVersion(self.eid, self._changed[mask], path(code), cells)
-            for code, mask in self._found.items()
-        ]
-        self._versions = tuple(sorted(versions, key=lambda v: (len(v.changed), v.final)))
-        # the versions hold all a reader needs; the search's cells can go
-        self._parent = self._found = None
+            self._versions = tuple(
+                CounterfactualVersion(self.eid, self.masks[self.found[code]], path(code))
+                for code in self.ordered()
+            )
         return self._versions
 
 
@@ -342,9 +339,8 @@ def enumerate_counterfactuals(
 
     The result is an immutable sequence of versions sorted by the number of
     changed features, then by ``final``.  Its length, truth value and
-    ``changed_sets`` (the distinct changed sets, which is all
-    ``explanations_of`` reads) come from the search's cells; the first
-    index or iteration decodes every version's chain.
+    ``changed_sets`` (all ``explanations_of`` reads) come from the search's
+    cells; the first index or iteration decodes every version's chain.
 
     ``strict`` tightens admissibility twice over: interventions only run
     when the original label is the positive one, and forbidden combinations
@@ -437,16 +433,17 @@ def enumerate_counterfactuals(
         frontier = next_frontier
         depth += 1
 
-    if min_change:
-        found = {code: mask for code, mask in found.items() if mask.bit_count() == best}
-    return _SearchResult(entity.eid, original, schema.names, grid, cells, parent, start,
-                         found)
+    result = _SearchResult(entity.eid, original, schema.names, grid, cells, parent, start,
+                           found)
+    return result.fewest_changes() if min_change else result
 
 
 def min_change_versions(
     versions: Iterable[CounterfactualVersion],
-) -> tuple[CounterfactualVersion, ...]:
-    """The versions with the fewest changed features; empty input stays empty."""
+) -> Sequence[CounterfactualVersion]:
+    """The fewest-change versions; a search result gives what ``min_change=True`` does."""
+    if isinstance(versions, _SearchResult):
+        return versions.fewest_changes()
     pool = list(versions)
     best = min((len(v.changed) for v in pool), default=0)
     return tuple(sorted((v for v in pool if len(v.changed) == best), key=lambda v: v.final))
@@ -472,6 +469,9 @@ def explanations_of(
     version is read.  A result searched from another entity than
     ``original`` raises ValueError.
     """
+    if not isinstance(versions, _SearchResult):
+        raise TypeError("explanations_of takes a result of enumerate_counterfactuals, "
+                        f"not {type(versions).__name__}")
     values = tuple(original.values)
     if versions.original != values:
         raise ValueError("version states do not start from the original entity")

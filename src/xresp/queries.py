@@ -1,23 +1,26 @@
 """Conjunctive queries over the atom sets of counterfactual models.
 
-Every counterfactual version, seen as a stable model, is materialized as a
-set of ground atoms: the shared original entity (annotation ``o``), the
-state trace the search recorded (``do``/``tr`` states with their ``cls``
-and staged ``pb_num`` atoms), the flipped terminal (``s``), and the
-version's explanation machinery (``expl``, ``cause``, ``cont``,
-``invResp``, ``fullExpl``).  The trace is materialized as recorded,
-dependency-propagated values included; it is never replayed.  Feature
-names appear lowercased as constants; contingency sets are set-valued
-arguments.
+Every counterfactual version, seen as a stable model, is a set of ground
+atoms: the shared original entity (annotation ``o``), the states of its
+intervention chain (``do``/``tr`` states with their ``cls`` and staged
+``pb_num`` atoms), the flipped terminal (``s``), and the version's
+explanation machinery (``expl``, ``cause``, ``cont``, ``invResp``,
+``fullExpl``).  Chains are read as the search recorded them, never
+replayed.  Feature names appear lowercased as constants; contingency sets
+are set-valued arguments.  The predicates and their arities depend only on
+the model (``pb_num`` only for a staged one), so a query can be checked
+before any search.
 
-Models are materialized per predicate, on demand.  The predicates and their
-arities depend only on the model (``pb_num`` only for a staged one), so a
-query can be checked before any search; a predicate's tuples are built the
-first time they are read.  ``cls`` and ``pb_num`` take their scores only
-from the search that built the versions: in the answer set a version stands
-for, every state's class is the one that decided the search.  Versions the
-search did not score with the same model object and ceiling are refused.
-Versions with the same changed features share their explanation tables.
+``model_atom_sets`` is a view over one search result, and ``answer`` reads
+the result rather than one atom set per version.  Explanation atoms depend
+only on the changed set: their tables are built once per changed-feature
+mask, and a query naming only them runs once per mask and decodes no
+chain.  A one-atom ``ent``, ``cls`` or ``pb_num`` query runs once, over the
+atoms of the cells on some chain (brave) or on every chain (cautious);
+each cell's atoms are built once, with the score the search's scorer holds.
+Only a query joining a chain predicate with another atom runs per version.
+A result searched with another model object or ceiling is refused: its
+``cls`` atoms would belong to no answer set.
 
 Query text copies the solver convention: comma-separated literals ending in
 ``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Constants follow the text
@@ -28,24 +31,22 @@ ones only between integers).  Entity values are strings, so an integer
 constant matches both the integer and the string it is written as: ``1``
 matches ``1`` and ``"1"``.
 
-A query is compiled once; it is then evaluated once per distinct
-combination of the tables its atoms name, so models sharing tables share
-the work.  An answer row echoes the matched value of every non-constant
-argument position, in positional order; constants echo nothing.  Brave
-answers hold in some model, cautious answers in all models.  Rows are
-deduplicated and sorted canonically.  ``render_row`` (defined in ``schema``)
-prints sets as ``{a,b}`` (alphabetical, no spaces) and joins row values
-with a comma and space.
+An answer row echoes the matched value of every non-constant argument
+position, in positional order; constants echo nothing.  Brave answers hold
+in some model, cautious answers in all models.  Rows are deduplicated and
+sorted canonically.  ``render_row`` (defined in ``schema``) prints sets as
+``{a,b}`` (alphabetical, no spaces) and joins row values with a comma and
+space.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .engine import CounterfactualVersion
+from .engine import _SearchResult
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import _CONSTANT_RE, Entity
 # answers print through the text rules in schema; kept importable from here
@@ -73,33 +74,7 @@ class ModelAtomSet:
         return self.atoms.get(predicate, frozenset())
 
 
-class _LazyAtoms(Mapping):
-    """Read-only predicate -> tuple-set mapping of one version.
-
-    The predicates and their arities (``arity``, shared by every version
-    of one materialization) are fixed up front; a predicate's frozenset is
-    built the first time it is read and kept.
-    """
-
-    def __init__(self, arity: Mapping[str, int],
-                 build: Callable[[str], frozenset[tuple[Value, ...]]]) -> None:
-        self.arity = arity
-        self._build = build
-        self._tables: dict[str, frozenset[tuple[Value, ...]]] = {}
-
-    def __getitem__(self, predicate: str) -> frozenset[tuple[Value, ...]]:
-        table = self._tables.get(predicate)
-        if table is None:
-            if predicate not in self.arity:
-                raise KeyError(predicate)
-            table = self._tables[predicate] = self._build(predicate)
-        return table
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.arity)
-
-    def __len__(self) -> int:
-        return len(self.arity)
+_CHAIN = ("ent", "cls", "pb_num")  # read from chains of cells; the rest from masks
 
 
 def _arities(model: NaiveBayesModel | PercentModel) -> dict[str, int]:
@@ -114,92 +89,125 @@ def _arities(model: NaiveBayesModel | PercentModel) -> dict[str, int]:
     return arity
 
 
-class _Materializer:
-    """Builds the lazy atom sets of one run's versions, sharing the work.
+class _ResultAtomSets(Sequence):
+    """The atom sets of one search result's versions, in version order.
 
-    State scores come from the search that built each version, which must
-    have used this model object and ceiling.  The explanation tables of a
-    changed-feature set are built once and shared by every version that
-    changes exactly those features.
+    Explanation tables are built once per changed-feature mask, a chain
+    cell's atoms once per predicate; reading an element gets a read-only
+    mapping of that version's tables.
     """
 
-    def __init__(self, model: NaiveBayesModel | PercentModel, original: Entity,
-                 maxint: int) -> None:
-        self.model = model
-        self.original_values = tuple(original.values)
-        self.maxint = maxint
-        self.arity = _arities(model)
-        self._explanations: dict[tuple[str, frozenset[str]], dict] = {}
+    def __init__(self, result: _SearchResult, model: NaiveBayesModel | PercentModel) -> None:
+        self.result, self.model, self.arity = result, model, _arities(model)
+        self._by_mask: dict[int, dict[str, frozenset[tuple[Value, ...]]]] = {}
+        self._by_cell: dict[tuple[str, int], list[tuple[Value, ...]]] = {}
+        self._order: list[int] | None = None
 
-    def atom_set(self, version: CounterfactualVersion) -> ModelAtomSet:
-        if version.states[0] != self.original_values:
-            # the caller mixed versions and originals from different runs
-            raise QueryError("version states do not start from the original entity")
-        scores = version._scores
-        if scores is None or scores.model is not self.model or scores.maxint != self.maxint:
-            # cls atoms from another classification belong to no answer set
-            raise QueryError("version was not searched with this model and maxint")
-        return ModelAtomSet(atoms=_LazyAtoms(self.arity, partial(self._table, version)))
+    def __len__(self) -> int:
+        return len(self.result)
 
-    def _table(self, version: CounterfactualVersion,
-               predicate: str) -> frozenset[tuple[Value, ...]]:
-        eid, states = version.eid, version.states
-        if predicate == "ent":
-            return frozenset(
-                [(eid, *states[0], "o"), (eid, *version.final, "s")]
-                + [(eid, *state, "do") for state in states[1:]]
-                + [(eid, *state, "tr") for state in states]
-            )
-        if predicate == "cls":
-            score = version._scores.by_state
-            return frozenset((eid, *state, score[state][0]) for state in states)
-        if predicate == "pb_num":
-            score = version._scores.by_state
-            return frozenset(
-                (eid, *state, label, num)
-                for state in states
-                for label, num in zip(self.model.labels, score[state][1:])
-            )
-        key = (eid, version.changed)
-        tables = self._explanations.get(key)
+    def __getitem__(self, index: int) -> ModelAtomSet:
+        if self._order is None:
+            self._order = self.result.ordered()
+        tables = self._version_tables(tuple(self.arity), self._order[index])
+        return ModelAtomSet(MappingProxyType(dict(zip(self.arity, tables))))
+
+    def _tables(self, predicates: list[str], semantics: str) -> list[tuple]:
+        """Table combinations whose answer under ``semantics`` is every version's."""
+        found, parent = self.result.found, self.result.parent
+        if not any(predicate in _CHAIN for predicate in predicates):
+            return [tuple(self._explanations(mask)[predicate] for predicate in predicates)
+                    for mask in self.result.masks]
+        if len(predicates) > 1:
+            return [self._version_tables(predicates, code) for code in found]
+        # a chain row names one atom (a position holds one kind of value), so the
+        # cautious rows are those of the cells on every chain: the cells that
+        # have every found cell at or below them
+        below: dict[int, int] = {}
+        for code in found:
+            while code is not None:
+                below[code] = below.get(code, 0) + 1
+                code = parent[code]
+        cells = [c for c, n in below.items() if semantics == "brave" or n == len(found)]
+        return [(self._chain_table(predicates[0], cells),)]
+
+    def _version_tables(self, predicates, code: int) -> tuple[frozenset, ...]:
+        """The tables ``predicates`` name in the version found at ``code``."""
+        explanations = self._explanations(self.result.found[code])
+        chain = []
+        while code is not None:
+            chain.append(code)
+            code = self.result.parent[code]
+        return tuple(explanations[predicate] if predicate in explanations
+                     else self._chain_table(predicate, chain) for predicate in predicates)
+
+    def _chain_table(self, predicate: str, cells: list[int]) -> frozenset[tuple[Value, ...]]:
+        """The ``predicate`` atoms of ``cells``: per cell a ``tr`` state, an ``o``
+        (start) or ``do`` state, an ``s`` state if found, a ``cls`` atom and
+        ``pb_num`` atoms."""
+        result, atoms = self.result, []
+        for code in cells:
+            cell_atoms = self._by_cell.get((predicate, code))
+            if cell_atoms is None:
+                eid, state = result.eid, result.grid.decode(code)
+                if predicate == "ent":
+                    cell_atoms = [(eid, *state, "tr"),
+                                  (eid, *state, "o" if code == result.start else "do")]
+                    if code in result.found:
+                        cell_atoms.append((eid, *state, "s"))
+                elif predicate == "cls":
+                    cell_atoms = [(eid, *state, result.scorer.score(code)[0])]
+                else:
+                    cell_atoms = [(eid, *state, label, num) for label, num
+                                  in zip(self.model.labels, result.scorer.score(code)[1:])]
+                self._by_cell[predicate, code] = cell_atoms
+            atoms += cell_atoms
+        return frozenset(atoms)
+
+    def _explanations(self, mask: int) -> dict[str, frozenset[tuple[Value, ...]]]:
+        """The explanation tables of the versions that change the features of ``mask``."""
+        tables = self._by_mask.get(mask)
         if tables is None:
-            tables = self._explanations[key] = self._explanation_tables(*key)
-        return tables[predicate]
-
-    def _explanation_tables(self, eid: str, changed: frozenset[str]) -> dict:
-        schema = self.model.schema
-        changed_lower = frozenset(name.lower() for name in changed)
-        inv_resp = len(changed)
-        atoms: dict[str, list[tuple[Value, ...]]] = {
-            "expl": [], "cause": [], "cont": [], "invResp": [], "fullExpl": [],
-        }
-        for name in changed:
-            cause = name.lower()
-            contingency = changed_lower - {cause}
-            atoms["expl"].append((eid, cause, self.original_values[schema.index(name)]))
-            atoms["cause"].append((eid, cause))
-            atoms["cont"].append((eid, cause, contingency))
-            atoms["invResp"].append((eid, cause, inv_resp))
-            atoms["fullExpl"].append((eid, cause, inv_resp, contingency))
-        return {pred: frozenset(tuples) for pred, tuples in atoms.items()}
+            eid, changed, n = self.result.eid, self.result.masks[mask], mask.bit_count()
+            lower = frozenset(name.lower() for name in changed)
+            # (cause, its original value, its contingency)
+            causes = [(name.lower(), self.result.original[self.model.schema.index(name)],
+                       lower - {name.lower()}) for name in changed]
+            tables = self._by_mask[mask] = {
+                "expl": frozenset((eid, c, value) for c, value, _ in causes),
+                "cause": frozenset((eid, c) for c, _, _ in causes),
+                "cont": frozenset((eid, c, rest) for c, _, rest in causes),
+                "invResp": frozenset((eid, c, n) for c, _, _ in causes),
+                "fullExpl": frozenset((eid, c, n, rest) for c, _, rest in causes),
+            }
+        return tables
 
 
 def model_atom_sets(
-    versions: Iterable[CounterfactualVersion],
+    versions: _SearchResult,
     model: NaiveBayesModel | PercentModel,
     original: Entity,
     *,
     maxint: int = DEFAULT_MAXINT,
-) -> list[ModelAtomSet]:
-    """The atom sets of ``versions``, sharing explanation tables.
+) -> Sequence[ModelAtomSet]:
+    """A view of the atom sets of ``versions``, a result of ``enumerate_counterfactuals``.
 
-    ``cls`` and, for a staged model, ``pb_num`` read the scores the search
-    recorded for each version's states; nothing is classified here.  A
-    version that ``enumerate_counterfactuals`` did not build with this same
-    ``model`` object and ``maxint`` raises QueryError.
+    ``cls`` and ``pb_num`` read the search's scorer; nothing is classified.
+    Any other ``versions`` raises TypeError; a result searched from another
+    entity than ``original``, or not with this ``model`` object and
+    ``maxint``, raises QueryError.
     """
-    materializer = _Materializer(model, original, maxint)
-    return [materializer.atom_set(v) for v in versions]
+    if not isinstance(versions, _SearchResult):
+        raise TypeError("model_atom_sets takes a result of enumerate_counterfactuals, "
+                        f"not {type(versions).__name__}")
+    if versions.original != tuple(original.values):
+        # the caller mixed versions and originals from different runs
+        raise QueryError("version states do not start from the original entity")
+    scorer = versions.scorer
+    if scorer.model is not model or scorer.maxint != maxint:
+        # cls atoms from another classification belong to no answer set
+        raise QueryError("version was not searched with this model and maxint")
+    return _ResultAtomSets(versions, model)
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +388,32 @@ def answer(
 ) -> list[tuple[Value, ...]]:
     """Answer rows under brave (union) or cautious (intersection) semantics.
 
-    The query is evaluated once per distinct combination of the table
-    objects its atoms name, so models that share tables share the work.  A
-    single-atom query is evaluated once: over the union of the tables
-    (brave), or over the smallest table, keeping a row only while every
-    other table holds an atom that yields it (cautious).
+    ``models`` is the view ``model_atom_sets`` returns, whose tables come
+    from the search result, or any sequence of atom sets.  The query runs
+    once per distinct combination of the table objects its atoms name.  A
+    single-atom query runs once: over the union of the tables (brave), or
+    over the smallest, keeping a row only while every other table holds an
+    atom that yields it (cautious).
     """
     if semantics not in ("brave", "cautious"):
         raise QueryError(f"semantics must be 'brave' or 'cautious', got {semantics!r}")
     if not models:
         return []
-    _check_arities(query, models)
+    predicates = [pattern.predicate for pattern in query.atoms]
+    if isinstance(models, _ResultAtomSets):
+        _check_query(query, models.model)
+        distinct = models._tables(predicates, semantics)
+    else:
+        _check_arities(query, models)
+        by_id: dict[tuple[int, ...], tuple[frozenset, ...]] = {}
+        for model_atoms in models:
+            tables = tuple(model_atoms.tuples(predicate) for predicate in predicates)
+            by_id.setdefault(tuple(map(id, tables)), tables)
+        distinct = list(by_id.values())
 
     plan = _Plan(query)
-    predicates = [pattern.predicate for pattern in query.atoms]
-    distinct: dict[tuple[int, ...], tuple[frozenset, ...]] = {}
-    for model_atoms in models:
-        tables = tuple(model_atoms.tuples(predicate) for predicate in predicates)
-        distinct.setdefault(tuple(map(id, tables)), tables)
-
     if len(predicates) == 1:
-        tables = sorted((table for (table,) in distinct.values()), key=len)
+        tables = sorted((table for (table,) in distinct), key=len)
         if semantics == "brave":
             rows = plan.rows((frozenset().union(*tables),))
         else:
@@ -408,10 +421,10 @@ def answer(
             for table in tables[1:]:
                 rows = {row for row in rows if plan.yields(row, table)}
     elif semantics == "brave":
-        rows = set().union(*(plan.rows(tables) for tables in distinct.values()))
+        rows = set().union(*(plan.rows(tables) for tables in distinct))
     else:
         rows = None
-        for tables in distinct.values():
+        for tables in distinct:
             rows = plan.rows(tables) if rows is None else rows & plan.rows(tables)
             if not rows:
                 break
@@ -424,25 +437,12 @@ def _check_query(query: Query, model: NaiveBayesModel | PercentModel) -> None:
 
 
 def _check_arities(query: Query, models: Sequence[ModelAtomSet]) -> None:
-    """Every queried predicate must occur in some model, at the query's arity.
-
-    Lazy atom sets declare their arities; plain mappings are scanned, for
-    the queried predicates only.
-    """
+    """Every queried predicate must occur in some model, at the query's arity."""
     names = {pattern.predicate for pattern in query.atoms}
     known: dict[str, set[int]] = {}
-    inventories: set[int] = set()
     for model_atoms in models:
-        atoms = model_atoms.atoms
-        if isinstance(atoms, _LazyAtoms):
-            if id(atoms.arity) in inventories:
-                continue
-            inventories.add(id(atoms.arity))
-            found = {p: {atoms.arity[p]} for p in names if p in atoms.arity}
-        else:
-            found = {p: {len(row) for row in atoms[p]} for p in names if p in atoms}
-        for predicate, arities in found.items():
-            known.setdefault(predicate, set()).update(arities)
+        for predicate in names & model_atoms.atoms.keys():
+            known.setdefault(predicate, set()).update(map(len, model_atoms.atoms[predicate]))
     _check_inventory(query, known)
 
 

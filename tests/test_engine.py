@@ -21,6 +21,7 @@ from xresp.engine import (
     xresp,
 )
 from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent, train
+from xresp.queries import model_atom_sets
 from xresp.schema import Entity, load_dataset
 
 from conftest import TWO_DEPTH_DEPEND
@@ -104,6 +105,35 @@ def test_min_change_is_the_single_humidity_flip(weather_versions):
     assert only.final == ("rain", "high", "high", "weak")
     assert only.changed == frozenset({"Humidity"})
     assert min_change_versions(()) == ()
+
+
+def test_min_change_versions_of_a_read_result_is_a_search_result(
+    weather_model, weather_percent, weather_entity
+):
+    for model in (weather_percent, weather_model):
+        constraints = parse_constraints(TWO_DEPTH_DEPEND, model.schema)
+        full = enumerate_counterfactuals(model, weather_entity, constraints)
+        assert len(list(full)) == len(full) > 2  # decoded, and still a search result
+        kept = min_change_versions(full)
+        assert type(kept) is type(full) and len(kept) == 2
+        bounded = enumerate_counterfactuals(model, weather_entity, constraints,
+                                            min_change=True)
+        assert kept == bounded and kept.changed_sets == bounded.changed_sets
+        assert explanations_of(kept, weather_entity, model.schema) == explanations_of(
+            bounded, weather_entity, model.schema
+        )
+
+
+@pytest.mark.parametrize("refused, kind", [
+    (lambda versions: versions[:1], "tuple"),
+    (list, "list"),
+    (lambda versions: min_change_versions(list(versions)), "tuple"),
+])
+def test_explanations_of_takes_only_search_results(weather_versions, weather_percent,
+                                                   weather_entity, refused, kind):
+    with pytest.raises(TypeError, match="^explanations_of takes a result of "
+                                        f"enumerate_counterfactuals, not {kind}$"):
+        explanations_of(refused(weather_versions), weather_entity, weather_percent.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +620,19 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                     # the scores the query layer reads are classify's, and
                     # every final state flips the original label
                     original_label = model.classify(entity.values, maxint)[0]
-                    for version in got:
+                    atom_sets = model_atom_sets(got, model, entity, maxint=maxint)
+                    for version, atom_set in zip(got, atom_sets):
                         assert model.classify(version.final, maxint)[0] != original_label
-                        by_state = version._scores.by_state
-                        for state in version.states:
-                            assert by_state[state] == model.classify(state, maxint)
+                        scores = [(state, model.classify(state, maxint))
+                                  for state in version.states]
+                        assert atom_set.tuples("cls") == {
+                            ("e", *state, score[0]) for state, score in scores
+                        }
+                        assert atom_set.tuples("pb_num") == {
+                            ("e", *state, label, num)
+                            for state, score in scores if model is staged
+                            for label, num in zip(model.labels, score[1:])
+                        }
     assert outcomes["constrained"] > 200
     # overflows both in full searches and in minimum-change searches; a full
     # search under a ceiling below the covering one scores on demand

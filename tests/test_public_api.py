@@ -91,7 +91,7 @@ def test_an_unknown_attribute_is_an_attribute_error_naming_it():
 # Each result type stores a fact once: ``CounterfactualVersion.final`` and
 # ``Explanation.inv_resp`` are properties derived from these fields.
 EXPECTED_RESULT_FIELDS = {
-    "CounterfactualVersion": ["eid", "changed", "states", "_scores"],
+    "CounterfactualVersion": ["eid", "changed", "states"],
     "Explanation": ["eid", "cause_feature", "cause_value", "contingency"],
     "ResponsibilityReport": ["scores"],
 }

@@ -1,7 +1,7 @@
 """Tests for conjunctive queries over counterfactual model atom sets."""
 
-import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +10,12 @@ from xresp import (
     Entity,
     enumerate_counterfactuals,
     load_dataset,
+    min_change_versions,
     to_percent,
     train,
 )
+from xresp.naive_bayes import DEFAULT_MAXINT, PercentModel
+from xresp import engine
 from xresp.constraints import parse_constraints
 from xresp.queries import (
     Anonymous,
@@ -30,6 +33,7 @@ from xresp.queries import (
     render_value,
 )
 
+from conftest import TWO_DEPTH_DEPEND
 from helpers import CountingModel
 from oracles import oracle_answer, oracle_atoms_of, random_instance
 
@@ -151,7 +155,7 @@ def test_atom_sets_carry_staged_scores(weather_atom_sets):
 
 def test_exact_models_have_no_pb_num(weather_model, weather_entity):
     versions = enumerate_counterfactuals(weather_model, weather_entity)
-    (atom_set,) = model_atom_sets(versions[:1], weather_model, weather_entity)
+    atom_set = model_atom_sets(versions, weather_model, weather_entity)[0]
     assert atom_set.tuples("pb_num") == frozenset()
     assert atom_set.tuples("cls")
 
@@ -171,7 +175,29 @@ def test_atoms_of_rejects_mismatched_version(weather_versions, weather_percent):
     # a version from another original entity is rejected
     other = Entity("e", ("sunny", "high", "normal", "weak"))
     with pytest.raises(QueryError, match="do not start from the original entity"):
-        model_atom_sets(weather_versions[:1], weather_percent, other)
+        model_atom_sets(weather_versions, weather_percent, other)
+
+
+@pytest.mark.parametrize("refused, kind", [
+    (lambda versions: versions[:1], "tuple"),
+    (list, "list"),
+    (lambda versions: min_change_versions(list(versions)), "tuple"),
+])
+def test_model_atom_sets_takes_only_search_results(weather_versions, weather_percent,
+                                                   weather_entity, refused, kind):
+    with pytest.raises(TypeError, match="^model_atom_sets takes a result of "
+                                        f"enumerate_counterfactuals, not {kind}$"):
+        model_atom_sets(refused(weather_versions), weather_percent, weather_entity)
+
+
+def test_min_change_versions_of_a_result_is_a_result(weather_versions, weather_percent,
+                                                     weather_entity):
+    kept = min_change_versions(weather_versions)
+    searched = enumerate_counterfactuals(weather_percent, weather_entity, min_change=True)
+    assert kept == searched and len(kept) == 1
+    (atom_set,) = model_atom_sets(kept, weather_percent, weather_entity)
+    assert atom_set.atoms == model_atom_sets(searched, weather_percent,
+                                             weather_entity)[0].atoms
 
 
 def test_model_atom_sets_matches_atoms_of(weather_versions, weather_percent,
@@ -240,15 +266,12 @@ def test_model_atom_sets_classify_each_distinct_state_at_most_once(
         # the search scored every state, so the query layer scores nothing
         assert not model.calls and not model.folds
 
-    # versions searched under another ceiling or with another model object
-    # carry other scores, and versions without scores carry none: they are
-    # refused, and nothing is classified
-    unscored = [dataclasses.replace(v, _scores=None) for v in versions]
+    # results searched under another ceiling or with another model object
+    # carry other scores: they are refused, and nothing is classified
     mismatched = [
         (enumerate_counterfactuals(model, weather_entity, maxint=10**9), model),
         (enumerate_counterfactuals(weather_percent, weather_entity), model),
         (enumerate_counterfactuals(model, weather_entity), weather_percent),
-        (unscored, model),
     ]
     for versions, query_model in mismatched:
         model.calls.clear()
@@ -257,6 +280,154 @@ def test_model_atom_sets_classify_each_distinct_state_at_most_once(
                                               "this model and maxint$"):
             model_atom_sets(versions, query_model, weather_entity)
         assert not model.calls and not model.folds
+    # so is a result searched from another original
+    versions = enumerate_counterfactuals(model, Entity("e", ("sunny", "high", "normal",
+                                                             "weak")))
+    model.calls.clear()
+    model.folds.clear()
+    with pytest.raises(QueryError, match="^version states do not start from the "
+                                          "original entity$"):
+        model_atom_sets(versions, model, weather_entity)
+    assert not model.calls and not model.folds
+
+
+def counted(monkeypatch, owners, name):
+    """The codes that later calls of method ``name`` of any of ``owners`` receive."""
+    calls = []
+
+    def counting(method):
+        def wrapper(self, code):
+            calls.append(code)
+            return method(self, code)
+        return wrapper
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    return calls
+
+
+@pytest.mark.parametrize("min_change", [False, True])  # folded, then on demand
+def test_explanation_queries_decode_no_chain_and_score_nothing(
+    weather_percent, weather_entity, monkeypatch, min_change
+):
+    model = CountingModel.of(weather_percent)
+    versions = enumerate_counterfactuals(model, weather_entity, min_change=min_change)
+    model.calls.clear()
+    model.folds.clear()
+    decoded = counted(monkeypatch, [engine._Grid], "decode")
+    scored = counted(monkeypatch, [engine._FoldedCells, engine._CellsOnDemand], "score")
+    atom_sets = model_atom_sets(versions, model, weather_entity)
+    texts = ("fullExpl(E,U,R,S), R<3?", "invResp(e,outlook,R)?", "cause(E,U), cont(E,U,S)?",
+             "expl(E,U,V)?")
+    rows = {(text, semantics): answer(parse_query(text), atom_sets, semantics)
+            for text in texts for semantics in ("brave", "cautious")}
+    assert not decoded and not scored and not model.calls and not model.folds
+    models = [ModelAtomSet(oracle_atoms_of(v, model, weather_entity)) for v in versions]
+    for (text, semantics), got in rows.items():
+        assert set(got) == oracle_answer(parse_query(text), models, semantics)
+    assert any(rows.values())
+
+
+@pytest.mark.parametrize("min_change", [False, True])
+def test_a_cls_query_scores_each_chain_cell_at_most_once(
+    weather_percent, weather_entity, monkeypatch, min_change
+):
+    model = CountingModel.of(weather_percent)
+    versions = enumerate_counterfactuals(model, weather_entity, min_change=min_change)
+    model.calls.clear()
+    model.folds.clear()
+    scored = counted(monkeypatch, [engine._FoldedCells, engine._CellsOnDemand], "score")
+    atom_sets = model_atom_sets(versions, model, weather_entity)
+    query = parse_query("cls(E,O,T,H,W,L)?")
+    for semantics in ("brave", "cautious", "brave"):
+        assert answer(query, atom_sets, semantics)
+    assert not model.calls and not model.folds
+    assert Counter(scored).most_common(1)[0][1] == 1
+    # every cell on some chain, and nothing else
+    assert set(scored) == {versions.grid.encode(state) for v in versions for state in v.states}
+
+
+def chain_queries(model, values, maxint):
+    """One-atom chain queries, one with a repeated variable and one with an
+    integer constant, and a join of a chain predicate with an explanation one."""
+    free = ",".join(f"V{i}" for i in range(len(values)))
+    repeated = ",".join(["X", "X"] + [f"V{i}" for i in range(2, len(values))])
+    texts = {"ent": f"ent(E,{free},A)?", "cls": f"cls(E,{free},L)?",
+             "cls, repeated": f"cls(E,{repeated},L)?",
+             "ent, repeated": f"ent(E,{repeated},A)?",
+             "join": f"ent(E,{free},s), invResp(E,U,R)?"}
+    if isinstance(model, PercentModel):
+        texts["pb_num"] = f"pb_num(E,{free},L,N)?"
+        texts["pb_num, integer"] = f"pb_num(E,{free},L,{model.classify(values, maxint)[1]})?"
+    return {name: parse_query(text) for name, text in texts.items()}
+
+
+def assert_chain_queries_match_the_oracle(model, entity, constraints=None, **options):
+    """Answers from the search result equal the oracle's over every version."""
+    maxint = options.get("maxint", DEFAULT_MAXINT)
+    versions = enumerate_counterfactuals(model, entity, constraints, **options)
+    atom_sets = model_atom_sets(versions, model, entity, maxint=maxint)
+    models = [ModelAtomSet(oracle_atoms_of(v, model, entity, maxint=maxint))
+              for v in versions]
+    nonempty = Counter()
+    for name, query in chain_queries(model, entity.values, maxint).items():
+        for semantics in ("brave", "cautious"):
+            rows = answer(query, atom_sets, semantics)
+            assert len(rows) == len(set(rows))
+            assert set(rows) == oracle_answer(query, models, semantics), (name, semantics)
+            nonempty[name, semantics] = bool(rows)
+    return versions, nonempty
+
+
+def test_chain_queries_match_the_oracle_on_weather(weather_model, weather_percent,
+                                                   weather_entity):
+    depend = parse_constraints(TWO_DEPTH_DEPEND, weather_model.schema)
+    for model in (weather_percent, weather_model):
+        for constraints in (None, depend):
+            for min_change in (False, True):
+                versions, nonempty = assert_chain_queries_match_the_oracle(
+                    model, weather_entity, constraints, min_change=min_change
+                )
+                assert len(versions) > 1 or min_change
+                assert nonempty["cls", "cautious"] and nonempty["join", "brave"]
+    negative = Entity("e", ("sunny", "high", "high", "strong"))
+    versions, nonempty = assert_chain_queries_match_the_oracle(
+        weather_percent, negative, strict=True
+    )
+    assert versions == () and not any(nonempty.values())
+
+
+def test_chain_queries_match_the_oracle_on_random_instances(tmp_path):
+    rng = random.Random(1616)
+    path = tmp_path / "instance.csv"
+    outcomes = Counter()
+    for _ in range(120):
+        csv_text, values = random_instance(rng)
+        path.write_text(csv_text, encoding="utf-8")
+        exact = train(load_dataset(str(path)))
+        model = rng.choice([exact, to_percent(exact)])
+        constraints = None
+        if rng.random() < 0.5:
+            (source, source_domain), (target, target_domain) = model.schema.features[:2]
+            mapping = ", ".join(f"{v}->{rng.choice(target_domain)}" for v in source_domain)
+            constraints = parse_constraints(f"depend {source} -> {target}: {mapping}",
+                                            model.schema)
+        options = dict(min_change=rng.random() < 0.5, strict=rng.random() < 0.3)
+        versions, nonempty = assert_chain_queries_match_the_oracle(
+            model, Entity("e", values), constraints, **options
+        )
+        outcomes["versions"] += bool(versions)
+        outcomes["depend"] += bool(versions) and constraints is not None
+        outcomes["min_change"] += bool(versions) and options["min_change"]
+        outcomes["exact"] += bool(versions) and model is exact
+        outcomes["strict, empty"] += options["strict"] and not versions
+        outcomes.update(key for key, rows in nonempty.items() if rows)
+    assert min(outcomes[key] for key in ("depend", "min_change", "exact", "strict, empty")) > 10
+    # the repeated variable and the integer constant match in some cautious answers
+    assert outcomes["cls, repeated", "cautious"] > 10
+    assert outcomes["pb_num, integer", "cautious"] > 10
+    # the join is cautious-nonempty only for a single version
+    assert outcomes["join", "cautious"] > 10
 
 
 def test_versions_with_one_changed_set_share_explanation_tables(weather_percent,
