@@ -68,3 +68,37 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+class _Record:
+    """Base of the immutable result and syntax types.  A class's fields are its
+    own annotated names after the inherited ones; a class attribute is a
+    default.  ``__init__`` (running ``__post_init__`` last, if defined), ``==``
+    (same class only, skipping ``_uncompared``) and ``hash`` are compiled once."""
+
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        key = "".join(f"{{0}}.{f}, " for f in fields if f not in cls._uncompared)
+        post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "pass"
+        exec(f"def __init__(self, {', '.join(fields)}): "
+             + "".join(f"_set(self, {f!r}, {f}); " for f in fields) + f"{post}\n"
+             f"def __eq__(self, other): return ({key.format('self')}) == ({key.format('other')})"
+             " if other.__class__ is self.__class__ else NotImplemented\n"
+             f"def __hash__(self): return hash(({key.format('self')}))",
+             space := {"_set": object.__setattr__})
+        space["__init__"].__defaults__ = tuple(getattr(cls, f) for f in fields if hasattr(cls, f))
+        for name in ("__init__", "__eq__", "__hash__"):
+            space[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, space[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

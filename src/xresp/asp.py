@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+
+from . import _Record
 
 DEFAULT_ATOM_CAP = 20
 ATOM_CAP_ENV = "XRESP_ASP_ATOM_CAP"
@@ -43,21 +44,18 @@ class EnumerationCapError(ValueError):
     """Herbrand base larger than the atom cap."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     head: frozenset[str]  # empty head = hard constraint
     pos: frozenset[str]
     neg: frozenset[str]
 
 
-@dataclass(frozen=True)
-class WeakConstraint:
+class WeakConstraint(_Record):
     pos: frozenset[str]
     neg: frozenset[str]
 
 
-@dataclass(frozen=True)
-class GroundProgram:
+class GroundProgram(_Record):
     atoms: frozenset[str]
     rules: tuple[Rule, ...]
     weak: tuple[WeakConstraint, ...] = ()

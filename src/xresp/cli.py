@@ -228,10 +228,9 @@ def _instance(
 def _constraints_of(
     args: argparse.Namespace, model: NaiveBayesModel | PercentModel
 ) -> ConstraintSet | None:
-    from .constraints import load_constraints
-
     if not args.constraints:
         return None
+    from .constraints import load_constraints  # only a constraints file needs it
     return load_constraints(args.constraints, model.schema)
 
 

@@ -16,9 +16,9 @@ The search applies them to integer cell codes (``engine._Grid``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
+from . import _Record
 from .schema import FeatureSchema
 
 
@@ -26,19 +26,17 @@ class ConstraintError(ValueError):
     """Constraint references unknown features/values or is self-contradictory."""
 
 
-@dataclass(frozen=True)
-class Dependency:
+class Dependency(_Record):
     source: str
     target: str
     mapping: Mapping[str, str]  # total over the source domain
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(_Record):
     schema: FeatureSchema
     forbidden: tuple[Mapping[str, str], ...] = ()
     dependencies: tuple[Dependency, ...] = ()
-    immutable: frozenset[str] = field(default_factory=frozenset)
+    immutable: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         names = set(self.schema.names)

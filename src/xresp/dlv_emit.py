@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import re
 import textwrap
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .constraints import ConstraintSet
+from . import _Record
 from .naive_bayes import DEFAULT_MAXINT, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
+
+if TYPE_CHECKING:
+    from .constraints import ConstraintSet
 
 
 class EmitError(ValueError):
@@ -48,8 +51,7 @@ _RESERVED_VARS = {"E", "V", "D", "F", "U", "X", "Z", "I", "Co", "S", "M", "R"}
 _STAGED_PERCENT_RE = re.compile(r"P[0-9]+")
 
 
-@dataclass(frozen=True)
-class EmitterOptions:
+class EmitterOptions(_Record):
     """Whether to append the weak constraints, and the ``#maxint`` to declare."""
 
     include_weak_constraints: bool = False
@@ -60,15 +62,11 @@ class EmitterOptions:
             raise EmitError("maxint must be >= 1")
 
 
-@dataclass(frozen=True)
-class _FeatureNames:
+class _FeatureNames(_Record):
     name: str        # lowercased constant, e.g. "humidity"
     suffix: str      # predicate suffix, e.g. "h"
     var: str         # body variable, e.g. "H"
-
-    @property
-    def var_p(self) -> str:
-        return self.var + "p"
+    var_p: str       # its primed twin, e.g. "Hp"
 
 
 def _unique_prefixes(names: list[str]) -> list[str]:
@@ -109,7 +107,7 @@ def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
                 var += "f"
         taken.add(var)
         taken.add(var + "p")
-        out.append(_FeatureNames(name=name, suffix=prefix, var=var))
+        out.append(_FeatureNames(name=name, suffix=prefix, var=var, var_p=var + "p"))
     return out
 
 
@@ -165,7 +163,9 @@ def emit_cip(
     """
     opts = options or EmitterOptions()
     schema = pmodel.schema
-    cs = constraints if constraints is not None else ConstraintSet(schema)
+    cs = constraints
+    forbidden, dependencies, blocked = ((), (), frozenset()) if cs is None else (
+        cs.forbidden, cs.dependencies, cs.immutable | cs.dependency_targets)
     validate_values(schema, entity.values)
     if len(schema) < 2:
         raise EmitError("emitting needs at least two features")
@@ -245,7 +245,6 @@ def emit_cip(
     ))
 
     # --- disjunctive intervention rule ---------------------------------------
-    blocked = cs.immutable | cs.dependency_targets
     intervenable = [f for f, name in zip(features, schema.names) if name not in blocked]
 
     cls_yes = f"cls(E,{all_vars},{positive})"
@@ -304,9 +303,9 @@ def emit_cip(
     # --- domain knowledge -----------------------------------------------------
     knowledge = [
         f":- ent(E,{','.join(combo.get(name, '_') for name in schema.names)},tr)."
-        for combo in cs.forbidden
+        for combo in forbidden
     ]
-    for dep in cs.dependencies:
+    for dep in dependencies:
         target = schema.index(dep.target)
         for sval in schema.domain(dep.source):
             body = [

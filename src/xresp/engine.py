@@ -60,17 +60,18 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .constraints import ConstraintSet
+from . import _Record
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
+if TYPE_CHECKING:
+    from .constraints import ConstraintSet
 
-@dataclass(frozen=True)
-class CounterfactualVersion:
+
+class CounterfactualVersion(_Record):
     """A label-flipping variant of the original entity.
 
     ``states`` runs from the original tuple to ``final``, its last state;
@@ -88,8 +89,7 @@ class CounterfactualVersion:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(_Record):
     """A cause feature value with its contingency set.
 
     ``inv_resp``, the inverse responsibility, is ``len(contingency) + 1``:
@@ -110,8 +110,7 @@ class Explanation:
         return len(self.contingency) + 1
 
 
-@dataclass(frozen=True)
-class ResponsibilityReport:
+class ResponsibilityReport(_Record):
     """Per-feature x-Resp scores."""
 
     scores: Mapping[str, Fraction]
@@ -132,13 +131,17 @@ class _Grid:
 
     Feature 0 is the most significant digit.  An immutable feature keeps
     only its original value, so its digit is always 0.  Forbidden
-    combinations and dependencies are compiled to checks on digits.
+    combinations and dependencies are compiled to checks on digits; ``None``
+    constrains nothing.  ``targets`` names the dependency targets.
     """
 
     def __init__(self, schema: FeatureSchema, original: tuple[str, ...],
-                 cs: ConstraintSet) -> None:
+                 cs: ConstraintSet | None) -> None:
+        forbidden, dependencies, immutable = ((), (), frozenset()) if cs is None else (
+            cs.forbidden, cs.dependencies, cs.immutable)
+        self.targets = frozenset(dep.target for dep in dependencies)
         self.domains = tuple(
-            (value,) if name in cs.immutable else domain
+            (value,) if name in immutable else domain
             for (name, domain), value in zip(schema.features, original)
         )
         self.size = 1
@@ -156,7 +159,7 @@ class _Grid:
         # the (weight, radix, digit) conditions of each forbidden combination;
         # one naming another value of an immutable feature never matches
         self._forbidden = []
-        for combo in cs.forbidden:
+        for combo in forbidden:
             bindings = [(schema.index(name), value) for name, value in combo.items()]
             if all(value in self._digits[i] for i, value in bindings):
                 self._forbidden.append([
@@ -165,7 +168,7 @@ class _Grid:
                 ])
         # (source place, target place, target digit per source digit)
         self._dependencies = []
-        for dep in cs.dependencies:
+        for dep in dependencies:
             s, t = schema.index(dep.source), schema.index(dep.target)
             image = tuple(self._digits[t][dep.mapping[v]] for v in self.domains[s])
             self._dependencies.append(
@@ -357,11 +360,10 @@ def enumerate_counterfactuals(
     """
     schema = model.schema
     validate_values(schema, entity.values)
-    cs = constraints if constraints is not None else ConstraintSet(schema)
-    if cs.schema != schema:
+    if constraints is not None and constraints.schema != schema:
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
-    grid = _Grid(schema, original, cs)
+    grid = _Grid(schema, original, constraints)
     if (isinstance(model, PercentModel) and not min_change and grid.size <= _FOLD_LIMIT
             and model._covering_maxint() <= maxint):
         cells = _FoldedCells(model, grid, maxint)
@@ -371,20 +373,19 @@ def enumerate_counterfactuals(
     start = grid.encode(original)
     original_label = model.labels.index(cells.score(start)[0])
 
-    blocked = cs.immutable | cs.dependency_targets
     # per free feature: its bit, and the code steps to each other value
     moves = []
     # per dependency target: its bit, its place and its original digit
     targets = []
     for i, (name, domain) in enumerate(zip(schema.names, grid.domains)):
         digit = start // grid.weights[i] % len(domain)
-        if name in cs.dependency_targets:
+        if name in grid.targets:
             targets.append((1 << i, grid.weights[i], len(domain), digit))
-        elif name not in blocked:
+        elif len(domain) > 1:  # an immutable feature keeps its one value
             steps = [(d - digit) * grid.weights[i] for d in range(len(domain)) if d != digit]
             moves.append((1 << i, steps))
-    propagate_cell = grid.propagate if cs.dependencies else None
-    admits_cell = grid.admits if cs.forbidden else None
+    propagate_cell = grid.propagate if grid._dependencies else None
+    admits_cell = grid.admits if grid._forbidden else None
 
     # the cell each cell was first reached from; doubles as the seen set
     parent: dict[int, int | None] = {start: None}

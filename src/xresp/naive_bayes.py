@@ -25,10 +25,10 @@ each distribution sums to exactly 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from . import _Record
 from .schema import (
     _NAME_RE, Dataset, FeatureSchema, SchemaError, _check_text, validate_values,
 )
@@ -45,8 +45,7 @@ class StagedOverflowError(ValueError):
 DEFAULT_MAXINT = 10**8
 
 
-@dataclass(frozen=True)
-class NaiveBayesModel:
+class NaiveBayesModel(_Record):
     """Exact-rational model. ``labels`` is ordered with the positive label first."""
 
     schema: FeatureSchema
@@ -55,10 +54,7 @@ class NaiveBayesModel:
     conditional: Mapping[tuple[str, str, str], Fraction]
 
     def __post_init__(self) -> None:
-        for label in self.labels:
-            _check_text("label", label)
-        _check_distributions(self, 1, "")
-        object.__setattr__(self, "_table", _score_table(self))
+        object.__setattr__(self, "_table", _checked_table(self, 1, ""))
 
     def classify(
         self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
@@ -79,8 +75,7 @@ class NaiveBayesModel:
         return self.labels[0] if pos >= neg else self.labels[1], pos, neg
 
 
-@dataclass(frozen=True)
-class PercentModel:
+class PercentModel(_Record):
     """Integer-percentage twin of NaiveBayesModel; every distribution sums to 100."""
 
     schema: FeatureSchema
@@ -89,10 +84,7 @@ class PercentModel:
     conditional: Mapping[tuple[str, str, str], int]
 
     def __post_init__(self) -> None:
-        for label in self.labels:
-            _check_text("label", label)
-        _check_distributions(self, 100, "percent ")
-        object.__setattr__(self, "_table", _score_table(self))
+        object.__setattr__(self, "_table", _checked_table(self, 100, "percent "))
 
     def classify(
         self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
@@ -239,11 +231,14 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
     )
 
 
-def _check_distributions(
+def _checked_table(
     model: NaiveBayesModel | PercentModel, total: int, kind: str
-) -> None:
-    """Raise ModelFormatError unless the priors and every conditional
-    distribution sum to ``total``; ``kind`` prefixes the messages."""
+) -> tuple[dict[str, tuple], ...]:
+    """Per feature, each domain value's conditionals in label order, once the
+    labels are checked and every distribution sums to ``total`` (``kind``
+    prefixes the ModelFormatError messages)."""
+    for label in model.labels:
+        _check_text("label", label)
     if sum(model.prior[l] for l in model.labels) != total:
         raise ModelFormatError(f"{kind}priors must sum to {total}")
     for label in model.labels:
@@ -254,12 +249,6 @@ def _check_distributions(
                     f"{kind}conditionals of {name} given {label} "
                     f"sum to {got}, not {total}"
                 )
-
-
-def _score_table(
-    model: NaiveBayesModel | PercentModel,
-) -> tuple[dict[str, tuple], ...]:
-    """Per feature, each domain value's conditionals in label order."""
     return tuple(
         {
             value: tuple(model.conditional[(name, value, label)] for label in model.labels)

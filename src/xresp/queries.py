@@ -41,11 +41,11 @@ space.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from . import _Record
 from .engine import _SearchResult
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import _CONSTANT_RE, Entity
@@ -64,8 +64,7 @@ class QueryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelAtomSet:
+class ModelAtomSet(_Record):
     """Ground atoms of one counterfactual model, grouped by predicate."""
 
     atoms: Mapping[str, frozenset[tuple[Value, ...]]]
@@ -215,41 +214,36 @@ def model_atom_sets(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Anonymous:
+class Anonymous(_Record):
     slot: int  # position marker; each _ is distinct
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(_Record):
     value: Value
     # how an integer constant was written; it matches that string too
-    spelling: str | None = field(default=None, compare=False)
+    spelling: str | None = None
+    _uncompared = ("spelling",)
 
 
 Term = Union[Variable, Anonymous, Constant]
 
 
-@dataclass(frozen=True)
-class AtomPattern:
+class AtomPattern(_Record):
     predicate: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(_Record):
     op: str  # <, <=, =, !=
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Record):
     text: str
     atoms: tuple[AtomPattern, ...]
     comparisons: tuple[Comparison, ...]

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+
+from . import _Record
 
 
 class SchemaError(ValueError):
@@ -49,12 +50,10 @@ def _check_text(kind: str, text: str, pattern: re.Pattern = _CONSTANT_RE) -> Non
         raise DataError(f"{kind} {text!r} is not {what}")
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(_Record):
     """Ordered categorical features with finite ordered domains."""
 
     features: tuple[tuple[str, tuple[str, ...]], ...]
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.features:
@@ -97,8 +96,7 @@ class FeatureSchema:
         return len(self.features)
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(_Record):
     """One categorical value per schema feature, in schema order."""
 
     eid: str
@@ -108,8 +106,7 @@ class Entity:
         _check_text("entity id", self.eid)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     schema: FeatureSchema
     rows: tuple[tuple[tuple[str, ...], str], ...]
     labels: tuple[str, str]

@@ -4,7 +4,6 @@ a classification-counting model."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import re
 from collections import Counter
@@ -53,13 +52,15 @@ def serialize_dataset(dataset: Dataset) -> str:
     return out.getvalue()
 
 
-@dataclasses.dataclass(frozen=True)
 class CountingModel(PercentModel):
     """A staged model that counts how often each state is classified, and
-    the size of every grid it folds."""
+    the size of every grid it folds.  ``calls`` and ``folds`` belong to each
+    instance and are not fields, so equality ignores them."""
 
-    calls: Counter = dataclasses.field(default_factory=Counter, compare=False)
-    folds: list = dataclasses.field(default_factory=list, compare=False)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "calls", Counter())
+        object.__setattr__(self, "folds", [])
 
     @classmethod
     def of(cls, model: PercentModel) -> "CountingModel":

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from xresp.constraints import parse_constraints
+from xresp.constraints import ConstraintSet, parse_constraints
 from xresp.dlv_emit import (
     EmitError,
     EmitterOptions,
@@ -62,8 +62,10 @@ def facts_and_rules(text):
 def test_weather_program_matches_golden_bytes(weather_percent, weather_entity):
     emitted = emit_cip(weather_percent, weather_entity)
     assert emitted == GOLDEN.read_text(encoding="utf-8")
-    # emission is deterministic
+    # emission is deterministic, and no constraint set emits as an empty one does
     assert emit_cip(weather_percent, weather_entity) == emitted
+    empty = ConstraintSet(weather_percent.schema)
+    assert emit_cip(weather_percent, weather_entity, empty) == emitted
 
 
 def test_constrained_weak_program_matches_golden_bytes(weather_percent,

@@ -62,9 +62,12 @@ EXPECTED_SCORES = {
 # ---------------------------------------------------------------------------
 
 
-def test_exactly_the_ten_versions(weather_percent, weather_versions):
+def test_exactly_the_ten_versions(weather_percent, weather_entity, weather_versions):
     found = {v.final: set(v.changed) for v in weather_versions}
     assert found == EXPECTED_VERSIONS
+    # no constraint set searches as an empty one does
+    empty = ConstraintSet(weather_percent.schema)
+    assert enumerate_counterfactuals(weather_percent, weather_entity, empty) == weather_versions
     assert all(weather_percent.classify(v.final)[0] == "no" for v in weather_versions)
     assert all(v.eid == "e" for v in weather_versions)
 

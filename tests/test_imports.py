@@ -12,11 +12,11 @@ import sys
 
 import pytest
 
-from conftest import DEMO_PROGRAM, REPO_ROOT, WEATHER_CSV
+from conftest import DEMO_PROGRAM, README_CONSTRAINTS, REPO_ROOT, WEATHER_CSV
 
 ENTITY = "rain,high,normal,weak"
 
-# Runs its argv through the CLI, then prints the loaded xresp submodules.
+# Runs its argv through the CLI, then prints every loaded module.
 PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -26,11 +26,11 @@ if argv:
         assert main(argv) == 0
 else:
     import xresp
-print(json.dumps(sorted(m[6:] for m in sys.modules if m.startswith("xresp."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(*argv):
+def every_loaded_module(*argv):
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
@@ -38,6 +38,11 @@ def loaded_modules(*argv):
         capture_output=True, text=True, env=env, check=True,
     )
     return set(json.loads(result.stdout))
+
+
+def loaded_modules(*argv):
+    """The xresp submodules loaded, without the package prefix."""
+    return {m[6:] for m in every_loaded_module(*argv) if m.startswith("xresp.")}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -67,3 +72,36 @@ def test_search_subcommands_skip_the_queries_the_emitter_and_the_kernel(argv):
     loaded = loaded_modules(*argv)
     assert "naive_bayes" in loaded
     assert not loaded & {"queries", "dlv_emit", "asp"}
+
+
+def subcommand_argv(command, tmp_path):
+    instance = ["--data", str(WEATHER_CSV), "--entity", ENTITY]
+    if command == "query":
+        queries = tmp_path / "queries.txt"
+        queries.write_text("invResp(E,U,R)?\n", encoding="utf-8")
+        return ["query", *instance, "--queries", str(queries), "--brave"]
+    return {
+        "train": ["train", "--data", str(WEATHER_CSV)],
+        "solve-asp": ["solve-asp", str(DEMO_PROGRAM)],
+    }.get(command, [command, *instance])
+
+
+# dataclasses would bring in inspect, ast, dis, tokenize and copy at start-up
+@pytest.mark.parametrize("command", [
+    "train", "classify", "counterfactuals", "explain", "query", "emit-dlv", "solve-asp",
+])
+def test_no_subcommand_loads_dataclasses_or_inspect(command, tmp_path):
+    loaded = every_loaded_module(*subcommand_argv(command, tmp_path))
+    assert "xresp.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("with_file", [False, True], ids=["without", "with"])
+@pytest.mark.parametrize("command", ["counterfactuals", "explain", "query", "emit-dlv"])
+def test_constraints_load_exactly_with_a_constraints_file(command, with_file, tmp_path):
+    argv = subcommand_argv(command, tmp_path)
+    if with_file:
+        path = tmp_path / "weather.constraints"
+        path.write_text(README_CONSTRAINTS, encoding="utf-8")
+        argv += ["--constraints", str(path)]
+    assert ("constraints" in loaded_modules(*argv)) == with_file

@@ -6,7 +6,6 @@ data before being pinned: the conditional table by counting rows per
 and every staged value by folding the integer pipeline by hand.
 """
 
-import dataclasses
 import re
 from fractions import Fraction as F
 
@@ -438,8 +437,10 @@ def test_percent_tables_always_sum_to_100(data):
 
 def test_distribution_checks_name_the_bad_distribution(weather_model, weather_percent):
     def refused(model, **changes):
+        fields = dict(schema=model.schema, labels=model.labels, prior=model.prior,
+                      conditional=model.conditional)
         with pytest.raises(ModelFormatError) as raised:
-            dataclasses.replace(model, **changes)
+            type(model)(**{**fields, **changes})
         return str(raised.value)
 
     prior = {"yes": F(1, 2), "no": F(1, 3)}
