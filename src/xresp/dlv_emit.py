@@ -159,7 +159,8 @@ def emit_cip(
     Every constraint is compiled in, as rules or as a blocked intervention.
     With every feature blocked, the intervention rule has no disjuncts and
     is a constraint, so the program has no answer set, as the search finds
-    no version.
+    no version.  A constraint set built against another schema raises
+    EmitError.
     """
     opts = options or EmitterOptions()
     schema = pmodel.schema
@@ -167,6 +168,8 @@ def emit_cip(
     forbidden, dependencies, blocked = ((), (), frozenset()) if cs is None else (
         cs.forbidden, cs.dependencies, cs.immutable | cs.dependency_targets)
     validate_values(schema, entity.values)
+    if cs is not None and cs.schema != schema:
+        raise EmitError("constraint set was built against a different schema")
     if len(schema) < 2:
         raise EmitError("emitting needs at least two features")
     features = _feature_names(schema)

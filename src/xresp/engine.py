@@ -439,15 +439,13 @@ def enumerate_counterfactuals(
     return result.fewest_changes() if min_change else result
 
 
-def min_change_versions(
-    versions: Iterable[CounterfactualVersion],
-) -> Sequence[CounterfactualVersion]:
-    """The fewest-change versions; a search result gives what ``min_change=True`` does."""
-    if isinstance(versions, _SearchResult):
-        return versions.fewest_changes()
-    pool = list(versions)
-    best = min((len(v.changed) for v in pool), default=0)
-    return tuple(sorted((v for v in pool if len(v.changed) == best), key=lambda v: v.final))
+def min_change_versions(versions: _SearchResult) -> _SearchResult:
+    """The fewest-change versions of a result of ``enumerate_counterfactuals``,
+    as ``min_change=True`` finds them; anything else raises TypeError."""
+    if not isinstance(versions, _SearchResult):
+        raise TypeError("min_change_versions takes a result of enumerate_counterfactuals, "
+                        f"not {type(versions).__name__}")
+    return versions.fewest_changes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ chain.  A one-atom ``ent``, ``cls`` or ``pb_num`` query runs once, over the
 atoms of the cells on some chain (brave) or on every chain (cautious);
 each cell's atoms are built once, with the score the search's scorer holds.
 Only a query joining a chain predicate with another atom runs per version.
-A result searched with another model object or ceiling is refused: its
-``cls`` atoms would belong to no answer set.
+``answer`` folds the rows of these runs into one union (brave) or
+intersection (cautious).  A result searched with another model object or
+ceiling is refused: its ``cls`` atoms would belong to no answer set.
 
 Query text copies the solver convention: comma-separated literals ending in
 ``?``, e.g. ``fullExpl(E,U,R,S), R<3?``.  Constants follow the text
@@ -41,7 +42,6 @@ space.
 from __future__ import annotations
 
 import re
-from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -382,47 +382,38 @@ def answer(
 ) -> list[tuple[Value, ...]]:
     """Answer rows under brave (union) or cautious (intersection) semantics.
 
-    ``models`` is the view ``model_atom_sets`` returns, whose tables come
-    from the search result, or any sequence of atom sets.  The query runs
-    once per distinct combination of the table objects its atoms name.  A
-    single-atom query runs once: over the union of the tables (brave), or
-    over the smallest, keeping a row only while every other table holds an
-    atom that yields it (cautious).
+    ``models`` is the view ``model_atom_sets`` returns, or any sequence of
+    atom sets.  The query runs once per combination of tables its source
+    yields: one per atom set, or from the view one per changed set, per
+    version, or over the chain cells (see the module notes).  One fold
+    takes the union (brave) or the intersection (cautious) of their rows;
+    a cautious fold stops once it is empty.  A query is checked against
+    the view's model even when the view is empty; an empty sequence of
+    atom sets answers nothing.
     """
     if semantics not in ("brave", "cautious"):
         raise QueryError(f"semantics must be 'brave' or 'cautious', got {semantics!r}")
-    if not models:
-        return []
     predicates = [pattern.predicate for pattern in query.atoms]
     if isinstance(models, _ResultAtomSets):
         _check_query(query, models.model)
-        distinct = models._tables(predicates, semantics)
+        combinations = models._tables(predicates, semantics)
     else:
+        if not models:
+            return []
         _check_arities(query, models)
-        by_id: dict[tuple[int, ...], tuple[frozenset, ...]] = {}
-        for model_atoms in models:
-            tables = tuple(model_atoms.tuples(predicate) for predicate in predicates)
-            by_id.setdefault(tuple(map(id, tables)), tables)
-        distinct = list(by_id.values())
-
-    plan = _Plan(query)
-    if len(predicates) == 1:
-        tables = sorted((table for (table,) in distinct), key=len)
-        if semantics == "brave":
-            rows = plan.rows((frozenset().union(*tables),))
+        combinations = (tuple(model_atoms.tuples(predicate) for predicate in predicates)
+                        for model_atoms in models)
+    plan, rows = _Plan(query), None
+    for tables in combinations:
+        if rows is None:
+            rows = plan.rows(tables)
+        elif semantics == "brave":
+            rows |= plan.rows(tables)
         else:
-            rows = plan.rows((tables[0],))
-            for table in tables[1:]:
-                rows = {row for row in rows if plan.yields(row, table)}
-    elif semantics == "brave":
-        rows = set().union(*(plan.rows(tables) for tables in distinct))
-    else:
-        rows = None
-        for tables in distinct:
-            rows = plan.rows(tables) if rows is None else rows & plan.rows(tables)
-            if not rows:
-                break
-    return _sorted_rows(rows)
+            rows &= plan.rows(tables)
+        if not rows and semantics == "cautious":
+            break
+    return _sorted_rows(rows or ())
 
 
 def _check_query(query: Query, model: NaiveBayesModel | PercentModel) -> None:
@@ -479,13 +470,11 @@ class _Plan:
         self.echo: list[int] = []
         slots = 0
         for pattern in query.atoms:
-            constants, binds, checks, layout = [], [], [], []
+            constants, binds, checks = [], [], []
             for position, term in enumerate(pattern.args):
                 if isinstance(term, Constant):
                     constants.append((position, _accepted(term)))
-                    layout.append((None, _accepted(term)))
                     continue
-                layout.append((len(self.echo), None))
                 if isinstance(term, Variable) and term.name in slot_of:
                     slot = slot_of[term.name]
                     checks.append((position, slot))
@@ -498,10 +487,6 @@ class _Plan:
             self.steps.append(
                 (len(pattern.args), tuple(constants), tuple(binds), tuple(checks))
             )
-        # per argument position: (echo index, None) or (None, accepted
-        # values), to rebuild an atom from its answer row; only ``yields``
-        # reads it, for one-atom queries, whose last atom is the only one
-        self._layout: list[tuple[int | None, frozenset | None]] = layout
         self._slots = slots
         self._tests = [_compile_comparison(cmp, slot_of) for cmp in query.comparisons]
 
@@ -527,16 +512,6 @@ class _Plan:
             if any(atom[position] != slots[slot] for position, slot in checks):
                 continue
             self._extend(tables, depth + 1, slots, out)
-
-    def yields(self, row: tuple[Value, ...], table: frozenset) -> bool:
-        """Whether ``table`` holds an atom the single-atom query answers with ``row``.
-
-        ``row`` must be an answer of this query on some table, so any atom
-        rebuilt from it passes the filters; only membership is left.
-        """
-        choices = [accepted if index is None else (row[index],)
-                   for index, accepted in self._layout]
-        return any(atom in table for atom in product(*choices))
 
 
 def _compile_comparison(cmp: Comparison, slot_of: Mapping[str, int]) -> Callable[[list], bool]:

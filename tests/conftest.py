@@ -12,6 +12,7 @@ from xresp import (
     to_percent,
     train,
 )
+from xresp.constraints import parse_constraints
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -57,6 +58,14 @@ def weather_entity(weather_model):
 @pytest.fixture(scope="session")
 def weather_versions(weather_percent, weather_entity):
     return enumerate_counterfactuals(weather_percent, weather_entity)
+
+
+@pytest.fixture(scope="session")
+def weather_no_versions(weather_percent, weather_entity):
+    """The weather search with every feature immutable: an empty result."""
+    schema = weather_percent.schema
+    frozen = parse_constraints("\n".join(f"immutable {n}" for n in schema.names), schema)
+    return enumerate_counterfactuals(weather_percent, weather_entity, frozen)
 
 
 @pytest.fixture(scope="session")

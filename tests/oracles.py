@@ -32,7 +32,6 @@ from xresp import (
     QueryError,
     Rule,
     WeakConstraint,
-    min_change_versions,
 )
 from xresp.queries import Constant, Variable
 from xresp.schema import validate_values
@@ -233,7 +232,7 @@ def oracle_versions(
         depth += 1
 
     if min_change:
-        return min_change_versions(found)
+        found = [v for v in found if len(v.changed) == best]
     return tuple(sorted(found, key=lambda v: (len(v.changed), v.final)))
 
 

@@ -244,6 +244,14 @@ def test_rejects_single_feature_schemas():
         emit_cip(model, Entity("e", ("x",)))
 
 
+def test_rejects_constraints_of_another_schema(weather_percent, weather_entity):
+    other = FeatureSchema((("Outlook", ("sunny", "rain")), ("Wind", ("weak", "strong"))))
+    constraints = parse_constraints("forbid Outlook=sunny", other)
+    with pytest.raises(EmitError, match="^constraint set was built against a different "
+                                        "schema$"):
+        emit_cip(weather_percent, weather_entity, constraints)
+
+
 WEATHERISH = [("outlook", ("sunny", "rain")), ("wind", ("a", "b"))]
 
 

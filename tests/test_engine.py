@@ -103,11 +103,22 @@ def test_path_invariants(weather_percent, weather_versions):
         assert labels[-1] == "no"
 
 
-def test_min_change_is_the_single_humidity_flip(weather_versions):
+def test_min_change_is_the_single_humidity_flip(weather_versions, weather_no_versions):
     (only,) = min_change_versions(weather_versions)
     assert only.final == ("rain", "high", "high", "weak")
     assert only.changed == frozenset({"Humidity"})
-    assert min_change_versions(()) == ()
+    assert min_change_versions(weather_no_versions) == ()
+
+
+@pytest.mark.parametrize("refused, kind", [
+    (lambda versions: (), "tuple"),
+    (list, "list"),
+    (lambda versions: tuple(versions), "tuple"),
+])
+def test_min_change_versions_takes_only_search_results(weather_versions, refused, kind):
+    with pytest.raises(TypeError, match="^min_change_versions takes a result of "
+                                        f"enumerate_counterfactuals, not {kind}$"):
+        min_change_versions(refused(weather_versions))
 
 
 def test_min_change_versions_of_a_read_result_is_a_search_result(
@@ -130,7 +141,7 @@ def test_min_change_versions_of_a_read_result_is_a_search_result(
 @pytest.mark.parametrize("refused, kind", [
     (lambda versions: versions[:1], "tuple"),
     (list, "list"),
-    (lambda versions: min_change_versions(list(versions)), "tuple"),
+    (lambda versions: tuple(min_change_versions(versions)), "tuple"),
 ])
 def test_explanations_of_takes_only_search_results(weather_versions, weather_percent,
                                                    weather_entity, refused, kind):

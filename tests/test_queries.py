@@ -181,7 +181,7 @@ def test_atoms_of_rejects_mismatched_version(weather_versions, weather_percent):
 @pytest.mark.parametrize("refused, kind", [
     (lambda versions: versions[:1], "tuple"),
     (list, "list"),
-    (lambda versions: min_change_versions(list(versions)), "tuple"),
+    (lambda versions: tuple(min_change_versions(versions)), "tuple"),
 ])
 def test_model_atom_sets_takes_only_search_results(weather_versions, weather_percent,
                                                    weather_entity, refused, kind):
@@ -592,6 +592,19 @@ def test_unknown_predicate_and_arity_mismatch(weather_atom_sets):
         answer(parse_query("invResp(e,R)?"), weather_atom_sets, "brave")
 
 
+def test_an_empty_view_still_checks_the_query(weather_no_versions, weather_percent,
+                                              weather_entity):
+    view = model_atom_sets(weather_no_versions, weather_percent, weather_entity)
+    assert len(view) == 0
+    for semantics in ("brave", "cautious"):
+        with pytest.raises(QueryError, match="unknown predicate"):
+            answer(parse_query("bogus(X)?"), view, semantics)
+        with pytest.raises(QueryError, match="arity mismatch"):
+            answer(parse_query("invResp(e,R)?"), view, semantics)
+        for text in ("cause(E,U)?", "cls(E,O,H,T,W,L)?", "ent(E,O,H,T,W,A), cause(E,U)?"):
+            assert answer(parse_query(text), view, semantics) == []
+
+
 def test_empty_model_list_answers_empty():
     assert answer(parse_query("whatever(X)?"), [], "brave") == []
     assert answer(parse_query("whatever(X)?"), [], "cautious") == []
@@ -602,13 +615,14 @@ def test_semantics_name_is_validated(weather_atom_sets):
         answer(parse_query("cause(E,U)?"), weather_atom_sets, "boldly")
 
 
-# Random models over three predicates; each argument position holds one
-# kind of value.  The string "1" and the integer 1 both occur, so integer
-# constants meet both of the values they match.
-KINDS = {"p": ("str", "int"), "q": ("int",), "r": ("str", "str", "set")}
+# Random models over three predicates.  The string "1" and the integer 1
+# both occur, so integer constants meet both of the values they match; p's
+# first position draws both, so one constant can match two atoms there.
+KINDS = {"p": ("mixed", "int"), "q": ("int",), "r": ("str", "str", "set")}
 POOL = {
     "int": (1, 2, 3),
     "str": ("1", "a", "b"),
+    "mixed": (1, "1", "a"),
     "set": (frozenset(), frozenset({"a"}), frozenset({"a", "b"})),
 }
 
@@ -619,7 +633,7 @@ def constant_text(value):
 
 @st.composite
 def random_models(draw):
-    # a few tables per predicate, drawn by several models: shared objects
+    # a few tables per predicate, each drawn by several models
     tables = {
         predicate: [
             frozenset(draw(st.sets(
