@@ -35,18 +35,19 @@ keeps each version as its cell and a bitmask of its changed features, so
 the changed sets that explanations read come straight from the masks;
 value tuples and their chains are decoded only when versions are read.
 
-A full search with the staged backend first folds the scores of every cell
-of the grid: level by level in schema order, with the same ``// 10`` as
-``PercentModel.classify``, so each prefix product is computed once for all
-the cells that share it.  It folds only when ``maxint`` is at least the
-model's covering ceiling, the largest staged product of any state, so no
-folded cell can overflow.  Under a lower ``maxint``, and for the exact
-backend, minimum-change searches (which often stop after a few states) and
-grids of more than ``_FOLD_LIMIT`` cells, each cell is scored on demand
-through ``classify`` instead, each at most once; a staged overflow then
-raises at the first overflowing cell the search reaches.  Either way the
-result keeps the search's scorer, and the query layer reads each chain
-cell's score from it: nothing is classified twice.
+A full search first asks the model to fold the scores of every cell of the
+grid.  The model owns its arithmetic and its integer ceiling, so it
+decides: the staged model folds level by level in schema order, with the
+same ``// 10`` as its ``classify``, so each prefix product is computed once
+for all the cells that share it, and only when ``maxint`` is at least its
+covering ceiling, the largest staged product of any state, so no folded
+cell can overflow; the exact model never folds.  Otherwise, and for
+minimum-change searches (which often stop after a few states) and grids of
+more than ``_FOLD_LIMIT`` cells, each cell is scored on demand through
+``classify``, each at most once; a staged overflow then raises at the
+first overflowing cell the search reaches.  Either way the result keeps
+the search's scorer, and the query layer reads each chain cell's score
+from it: nothing is classified twice.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -120,9 +121,8 @@ class ResponsibilityReport(_Record):
 # Enumeration
 # ---------------------------------------------------------------------------
 
-# A staged grid with more cells than this is scored on demand, not folded:
-# the fold keeps two integers and a label byte for every cell.  A grid the
-# covering ceiling does not cover is scored on demand whatever its size.
+# A grid with more cells than this is scored on demand, not folded: the fold
+# keeps two integers and a label byte for every cell.
 _FOLD_LIMIT = 1 << 20
 
 
@@ -212,16 +212,15 @@ class _Grid:
 
 
 class _FoldedCells:
-    """The scores of every cell of a staged grid, folded once.
-
-    Built only under a ``maxint`` that covers every cell, so no score
-    overflows.  ``labels`` holds each cell's label index (0 positive,
+    """The scores of every cell of a grid, as the model folded them under
+    ``maxint``.  ``labels`` holds each cell's label index (0 positive,
     1 negative).
     """
 
-    def __init__(self, model: PercentModel, grid: _Grid, maxint: int) -> None:
+    def __init__(self, model: NaiveBayesModel | PercentModel, scores: list[list],
+                 maxint: int) -> None:
         self.model, self.maxint = model, maxint
-        self.pos, self.neg = model._grid_scores(grid.domains)
+        self.pos, self.neg = scores
         self.labels = bytearray(map(operator.lt, self.pos, self.neg))
 
     def score(self, code: int) -> tuple:
@@ -261,15 +260,15 @@ class _SearchResult(Sequence):
     the first index or iteration decodes every version's chain.
     """
 
-    def __init__(self, eid: str, original: tuple[str, ...], names: tuple[str, ...],
+    def __init__(self, eid: str, original: tuple[str, ...], schema: FeatureSchema,
                  grid: _Grid, scorer: _FoldedCells | _CellsOnDemand,
                  parent: dict[int, int | None], start: int,
                  found: dict[int, int]) -> None:
-        self.eid, self.original, self._names = eid, original, names
+        self.eid, self.original, self.schema = eid, original, schema
         self.grid, self.scorer, self.parent, self.start = grid, scorer, parent, start
         self.found = found
         self.masks = {
-            mask: frozenset(name for i, name in enumerate(names) if mask >> i & 1)
+            mask: frozenset(name for i, name in enumerate(schema.names) if mask >> i & 1)
             for mask in set(found.values())
         }
         self.changed_sets = frozenset(self.masks.values())
@@ -301,7 +300,7 @@ class _SearchResult(Sequence):
         """This result restricted to the versions with the fewest changed features."""
         best = min(map(int.bit_count, self.found.values()), default=0)
         found = {code: m for code, m in self.found.items() if m.bit_count() == best}
-        return _SearchResult(self.eid, self.original, self._names, self.grid, self.scorer,
+        return _SearchResult(self.eid, self.original, self.schema, self.grid, self.scorer,
                              self.parent, self.start, found)
 
     def _decoded(self) -> tuple[CounterfactualVersion, ...]:
@@ -364,9 +363,9 @@ def enumerate_counterfactuals(
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
     grid = _Grid(schema, original, constraints)
-    if (isinstance(model, PercentModel) and not min_change and grid.size <= _FOLD_LIMIT
-            and model._covering_maxint() <= maxint):
-        cells = _FoldedCells(model, grid, maxint)
+    if (not min_change and grid.size <= _FOLD_LIMIT
+            and (scores := model._grid_scores(grid.domains, maxint)) is not None):
+        cells = _FoldedCells(model, scores, maxint)
     else:
         cells = _CellsOnDemand(model, grid, maxint)
     labels = cells.labels
@@ -434,8 +433,7 @@ def enumerate_counterfactuals(
         frontier = next_frontier
         depth += 1
 
-    result = _SearchResult(entity.eid, original, schema.names, grid, cells, parent, start,
-                           found)
+    result = _SearchResult(entity.eid, original, schema, grid, cells, parent, start, found)
     return result.fewest_changes() if min_change else result
 
 
@@ -466,7 +464,7 @@ def explanations_of(
     contingency.  A cause and its contingency fix the changed set, so each
     of the result's distinct ``changed_sets`` is expanded once and no
     version is read.  A result searched from another entity than
-    ``original`` raises ValueError.
+    ``original``, or over another schema than ``schema``, raises ValueError.
     """
     if not isinstance(versions, _SearchResult):
         raise TypeError("explanations_of takes a result of enumerate_counterfactuals, "
@@ -474,6 +472,8 @@ def explanations_of(
     values = tuple(original.values)
     if versions.original != values:
         raise ValueError("version states do not start from the original entity")
+    if versions.schema != schema:
+        raise ValueError("schema is not the one the versions were searched over")
     explanations = [
         Explanation(versions.eid, cause, values[schema.index(cause)], changed - {cause})
         for changed in versions.changed_sets
@@ -487,10 +487,13 @@ def explanations_of(
 def xresp(
     explanations: Iterable[Explanation], schema: FeatureSchema
 ) -> ResponsibilityReport:
-    """Per-feature score 1/(minimum inv_resp), or 0 for features never changed."""
+    """Per-feature score 1/(minimum inv_resp), or 0 for features never changed;
+    a cause feature that ``schema`` lacks raises SchemaError."""
     best: dict[str, int] = {}
     for ex in explanations:
         best[ex.cause_feature] = min(ex.inv_resp, best.get(ex.cause_feature, ex.inv_resp))
+    for name in best:
+        schema.index(name)
     return ResponsibilityReport(scores={
         name: Fraction(1, best[name]) if name in best else Fraction(0)
         for name in schema.names

@@ -7,17 +7,20 @@ is lost to floating point.
 
 Classification compares per-label numerators (prior times the product of
 the entity's conditionals); the shared denominator never needs computing.
-Each model type classifies itself through ``classify(values, maxint)``,
-which returns ``(label, positive score, negative score)``:
+Both model types share one base, which holds the fields, checks the
+distributions and decides: ``classify(values, maxint)`` returns ``(label,
+positive score, negative score)``, the larger score winning and ties going
+to the positive label.  The two types differ only in their arithmetic rule:
 
-* ``NaiveBayesModel.classify`` multiplies the rationals as-is.
-* ``PercentModel.classify`` replicates an integer-only pipeline:
+* ``NaiveBayesModel`` multiplies the rationals as-is.
+* ``PercentModel`` replicates an integer-only pipeline:
   conditionals are first rounded to percentages, then folded left-to-right
   in schema order with an integer division by 10 after every
   multiplication, and finally scaled by the prior percentage (again
   followed by ``// 10``).  This is what a solver restricted to integer
   arithmetic computes, and its rounding artifacts are observable by
-  comparing the two classifiers.
+  comparing the two classifiers.  It can also fold the scores of a whole
+  grid of entities at once, when ``maxint`` covers every product.
 
 Percentages are produced by largest-remainder rounding per distribution, so
 each distribution sums to exactly 100.
@@ -25,6 +28,7 @@ each distribution sums to exactly 100.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
@@ -45,76 +49,110 @@ class StagedOverflowError(ValueError):
 DEFAULT_MAXINT = 10**8
 
 
-class NaiveBayesModel(_Record):
-    """Exact-rational model. ``labels`` is ordered with the positive label first."""
+class _Model(_Record):
+    """The fields, checks and decision both models share; a model adds its
+    arithmetic, ``_scores``.  ``labels`` is ordered with the positive label
+    first; every distribution sums to ``_total`` (``_kind`` prefixes errors)."""
 
     schema: FeatureSchema
     labels: tuple[str, str]
-    prior: Mapping[str, Fraction]
-    conditional: Mapping[tuple[str, str, str], Fraction]
+    prior: Mapping[str, Fraction | int]
+    conditional: Mapping[tuple[str, str, str], Fraction | int]
+
+    _total, _kind = 1, ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", _checked_table(self, 1, ""))
+        total, kind = self._total, self._kind
+        for label in self.labels:
+            _check_text("label", label)
+        if sum(self.prior[l] for l in self.labels) != total:
+            raise ModelFormatError(f"{kind}priors must sum to {total}")
+        for label in self.labels:
+            for name, domain in self.schema.features:
+                got = sum(self.conditional[(name, v, label)] for v in domain)
+                if got != total:
+                    raise ModelFormatError(
+                        f"{kind}conditionals of {name} given {label} "
+                        f"sum to {got}, not {total}"
+                    )
+        # per feature, each domain value's conditionals in label order
+        object.__setattr__(self, "_table", tuple(
+            {
+                value: tuple(self.conditional[(name, value, label)] for label in self.labels)
+                for value in domain
+            }
+            for name, domain in self.schema.features
+        ))
 
-    def classify(
-        self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
-    ) -> tuple[str, Fraction, Fraction]:
-        """Exact numerators per label; the larger wins, ties to the positive label.
+    def classify(self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT) -> tuple:
+        """``(label, positive score, negative score)``; ties go to the positive label.
 
-        ``maxint`` is accepted for interface parity and ignored: rationals
-        never overflow.
+        A value outside the schema raises DataError: the table lookup is the
+        domain check, and only when it misses does ``validate_values`` run.
         """
-        rows = _score_rows(self, values)
+        table = self._table
+        try:
+            rows = [column[value] for column, value in zip(table, values)]
+        except (KeyError, TypeError):
+            rows = None
+        if rows is None or len(values) != len(table):
+            validate_values(self.schema, values)
+        pos, neg = self._scores(rows, maxint)
+        return self.labels[0] if pos >= neg else self.labels[1], pos, neg
+
+    def _grid_scores(self, domains: tuple[tuple[str, ...], ...], maxint: int) -> None:
+        """The scores of every cell of a grid, or None: classify each cell instead."""
+        return None
+
+
+class NaiveBayesModel(_Model):
+    """Exact-rational model. ``labels`` is ordered with the positive label first."""
+
+    def _scores(self, rows: list, maxint: int) -> list[Fraction]:
+        """Exact numerators per label; rationals never overflow, so ``maxint`` is unused."""
         numerators = []
         for i, label in enumerate(self.labels):
             num = self.prior[label]
             for row in rows:
                 num *= row[i]
             numerators.append(num)
-        pos, neg = numerators
-        return self.labels[0] if pos >= neg else self.labels[1], pos, neg
+        return numerators
 
 
-class PercentModel(_Record):
+class PercentModel(_Model):
     """Integer-percentage twin of NaiveBayesModel; every distribution sums to 100."""
 
-    schema: FeatureSchema
-    labels: tuple[str, str]
-    prior: Mapping[str, int]
-    conditional: Mapping[tuple[str, str, str], int]
+    _total, _kind = 100, "percent "
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", _checked_table(self, 100, "percent "))
-
-    def classify(
-        self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT
-    ) -> tuple[str, int, int]:
+    def _scores(self, rows: list, maxint: int) -> list[int]:
         """Integer-percentage pipeline: fold conditionals in schema order.
 
         Every multiplication is followed by ``// 10``; the prior percentage
         is folded last the same way.  Products above ``maxint`` raise
         StagedOverflowError (mirroring a solver's integer ceiling).
         """
-        rows = _score_rows(self, values)
         scores = []
         for i, label in enumerate(self.labels):
             acc = rows[0][i]
             for row in rows[1:]:
                 acc = self._checked_mul(acc, row[i], maxint) // 10
             scores.append(self._checked_mul(acc, self.prior[label], maxint) // 10)
-        pos, neg = scores
-        return self.labels[0] if pos >= neg else self.labels[1], pos, neg
+        return scores
 
-    def _grid_scores(self, domains: tuple[tuple[str, ...], ...]) -> list[list[int]]:
-        """``classify``'s score per label of every cell of a grid, in label order.
+    def _grid_scores(self, domains: tuple[tuple[str, ...], ...],
+                     maxint: int) -> list[list[int]] | None:
+        """``classify``'s score per label of every cell of a grid, in label order,
+        or None when ``maxint`` is below ``_covering_maxint()``.
 
         ``domains`` gives each feature's values in digit order; a cell's
         index reads its digits mixed-radix, feature 0 most significant.  The
         fold runs level by level in schema order, so each prefix product is
         computed once for every cell that shares it, with the same ``// 10``
-        as ``classify``.  No product is checked: the search folds only under
-        a ``maxint`` of at least ``_covering_maxint()``, which no cell exceeds.
+        as ``classify``.  No product is checked: under a ``maxint`` of at
+        least the covering ceiling, no cell overflows.
         """
+        if maxint < self._covering_maxint():
+            return None
         folds = []
         for i, label in enumerate(self.labels):
             levels = [[column[value][i] for value in domain]
@@ -158,12 +196,13 @@ def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesMode
     first, wins staged ties).  By default the majority label is positive,
     with dataset order deciding an exact tie.
     """
-    total = len(dataset.rows)
-    counts = {label: 0 for label in dataset.labels}
-    for _, label in dataset.rows:
+    # rows per label, and per (feature index, value, label)
+    counts, matching = Counter(), Counter()
+    for values, label in dataset.rows:
         counts[label] += 1
-    for label, n in counts.items():
-        if n == 0:
+        matching.update((i, value, label) for i, value in enumerate(values))
+    for label in dataset.labels:
+        if not counts[label]:
             raise ModelFormatError(f"label {label} has no training rows")
 
     if positive_label is None:
@@ -176,18 +215,13 @@ def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesMode
     negative_label = next(l for l in dataset.labels if l != positive_label)
     labels = (positive_label, negative_label)
 
-    prior = {label: Fraction(counts[label], total) for label in labels}
-
-    cond: dict[tuple[str, str, str], Fraction] = {}
-    for fidx, (name, domain) in enumerate(dataset.schema.features):
-        for label in labels:
-            for value in domain:
-                matching = sum(
-                    1
-                    for values, row_label in dataset.rows
-                    if row_label == label and values[fidx] == value
-                )
-                cond[(name, value, label)] = Fraction(matching, counts[label])
+    prior = {label: Fraction(counts[label], len(dataset.rows)) for label in labels}
+    cond = {
+        (name, value, label): Fraction(matching[i, value, label], counts[label])
+        for i, (name, domain) in enumerate(dataset.schema.features)
+        for label in labels
+        for value in domain
+    }
 
     return NaiveBayesModel(
         schema=dataset.schema, labels=labels, prior=prior, conditional=cond
@@ -229,49 +263,6 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
     return PercentModel(
         schema=model.schema, labels=model.labels, prior=prior, conditional=cond
     )
-
-
-def _checked_table(
-    model: NaiveBayesModel | PercentModel, total: int, kind: str
-) -> tuple[dict[str, tuple], ...]:
-    """Per feature, each domain value's conditionals in label order, once the
-    labels are checked and every distribution sums to ``total`` (``kind``
-    prefixes the ModelFormatError messages)."""
-    for label in model.labels:
-        _check_text("label", label)
-    if sum(model.prior[l] for l in model.labels) != total:
-        raise ModelFormatError(f"{kind}priors must sum to {total}")
-    for label in model.labels:
-        for name, domain in model.schema.features:
-            got = sum(model.conditional[(name, v, label)] for v in domain)
-            if got != total:
-                raise ModelFormatError(
-                    f"{kind}conditionals of {name} given {label} "
-                    f"sum to {got}, not {total}"
-                )
-    return tuple(
-        {
-            value: tuple(model.conditional[(name, value, label)] for label in model.labels)
-            for value in domain
-        }
-        for name, domain in model.schema.features
-    )
-
-
-def _score_rows(model: NaiveBayesModel | PercentModel, values: tuple[str, ...]) -> list:
-    """The score row of each value; a value outside the schema raises DataError.
-
-    The table lookup is the domain check: only when it misses does
-    ``validate_values`` run, to raise the error that names the bad value.
-    """
-    table = model._table
-    try:
-        rows = [column[value] for column, value in zip(table, values)]
-    except (KeyError, TypeError):
-        rows = None
-    if rows is None or len(values) != len(table):
-        validate_values(model.schema, values)
-    return rows
 
 
 # ---------------------------------------------------------------------------

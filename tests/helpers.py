@@ -75,7 +75,8 @@ class CountingModel(PercentModel):
         self.calls[tuple(values)] += 1
         return super().classify(values, maxint)
 
-    def _grid_scores(self, domains):
-        scores = super()._grid_scores(domains)
-        self.folds.append(len(scores[0]))
+    def _grid_scores(self, domains, maxint):
+        scores = super()._grid_scores(domains, maxint)
+        if scores is not None:
+            self.folds.append(len(scores[0]))
         return scores

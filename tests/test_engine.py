@@ -22,7 +22,7 @@ from xresp.engine import (
 )
 from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent, train
 from xresp.queries import model_atom_sets
-from xresp.schema import Entity, load_dataset
+from xresp.schema import Entity, FeatureSchema, SchemaError, load_dataset
 
 from conftest import TWO_DEPTH_DEPEND
 from helpers import CountingModel
@@ -508,6 +508,24 @@ def test_explanations_refuse_versions_of_another_original(weather_percent,
     other = Entity("e", ("sunny", "low", "high", "strong"))
     with pytest.raises(ValueError, match="do not start from the original entity"):
         explanations_of(weather_versions, other, weather_percent.schema)
+
+
+def test_explanations_refuse_another_schema(weather_percent, weather_versions,
+                                            weather_entity):
+    # reversed, Humidity's index would read the cause value of Temperature
+    reversed_schema = FeatureSchema(tuple(reversed(weather_percent.schema.features)))
+    with pytest.raises(ValueError, match="^schema is not the one the versions were "
+                                         "searched over$"):
+        explanations_of(weather_versions, weather_entity, reversed_schema)
+
+
+def test_xresp_refuses_a_cause_the_schema_lacks(weather_percent, weather_versions,
+                                                weather_entity):
+    explanations = explanations_of(weather_versions, weather_entity, weather_percent.schema)
+    # Humidity scores 1; a schema without it must not drop it silently
+    partial = FeatureSchema((("Outlook", ("a", "b")), ("Wind", ("x", "y"))))
+    with pytest.raises(SchemaError, match="^unknown feature: Humidity$"):
+        xresp(explanations, partial)
 
 
 # ---------------------------------------------------------------------------

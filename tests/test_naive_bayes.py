@@ -216,6 +216,9 @@ def test_persistence_round_trip(weather_model, tmp_path):
     again, class_column = load_model(str(path))
     assert again == weather_model
     assert class_column == "Play"
+    # blank lines and ``%`` comment lines are skipped wherever they stand
+    text = serialize_model(weather_model, "Play").replace("\n", "\n\n  % note\n", 3)
+    assert parse_model("% a model\n" + text) == (weather_model, "Play")
 
 
 def test_serialize_model_format(weather_model):
@@ -358,17 +361,30 @@ def test_the_identifier_chain_round_trips_or_is_refused(data):
 
 
 def test_parse_model_errors():
-    with pytest.raises(ModelFormatError):
+    header = "labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n"
+    with pytest.raises(ModelFormatError, match="^missing 'labels:' line$"):
         parse_model("")  # no labels header
-    with pytest.raises(ModelFormatError):
-        parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\nbogus\n")
-    with pytest.raises(ModelFormatError):
-        parse_model(
-            "labels: yes,no\n"
-            "prior: yes 1/2\n"
-            "prior: no 1/2\n"
-            "A,x,yes,1/2\n"  # incomplete conditional table
-        )
+    with pytest.raises(ModelFormatError,
+                       match="^line 4: expected feature,value,label,fraction: 'bogus'$"):
+        parse_model(header + "bogus\n")
+    # a single value of A forms no domain, so the schema refuses it first
+    with pytest.raises(ModelFormatError, match=r"^bad feature table: domain of A has 1 "):
+        parse_model(header + "A,x,yes,1/2\n")
+    with pytest.raises(ModelFormatError,
+                       match=r"^incomplete conditional table: missing \('A', 'y', 'no'\)$"):
+        parse_model(header + "A,x,yes,1/2\nA,y,yes,1/2\nA,x,no,1\n")
+    for labels in ("yes", "yes,", "yes,no,maybe"):
+        with pytest.raises(ModelFormatError, match="^line 1: need exactly two labels$"):
+            parse_model(f"labels: {labels}\n")
+    for prior in ("yes", "yes half", "yes 1/2 extra"):
+        with pytest.raises(ModelFormatError, match=f"^line 2: bad prior: 'prior: {prior}'$"):
+            parse_model(f"labels: yes,no\nprior: {prior}\n")
+    with pytest.raises(ModelFormatError, match="^line 4: bad fraction 'half'$"):
+        parse_model(header + "A,x,yes,half\n")
+    for priors in ("prior: yes 1\n", "prior: yes 1/2\nprior: maybe 1/2\n"):
+        with pytest.raises(ModelFormatError,
+                           match="^priors must cover exactly the declared labels$"):
+            parse_model("labels: yes,no\n" + priors + "A,x,yes,1\n")
     # labels and priors but no conditional lines
     with pytest.raises(ModelFormatError, match="^bad feature table: .*at least one feature"):
         parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n")

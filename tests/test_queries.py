@@ -566,7 +566,7 @@ def test_repeated_variables_must_agree():
     assert answer(parse_query("p(X, X)?"), [atoms], "brave") == [("a", "a")]
 
 
-def test_comparison_operators():
+def test_comparison_operators(weather_atom_sets):
     atoms = ModelAtomSet({"p": frozenset({(1, 2), (2, 1), (2, 2)})})
     def rows(text):
         return answer(parse_query(text), [atoms], "brave")
@@ -575,6 +575,17 @@ def test_comparison_operators():
     assert rows("p(X, Y), X = Y?") == [(2, 2)]
     assert rows("p(X, Y), X != Y?") == [(1, 2), (2, 1)]
     assert rows("p(X, Y), X < 2?") == [(1, 2)]
+    # a constant on the left of = or != compares as on the right
+    def weather_rows(text):
+        return [render_row(row) for row in
+                answer(parse_query(f"invResp(E,U,R), {text}?"), weather_atom_sets, "brave")]
+    assert weather_rows("1 = R") == weather_rows("R = 1") == ["e, humidity, 1"]
+    assert weather_rows("humidity = U") == weather_rows("U = humidity") == [
+        f"e, humidity, {r}" for r in range(1, 5)]
+    every = weather_rows("R = R")
+    not_two = [row for row in every if not row.endswith(", 2")]
+    assert weather_rows("2 != R") == weather_rows("R != 2") == not_two
+    assert len(not_two) < len(every)
 
 
 def test_ordered_comparison_requires_integers():
