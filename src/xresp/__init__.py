@@ -102,3 +102,19 @@ class _Record:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def _read(path: str) -> str:
+    """The text of an input file; a leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as handle:
+        return handle.read()
+
+
+def _lines(text: str):
+    """``(line number, stripped line)`` for each line not blank once cut at its
+    first ``%``.  So ``%`` starts a comment anywhere in every format read: no
+    name, value, label, fraction or atom may contain it."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("%", 1)[0].strip()
+        if line:
+            yield lineno, line

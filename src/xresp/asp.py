@@ -2,8 +2,9 @@
 
 Rules have the shape ``a1 v a2 :- b1, b2, not c1.`` over propositional
 atoms; an empty head (``:- body.``) is a hard constraint and ``:~ body.``
-is a weak constraint.  ``stable_models`` is the one semantic routine, and
-it works from first principles:
+is a weak constraint.  ``%`` starts a comment anywhere on a line, as in
+every input format.  ``stable_models`` is the one semantic routine, and it
+works from first principles:
 
 1. the reduct of a program w.r.t. a candidate atom set S deletes every rule
    whose negative body intersects S and strips the negative literals from
@@ -27,7 +28,7 @@ from __future__ import annotations
 import os
 import re
 
-from . import _Record
+from . import _lines, _Record
 
 DEFAULT_ATOM_CAP = 20
 ATOM_CAP_ENV = "XRESP_ASP_ATOM_CAP"
@@ -67,14 +68,12 @@ class GroundProgram(_Record):
 
 
 def parse_program(text: str) -> GroundProgram:
-    """Parse program text; ``%`` starts a comment, statements end with ``.``."""
+    """Parse program text read by ``xresp._lines``; a statement ends with
+    ``.`` on the line where it starts."""
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if not line.endswith("."):
             raise ProgramSyntaxError(f"line {lineno}: statement must end with '.'")
         for statement in line.split("."):

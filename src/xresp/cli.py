@@ -17,6 +17,8 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Sequence
 
+from . import _read
+
 if TYPE_CHECKING:
     from .constraints import ConstraintSet
     from .naive_bayes import NaiveBayesModel, PercentModel
@@ -317,8 +319,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .schema import render_row
 
     model, entity, maxint = _instance(args)
-    with open(args.queries, "r", encoding="utf-8") as handle:
-        queries = load_queries(handle.read())
+    queries = load_queries(_read(args.queries))
     if not queries:
         raise ValueError(f"no queries in {args.queries}")
     for query in queries:
@@ -348,8 +349,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from .asp import parse_program, stable_models
 
-    with open(args.program, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = parse_program(_read(args.program))
     for model in stable_models(program):
         print("{" + ", ".join(sorted(model)) + "}")
     return 0

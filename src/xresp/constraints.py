@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from . import _Record
+from . import _lines, _read, _Record
 from .schema import FeatureSchema
 
 
@@ -103,7 +103,10 @@ class ConstraintSet(_Record):
 #   % comment
 #   forbid Temperature=high, Wind=strong
 #   depend Temperature -> Humidity: high->normal, medium->high, low->high
-#   immutable Outlook
+#   immutable Outlook   % a comment may end any line
+#
+# Lines are read by the package's one rule (``xresp._lines``), and a file's
+# leading byte-order mark is skipped (``xresp._read``).
 
 
 def parse_constraints(text: str, schema: FeatureSchema) -> ConstraintSet:
@@ -111,10 +114,7 @@ def parse_constraints(text: str, schema: FeatureSchema) -> ConstraintSet:
     dependencies: list[Dependency] = []
     immutable: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("forbid "):
             combo: dict[str, str] = {}
             for part in line[len("forbid "):].split(","):
@@ -161,5 +161,4 @@ def parse_constraints(text: str, schema: FeatureSchema) -> ConstraintSet:
 
 
 def load_constraints(path: str, schema: FeatureSchema) -> ConstraintSet:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_constraints(handle.read(), schema)
+    return parse_constraints(_read(path), schema)

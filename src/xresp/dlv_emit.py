@@ -29,7 +29,7 @@ import re
 import textwrap
 from typing import TYPE_CHECKING
 
-from . import _Record
+from . import _lines, _Record
 from .naive_bayes import DEFAULT_MAXINT, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
@@ -102,9 +102,8 @@ def _feature_names(schema: FeatureSchema) -> list[_FeatureNames]:
             if not staged:
                 raise EmitError(f"cannot derive a distinct variable for {name!r}")
             # the whole name reads as a staged percentage: suffix it instead
+            # (every other variable is upper case, or that plus p: none clashes)
             var += "f"
-            while var in taken or var + "p" in taken:
-                var += "f"
         taken.add(var)
         taken.add(var + "p")
         out.append(_FeatureNames(name=name, suffix=prefix, var=var, var_p=var + "p"))
@@ -342,9 +341,8 @@ def _fact_statements(text: str) -> list[tuple[int, str]]:
     statements: list[tuple[int, str]] = []
     current: list[str] = []
     start_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
-        if line.strip().startswith("#include"):
+    for lineno, line in _lines(text):
+        if line.startswith("#include"):
             continue
         for ch in line:
             if not current:

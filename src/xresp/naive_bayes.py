@@ -32,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
-from . import _Record
+from . import _lines, _read, _Record
 from .schema import (
     _NAME_RE, Dataset, FeatureSchema, SchemaError, _check_text, validate_values,
 )
@@ -275,12 +275,14 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
 #   class-column: Play
 #   prior: yes 9/14
 #   prior: no 5/14
-#   Outlook,sunny,yes,2/9
+#   Outlook,sunny,yes,2/9   % a comment, anywhere on a line
 #   ...
 #
-# Feature order and domain order are recovered from the first appearance of
-# each feature/value among the conditional lines, so save -> load -> save is
-# byte-identical.
+# Lines are read by the package's one rule (``xresp._lines``): ``%`` starts
+# a comment and blank lines are skipped; a file's leading byte-order mark is
+# skipped too (``xresp._read``).  Feature order and domain order are
+# recovered from the first appearance of each feature/value among the
+# conditional lines, so save -> load -> save is byte-identical.
 
 
 def serialize_model(model: NaiveBayesModel, class_column: str = "class") -> str:
@@ -306,8 +308,7 @@ def serialize_model(model: NaiveBayesModel, class_column: str = "class") -> str:
 
 def load_model(path: str) -> tuple[NaiveBayesModel, str]:
     """Load a persisted model; returns (model, class column name)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    return parse_model(_read(path))
 
 
 def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
@@ -318,10 +319,7 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
     feature_order: list[str] = []
     domains: dict[str, list[str]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("labels:"):
             parts = [p.strip() for p in line[len("labels:"):].split(",")]
             if len(parts) != 2 or not all(parts):
@@ -333,12 +331,13 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
             if class_column is not None:
                 raise ModelFormatError(f"line {lineno}: repeated 'class-column:' line")
             class_column = line[len("class-column:"):].strip()
+            _check_text("class column", class_column, _NAME_RE)
         elif line.startswith("prior:"):
             try:
                 label, frac_text = line[len("prior:"):].split()
                 frac = Fraction(frac_text)
             except ValueError as exc:
-                raise ModelFormatError(f"line {lineno}: bad prior: {raw!r}") from exc
+                raise ModelFormatError(f"line {lineno}: bad prior: {line!r}") from exc
             if label in prior:
                 raise ModelFormatError(f"line {lineno}: repeated prior for {label}")
             prior[label] = frac
@@ -346,7 +345,7 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 4:
                 raise ModelFormatError(
-                    f"line {lineno}: expected feature,value,label,fraction: {raw!r}"
+                    f"line {lineno}: expected feature,value,label,fraction: {line!r}"
                 )
             name, value, label, frac_text = parts
             try:

@@ -45,12 +45,10 @@ import re
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from . import _Record
+from . import _lines, _Record
 from .engine import _SearchResult
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import _CONSTANT_RE, Entity
-# answers print through the text rules in schema; kept importable from here
-from .schema import render_row, render_value
 
 Value = Union[str, int, frozenset]
 
@@ -362,12 +360,7 @@ def _parse_term(text: str, anon_counter: int) -> tuple[Term, int]:
 
 def load_queries(text: str) -> list[Query]:
     """One query per non-empty line; ``%`` comments."""
-    queries = []
-    for raw in text.splitlines():
-        line = raw.split("%", 1)[0].strip()
-        if line:
-            queries.append(parse_query(line))
-    return queries
+    return [parse_query(line) for _, line in _lines(text)]
 
 
 # ---------------------------------------------------------------------------

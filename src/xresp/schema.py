@@ -107,10 +107,24 @@ class Entity(_Record):
 
 
 class Dataset(_Record):
+    """Training rows, each ``(values, label)``; a row outside the schema or the
+    labels raises DataError naming it (counted from 1)."""
+
     schema: FeatureSchema
     rows: tuple[tuple[tuple[str, ...], str], ...]
     labels: tuple[str, str]
     class_column: str = "class"
+
+    def __post_init__(self) -> None:
+        for number, (values, label) in enumerate(self.rows, start=1):
+            try:
+                validate_values(self.schema, values)
+            except DataError as exc:
+                raise DataError(f"row {number}: {exc}") from None
+            if label not in self.labels:
+                raise DataError(
+                    f"row {number}: label {label!r} is not one of {', '.join(self.labels)}"
+                )
 
 
 def validate_values(schema: FeatureSchema, values: tuple[str, ...]) -> None:

@@ -139,7 +139,7 @@ def test_criterion_07_forbidden_pair(weather_percent, weather_entity,
 
 
 def test_criterion_08_query_goldens(weather_atom_sets):
-    from xresp.queries import render_row
+    from xresp.schema import render_row
 
     with criterion(8, "all five reference queries, byte-for-byte"):
         for text, expected in REFERENCE_ANSWERS.items():

@@ -20,7 +20,8 @@ from xresp import (
 )
 from xresp.cli import _build_parser, main
 from xresp.constraints import parse_constraints
-from xresp.queries import answer, load_queries, render_row
+from xresp.queries import answer, load_queries
+from xresp.schema import render_row
 
 from conftest import (
     DEMO_PROGRAM,
@@ -570,6 +571,41 @@ def test_a_byte_order_mark_is_not_part_of_the_first_feature_name(run_cli, tmp_pa
         ]
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+@pytest.mark.parametrize("marked", ["model", "constraints", "queries", "program"])
+def test_a_byte_order_mark_is_skipped_in_every_input_file(run_cli, tmp_path, marked):
+    texts = {
+        "model": run_cli("train", "--data", DATA)[1],
+        "constraints": "immutable Outlook\n",
+        "queries": "cause(E,U)?\ninvResp(e,U,R)?\n",
+        "program": DEMO_PROGRAM.read_text(encoding="utf-8"),
+    }
+
+    def outputs(bom):
+        path = {}
+        for kind, text in texts.items():
+            path[kind] = str(tmp_path / f"{kind}{len(bom)}")
+            with open(path[kind], "w", encoding="utf-8") as handle:
+                handle.write((bom if kind == marked else "") + text)
+        instance = ("--model", path["model"], "--entity", ENTITY)
+        return [
+            run_cli("explain", *instance, "--constraints", path["constraints"]),
+            run_cli("query", *instance, "--queries", path["queries"], "--brave"),
+            run_cli("solve-asp", path["program"]),
+        ]
+
+    plain = outputs("")
+    assert outputs("\ufeff") == plain
+    assert all(code == 0 and out and err == "" for code, out, err in plain)
+
+
+def test_train_refuses_a_header_without_a_feature(run_cli, tmp_path):
+    data = tmp_path / "one.csv"
+    data.write_text("Play\nyes\nno\n", encoding="utf-8")
+    assert run_cli("train", "--data", str(data)) == (
+        1, "", "xresp: DataError: header must name at least one feature and the class column\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["counterfactuals", "explain", "emit-dlv"])

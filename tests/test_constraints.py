@@ -78,6 +78,14 @@ def test_parse_errors_carry_line_numbers(weather_dataset, text, fragment):
         parse_constraints(text, weather_dataset.schema)
 
 
+def test_trailing_comments_are_ignored(weather_dataset):
+    schema = weather_dataset.schema
+    text = DEP_TEXT + "\nforbid Outlook=sunny, Wind=strong\nimmutable Outlook\n"
+    noted = "".join(f"{line} % note\n" for line in text.splitlines())
+    assert parse_constraints(noted, schema) == parse_constraints(text, schema)
+    assert parse_constraints("immutable Outlook % never moves", schema).immutable == {"Outlook"}
+
+
 def test_load_constraints_reads_file(tmp_path, weather_dataset):
     path = tmp_path / "knowledge.txt"
     path.write_text("forbid Temperature=high, Wind=strong\n", encoding="utf-8")

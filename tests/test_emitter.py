@@ -406,3 +406,22 @@ def test_parse_facts_errors(mutate, fragment):
     text = "\n".join(mutate(list(FACT_LINES))) + "\n"
     with pytest.raises(FactParseError, match=fragment):
         parse_facts(text)
+
+
+@pytest.mark.parametrize("first", ["dom_a(x). % a comment", "dom_a(x). "])
+def test_parse_facts_names_the_line_a_statement_starts_on(first):
+    with pytest.raises(FactParseError, match="^line 2: unrecognized fact predicate 'zz'$"):
+        parse_facts(first + "\nzz(1).\n")
+
+
+def test_parse_facts_refuses_a_statement_that_is_not_a_fact():
+    with pytest.raises(FactParseError, match="^line 1: not a fact: 'bogus fact'$"):
+        parse_facts("bogus fact.\n")
+
+
+def test_staged_rule_naming_caps_the_feature_count():
+    # n features need n - 1 accumulator letters, and 15 are free of other roles
+    features = [(f"g{c}", ("x", "y")) for c in "abcdefghijklmnopq"]
+    assert emit_cip(tiny_percent_model(features[:16]), Entity("e", ("x",) * 16))
+    with pytest.raises(EmitError, match="^schema has too many features for staged rule naming$"):
+        emit_cip(tiny_percent_model(features), Entity("e", ("x",) * 17))

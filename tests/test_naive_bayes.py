@@ -474,3 +474,25 @@ def test_distribution_checks_name_the_bad_distribution(weather_model, weather_pe
     assert refused(weather_percent, conditional=conditional) == (
         "percent conditionals of Wind given no sum to 99, not 100"
     )
+
+
+def test_trailing_comments_in_a_model_file_are_ignored(weather_dataset):
+    text = serialize_model(train(weather_dataset), weather_dataset.class_column)
+    # every kind of statement carries one: labels, class column, prior, conditional
+    noted = "% a model\n\n" + "".join(f"{line} % note\n" for line in text.splitlines())
+    assert parse_model(noted) == parse_model(text)
+    assert parse_model(noted)[1] == "Play"
+
+
+def test_parse_model_refuses_a_class_column_it_could_not_write_back(weather_model):
+    text = serialize_model(weather_model, "Play")
+    with pytest.raises(DataError, match="^class column 'Pl ay' is not a letter-initial"):
+        parse_model(text.replace("class-column: Play", "class-column: Pl ay"))
+
+
+def test_train_refuses_a_label_without_rows():
+    schema = FeatureSchema((("A", ("x", "y")),))
+    rows = ((("x",), "yes"), (("y",), "yes"))
+    dataset = Dataset(schema=schema, rows=rows, labels=("yes", "no"))
+    with pytest.raises(ModelFormatError, match="^label no has no training rows$"):
+        train(dataset)

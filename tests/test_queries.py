@@ -29,9 +29,8 @@ from xresp.queries import (
     load_queries,
     model_atom_sets,
     parse_query,
-    render_row,
-    render_value,
 )
+from xresp.schema import render_row, render_value
 
 from conftest import TWO_DEPTH_DEPEND
 from helpers import CountingModel
@@ -732,3 +731,8 @@ def test_rows_sort_canonically():
     )
     rows = answer(parse_query("r(N, S)?"), [atoms], "brave")
     assert rows == [(1, "a"), (1, "z"), (2, "b"), (10, "a")]
+
+
+def test_a_trailing_comma_leaves_an_empty_literal():
+    with pytest.raises(QueryError, match=r"^empty literal in 'p\(X\),'$"):
+        parse_query("p(X),?")

@@ -1,9 +1,12 @@
 """Dataset loading, schema inference, and entity parsing."""
 
+import re
+
 import pytest
 
 from xresp import (
     DataError,
+    Dataset,
     Entity,
     FeatureSchema,
     SchemaError,
@@ -138,3 +141,22 @@ def test_blank_lines_are_skipped(tmp_path):
     dataset = load_dataset(str(path))
     assert len(dataset.rows) == 2
     assert dataset.labels == ("yes", "no")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([("x", "yes"), ("y", "no"), ("y", "maybe")],
+         "row 3: label 'maybe' is not one of yes, no"),
+        ([("x", "yes"), ("z", "no")],
+         "row 2: value 'z' is not in the domain of A (x, y)"),
+        # trained, a row of the wrong width gave a wrong model and no error
+        ([("x", "yes"), (("x", "y"), "no")], "row 2: expected 1 values, got 2"),
+    ],
+    ids=["label", "value", "width"],
+)
+def test_dataset_refuses_a_row_outside_its_schema_or_labels(rows, message):
+    schema = FeatureSchema((("A", ("x", "y")),))
+    rows = tuple(((v,) if isinstance(v, str) else v, label) for v, label in rows)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        Dataset(schema=schema, rows=rows, labels=("yes", "no"))
