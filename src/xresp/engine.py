@@ -36,18 +36,16 @@ the changed sets that explanations read come straight from the masks;
 value tuples and their chains are decoded only when versions are read.
 
 A full search first asks the model to fold the scores of every cell of the
-grid.  The model owns its arithmetic and its integer ceiling, so it
-decides: the staged model folds level by level in schema order, with the
-same ``// 10`` as its ``classify``, so each prefix product is computed once
-for all the cells that share it, and only when ``maxint`` is at least its
+grid, level by level in schema order as ``classify`` computes them, so each
+prefix product is computed once for all the cells that share it.  Only the
+staged model can refuse: it folds only when ``maxint`` is at least its
 covering ceiling, the largest staged product of any state, so no folded
-cell can overflow; the exact model never folds.  Otherwise, and for
-minimum-change searches (which often stop after a few states) and grids of
-more than ``_FOLD_LIMIT`` cells, each cell is scored on demand through
-``classify``, each at most once; a staged overflow then raises at the
-first overflowing cell the search reaches.  Either way the result keeps
-the search's scorer, and the query layer reads each chain cell's score
-from it: nothing is classified twice.
+cell can overflow.  Otherwise, and for minimum-change searches (which often
+stop after a few states) and grids of more than ``_FOLD_LIMIT`` cells, each
+cell is scored on demand through ``classify``, each at most once; a staged
+overflow then raises at the first overflowing cell the search reaches.
+Either way the result keeps the search's scorer, and the query layer reads
+each chain cell's score from it: nothing is classified twice.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -213,8 +211,8 @@ class _Grid:
 
 class _FoldedCells:
     """The scores of every cell of a grid, as the model folded them under
-    ``maxint``.  ``labels`` holds each cell's label index (0 positive,
-    1 negative).
+    ``maxint`` and read as ``classify`` returns them.  ``labels`` holds each
+    cell's label index (0 positive, 1 negative).
     """
 
     def __init__(self, model: NaiveBayesModel | PercentModel, scores: list[list],
@@ -224,7 +222,10 @@ class _FoldedCells:
         self.labels = bytearray(map(operator.lt, self.pos, self.neg))
 
     def score(self, code: int) -> tuple:
-        return self.model.labels[self.labels[code]], self.pos[code], self.neg[code]
+        model, pos, neg = self.model, self.pos[code], self.neg[code]
+        if model._divisor == 1:
+            pos, neg = Fraction(pos, model._denominator), Fraction(neg, model._denominator)
+        return model.labels[self.labels[code]], pos, neg
 
 
 class _CellsOnDemand(dict):

@@ -5,22 +5,23 @@ and each conditional is the share of a feature value among rows of that
 label.  All of it is kept as exact ``fractions.Fraction`` values so nothing
 is lost to floating point.
 
-Classification compares per-label numerators (prior times the product of
-the entity's conditionals); the shared denominator never needs computing.
-Both model types share one base, which holds the fields, checks the
-distributions and decides: ``classify(values, maxint)`` returns ``(label,
-positive score, negative score)``, the larger score winning and ties going
-to the positive label.  The two types differ only in their arithmetic rule:
+Classification compares per-label scores, prior times the product of the
+entity's conditionals, in integers.  Both model types share one base, which
+holds the fields, checks the distributions, computes and decides:
+``classify(values, maxint)`` returns ``(label, positive score, negative
+score)``, the larger score winning and ties going to the positive label,
+and a whole grid of entities can be scored in one fold.  The two types
+differ only in what divides each product:
 
-* ``NaiveBayesModel`` multiplies the rationals as-is.
+* ``NaiveBayesModel`` divides by 1: its scores are exact, read as Fractions.
 * ``PercentModel`` replicates an integer-only pipeline:
   conditionals are first rounded to percentages, then folded left-to-right
   in schema order with an integer division by 10 after every
   multiplication, and finally scaled by the prior percentage (again
   followed by ``// 10``).  This is what a solver restricted to integer
   arithmetic computes, and its rounding artifacts are observable by
-  comparing the two classifiers.  It can also fold the scores of a whole
-  grid of entities at once, when ``maxint`` covers every product.
+  comparing the two classifiers.  It folds a grid only when ``maxint``
+  covers every product.
 
 Percentages are produced by largest-remainder rounding per distribution, so
 each distribution sums to exactly 100.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from . import _lines, _read, _Record
@@ -50,42 +52,63 @@ DEFAULT_MAXINT = 10**8
 
 
 class _Model(_Record):
-    """The fields, checks and decision both models share; a model adds its
-    arithmetic, ``_scores``.  ``labels`` is ordered with the positive label
-    first; every distribution sums to ``_total`` (``_kind`` prefixes errors)."""
+    """The fields, checks, integer arithmetic and decision both models share;
+    a model sets only ``_total`` (every distribution's sum), ``_kind`` (its
+    errors' prefix) and ``_divisor`` (of every product).  ``labels`` is ordered
+    with the positive label first.  Each label's column of conditionals per
+    feature is scaled to integers by the lcm of its denominators, and the
+    priors over one common ``_denominator``, so the integer scores compare."""
 
     schema: FeatureSchema
     labels: tuple[str, str]
     prior: Mapping[str, Fraction | int]
     conditional: Mapping[tuple[str, str, str], Fraction | int]
 
-    _total, _kind = 1, ""
+    _total, _kind, _divisor = 1, "", 1
 
     def __post_init__(self) -> None:
-        total, kind = self._total, self._kind
-        for label in self.labels:
+        total, kind, labels = self._total, self._kind, self.labels
+        for label in labels:
             _check_text("label", label)
-        if sum(self.prior[l] for l in self.labels) != total:
+        if labels[0] == labels[1]:
+            raise ModelFormatError(f"the two labels must differ, not both {labels[0]}")
+        priors = [self.prior[label] for label in labels]
+        if sum(priors) != total:
             raise ModelFormatError(f"{kind}priors must sum to {total}")
-        for label in self.labels:
-            for name, domain in self.schema.features:
-                got = sum(self.conditional[(name, v, label)] for v in domain)
-                if got != total:
+        if min(priors) < 0:
+            raise ModelFormatError(f"{kind}priors must not be negative")
+        # per feature, each domain value's integer conditionals in label order;
+        # scales[i] is the product of label i's column scales
+        table, scales = [], [1, 1]
+        for name, domain in self.schema.features:
+            columns = []
+            for i, label in enumerate(labels):
+                column = [self.conditional[(name, value, label)] for value in domain]
+                if (got := sum(column)) != total:
                     raise ModelFormatError(
                         f"{kind}conditionals of {name} given {label} "
                         f"sum to {got}, not {total}"
                     )
-        # per feature, each domain value's conditionals in label order
-        object.__setattr__(self, "_table", tuple(
-            {
-                value: tuple(self.conditional[(name, value, label)] for label in self.labels)
-                for value in domain
-            }
-            for name, domain in self.schema.features
-        ))
+                if min(column) < 0:
+                    raise ModelFormatError(
+                        f"{kind}conditionals of {name} given {label} must not be negative"
+                    )
+                scale = lcm(*(p.denominator for p in column))
+                scales[i] *= scale
+                columns.append([int(p * scale) for p in column])
+            table.append(dict(zip(domain, zip(*columns))))
+        # each label's prior over its scale, then over the common denominator
+        shares = [Fraction(p, scale) for p, scale in zip(priors, scales)]
+        denominator = lcm(*(share.denominator for share in shares))
+        if self._divisor != 1 and (denominator, *scales) != (1, 1, 1):
+            raise ModelFormatError(f"{kind}priors and conditionals must be integers")
+        object.__setattr__(self, "_table", tuple(table))
+        object.__setattr__(self, "_prior", tuple(int(share * denominator) for share in shares))
+        object.__setattr__(self, "_denominator", denominator)
 
     def classify(self, values: tuple[str, ...], maxint: int = DEFAULT_MAXINT) -> tuple:
-        """``(label, positive score, negative score)``; ties go to the positive label.
+        """``(label, positive score, negative score)``; ties go to the positive
+        label.  Exact scores are read as Fractions over ``_denominator``.
 
         A value outside the schema raises DataError: the table lookup is the
         domain check, and only when it misses does ``validate_values`` run.
@@ -97,96 +120,79 @@ class _Model(_Record):
             rows = None
         if rows is None or len(values) != len(table):
             validate_values(self.schema, values)
+        rows.append(self._prior)
         pos, neg = self._scores(rows, maxint)
-        return self.labels[0] if pos >= neg else self.labels[1], pos, neg
+        label = self.labels[0] if pos >= neg else self.labels[1]
+        if self._divisor == 1:
+            return label, Fraction(pos, self._denominator), Fraction(neg, self._denominator)
+        return label, pos, neg
 
-    def _grid_scores(self, domains: tuple[tuple[str, ...], ...], maxint: int) -> None:
-        """The scores of every cell of a grid, or None: classify each cell instead."""
-        return None
+    def _scores(self, rows: list, maxint: int) -> list[int]:
+        """Each label's factors in ``rows`` (the conditionals in schema order,
+        then the prior) folded left to right, each product floor-divided by
+        ``_divisor``; a staged product above ``maxint`` raises
+        StagedOverflowError, mirroring a solver's integer ceiling."""
+        divisor, scores = self._divisor, []
+        for i in (0, 1):
+            acc = rows[0][i]
+            for row in rows[1:]:
+                product = acc * row[i]
+                if divisor != 1 and product > maxint:
+                    raise StagedOverflowError(
+                        f"staged product {acc}*{row[i]} = {product} exceeds maxint "
+                        f"{maxint}; --maxint {self._covering_maxint()} covers every state"
+                    )
+                acc = product // divisor
+            scores.append(acc)
+        return scores
+
+    def _grid_scores(self, domains: tuple[tuple[str, ...], ...],
+                     maxint: int) -> list[list[int]] | None:
+        """``_scores`` of every cell of a grid, per label, or None when a staged
+        ``maxint`` is below ``_covering_maxint()``.
+
+        ``domains`` gives each feature's values in digit order; a cell's
+        index reads its digits mixed-radix, feature 0 most significant.  The
+        fold runs level by level in schema order, so each prefix product is
+        computed once for every cell that shares it.
+        """
+        if self._divisor != 1 and maxint < self._covering_maxint():
+            return None
+        divisor, folds = self._divisor, []
+        for i in (0, 1):
+            levels = [[column[value][i] for value in domain]
+                      for column, domain in zip(self._table, domains)]
+            acc = levels[0]
+            for factors in levels[1:] + [[self._prior[i]]]:
+                acc = [a * f // divisor for a in acc for f in factors]
+            folds.append(acc)
+        return folds
+
+    def _covering_maxint(self) -> int:
+        """The smallest ``maxint`` under which no grid state overflows.
+
+        No factor is negative, so the fold is monotone in every factor, and
+        per label the largest product of any state is one of the products
+        folded from the per-feature maximum factors, prior step included.
+        """
+        largest = 0
+        for i in (0, 1):
+            tops = [max(row[i] for row in column.values()) for column in self._table]
+            acc = tops[0]
+            for factor in tops[1:] + [self._prior[i]]:
+                largest = max(largest, acc * factor)
+                acc = acc * factor // self._divisor
+        return largest
 
 
 class NaiveBayesModel(_Model):
     """Exact-rational model. ``labels`` is ordered with the positive label first."""
 
-    def _scores(self, rows: list, maxint: int) -> list[Fraction]:
-        """Exact numerators per label; rationals never overflow, so ``maxint`` is unused."""
-        numerators = []
-        for i, label in enumerate(self.labels):
-            num = self.prior[label]
-            for row in rows:
-                num *= row[i]
-            numerators.append(num)
-        return numerators
-
 
 class PercentModel(_Model):
     """Integer-percentage twin of NaiveBayesModel; every distribution sums to 100."""
 
-    _total, _kind = 100, "percent "
-
-    def _scores(self, rows: list, maxint: int) -> list[int]:
-        """Integer-percentage pipeline: fold conditionals in schema order.
-
-        Every multiplication is followed by ``// 10``; the prior percentage
-        is folded last the same way.  Products above ``maxint`` raise
-        StagedOverflowError (mirroring a solver's integer ceiling).
-        """
-        scores = []
-        for i, label in enumerate(self.labels):
-            acc = rows[0][i]
-            for row in rows[1:]:
-                acc = self._checked_mul(acc, row[i], maxint) // 10
-            scores.append(self._checked_mul(acc, self.prior[label], maxint) // 10)
-        return scores
-
-    def _grid_scores(self, domains: tuple[tuple[str, ...], ...],
-                     maxint: int) -> list[list[int]] | None:
-        """``classify``'s score per label of every cell of a grid, in label order,
-        or None when ``maxint`` is below ``_covering_maxint()``.
-
-        ``domains`` gives each feature's values in digit order; a cell's
-        index reads its digits mixed-radix, feature 0 most significant.  The
-        fold runs level by level in schema order, so each prefix product is
-        computed once for every cell that shares it, with the same ``// 10``
-        as ``classify``.  No product is checked: under a ``maxint`` of at
-        least the covering ceiling, no cell overflows.
-        """
-        if maxint < self._covering_maxint():
-            return None
-        folds = []
-        for i, label in enumerate(self.labels):
-            levels = [[column[value][i] for value in domain]
-                      for column, domain in zip(self._table, domains)]
-            acc = levels[0]
-            for pcts in levels[1:] + [[self.prior[label]]]:
-                acc = [a * p // 10 for a in acc for p in pcts]
-            folds.append(acc)
-        return folds
-
-    def _checked_mul(self, a: int, b: int, maxint: int) -> int:
-        product = a * b
-        if product > maxint:
-            raise StagedOverflowError(
-                f"staged product {a}*{b} = {product} exceeds maxint {maxint}; "
-                f"--maxint {self._covering_maxint()} covers every state"
-            )
-        return product
-
-    def _covering_maxint(self) -> int:
-        """The smallest ``maxint`` under which no grid state overflows.
-
-        The fold is monotone in every factor, so per label the largest
-        product of any state is one of the products folded from the
-        per-feature maximum percentages, prior step included.
-        """
-        largest = 0
-        for i, label in enumerate(self.labels):
-            tops = [max(row[i] for row in column.values()) for column in self._table]
-            acc = tops[0]
-            for pct in tops[1:] + [self.prior[label]]:
-                largest = max(largest, acc * pct)
-                acc = acc * pct // 10
-        return largest
+    _total, _kind, _divisor = 100, "percent ", 10
 
 
 def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesModel:

@@ -359,8 +359,15 @@ def _parse_term(text: str, anon_counter: int) -> tuple[Term, int]:
 
 
 def load_queries(text: str) -> list[Query]:
-    """One query per non-empty line; ``%`` comments."""
-    return [parse_query(line) for _, line in _lines(text)]
+    """One query per non-empty line; ``%`` comments.  A query that does not
+    parse raises QueryError naming its line."""
+    queries = []
+    for lineno, line in _lines(text):
+        try:
+            queries.append(parse_query(line))
+        except QueryError as exc:
+            raise QueryError(f"line {lineno}: {exc}") from None
+    return queries
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ class Dataset(_Record):
     class_column: str = "class"
 
     def __post_init__(self) -> None:
+        if self.labels[0] == self.labels[1]:
+            raise DataError(f"the two labels must differ, not both {self.labels[0]}")
         for number, (values, label) in enumerate(self.rows, start=1):
             try:
                 validate_values(self.schema, values)

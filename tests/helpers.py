@@ -8,7 +8,7 @@ import io
 import re
 from collections import Counter
 
-from xresp import DEFAULT_MAXINT, Dataset, PercentModel
+from xresp import DEFAULT_MAXINT, Dataset
 
 _TOKEN_RE = re.compile(
     r":-|:~|!=|>=|<=|#[A-Za-z]+|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){},.<>=*/+]|\S"
@@ -52,10 +52,11 @@ def serialize_dataset(dataset: Dataset) -> str:
     return out.getvalue()
 
 
-class CountingModel(PercentModel):
-    """A staged model that counts how often each state is classified, and
-    the size of every grid it folds.  ``calls`` and ``folds`` belong to each
-    instance and are not fields, so equality ignores them."""
+class CountingModel:
+    """Mixed by ``CountingModel.of`` into a copy of either model: counts how
+    often each state is classified, and the size of every grid it folds.
+    ``calls`` and ``folds`` belong to each instance and are not fields, so
+    equality ignores them."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -63,8 +64,9 @@ class CountingModel(PercentModel):
         object.__setattr__(self, "folds", [])
 
     @classmethod
-    def of(cls, model: PercentModel) -> "CountingModel":
-        return cls(
+    def of(cls, model):
+        counting = type(f"Counting{type(model).__name__}", (cls, type(model)), {})
+        return counting(
             schema=model.schema,
             labels=model.labels,
             prior=model.prior,

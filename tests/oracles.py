@@ -1,7 +1,9 @@
 """Independent definition-checking oracles and random generators for tests.
 
 Everything here is deliberately written from the definitions, without
-reusing the package's algorithms, so agreement is meaningful: the stable
+reusing the package's algorithms, so agreement is meaningful: the score
+oracle multiplies a label's prior and conditionals as Fractions (exact) or
+folds its percentages by hand (staged); the stable
 model oracle enumerates subsets and applies the reduct/minimal-model
 definitions over plain sets; the strict actual-cause oracle searches all
 contingency assignments directly and ignores path reachability; ``admits``
@@ -17,6 +19,7 @@ one tuple per atom in every model.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 from xresp import (
@@ -35,6 +38,37 @@ from xresp import (
 )
 from xresp.queries import Constant, Variable
 from xresp.schema import validate_values
+
+# ---------------------------------------------------------------------------
+# Classifier scores
+# ---------------------------------------------------------------------------
+
+
+def oracle_scores(model, values: tuple[str, ...]) -> tuple:
+    """``(label, positive score, negative score)`` from the definition.
+
+    Exact: each label's prior times the product of its conditionals, as
+    Fractions.  Staged: the label's percentages folded by hand in schema
+    order, ``// 10`` after every product, the prior last; no ceiling is
+    checked.  Ties go to the positive label.
+    """
+    scores = []
+    for label in model.labels:
+        factors = [model.conditional[(name, value, label)]
+                   for (name, _), value in zip(model.schema.features, values)]
+        factors.append(model.prior[label])
+        if isinstance(model, PercentModel):
+            score = factors[0]
+            for factor in factors[1:]:
+                score = score * factor // 10
+        else:
+            score = Fraction(1)
+            for factor in factors:
+                score *= factor
+        scores.append(score)
+    label = model.labels[0] if scores[0] >= scores[1] else model.labels[1]
+    return (label, *scores)
+
 
 # ---------------------------------------------------------------------------
 # Definitional stable-model oracle

@@ -173,6 +173,18 @@ def test_classify_exact_prints_rationals(run_cli):
     assert out == "label: yes\nyes: 4/189\nno: 4/875\n"
 
 
+@pytest.mark.parametrize("classifier", ["exact", "staged"])
+def test_a_model_with_two_equal_labels_is_refused(run_cli, tmp_path, classifier):
+    # exact used to print "yes: 1/8" twice, staged a percent-prior error
+    model = tmp_path / "twice.model"
+    model.write_text("labels: yes,yes\nprior: yes 1/2\nA,x,yes,1/2\nA,y,yes,1/2\n",
+                     encoding="utf-8")
+    code, out, err = run_cli("classify", "--model", str(model), "--entity", "x",
+                             "--classifier", classifier)
+    assert (code, out) == (1, "")
+    assert err == "xresp: ModelFormatError: the two labels must differ, not both yes\n"
+
+
 def test_train_with_flipped_positive_label(run_cli):
     code, out, _ = run_cli("train", "--data", DATA, "--positive-label", "no")
     assert code == 0
@@ -344,7 +356,7 @@ def test_query_terms_outside_the_constant_policy_are_refused(run_cli, tmp_path, 
         "--queries", write_queries(tmp_path, query),
     )
     assert (code, out) == (1, "")
-    assert err.startswith("xresp: QueryError: bad term") and err.count("\n") == 1
+    assert err.startswith("xresp: QueryError: line 1: bad term") and err.count("\n") == 1
 
 
 def test_exact_query_has_no_pb_num(run_cli, tmp_path):

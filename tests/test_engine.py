@@ -234,6 +234,19 @@ def test_min_change_search_classifies_fewer_states(weather_percent,
     assert set(model.calls.values()) == {1}
 
 
+def test_an_exact_search_folds_the_grid_and_min_change_scores_on_demand(weather_model,
+                                                                       weather_entity):
+    model = CountingModel.of(weather_model)
+    full = enumerate_counterfactuals(model, weather_entity)
+    assert full == enumerate_counterfactuals(weather_model, weather_entity)
+    assert model.folds == [36] and not model.calls
+    model.folds.clear()
+    bounded = enumerate_counterfactuals(model, weather_entity, min_change=True)
+    assert bounded == min_change_versions(full)
+    assert not model.folds
+    assert set(model.calls.values()) == {1} and len(model.calls) < 36
+
+
 def test_searches_above_the_fold_limit_score_each_cell_on_demand(
     weather_percent, weather_entity, weather_versions, monkeypatch
 ):

@@ -6,7 +6,9 @@ data before being pinned: the conditional table by counting rows per
 and every staged value by folding the integer pipeline by hand.
 """
 
+import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from xresp import (
     FeatureSchema,
     ModelFormatError,
     NaiveBayesModel,
+    PercentModel,
     StagedOverflowError,
     enumerate_counterfactuals,
     load_dataset,
@@ -31,7 +34,9 @@ from xresp.naive_bayes import parse_model
 from xresp.queries import ModelAtomSet, answer, parse_query
 from xresp.schema import Entity, validate_values
 
-from oracles import all_grid_tuples
+from xresp import engine
+
+from oracles import all_grid_tuples, oracle_scores, random_instance
 
 # Full conditional-probability table: (feature, value) -> (P(.|yes), P(.|no)).
 EXACT_CONDITIONALS = {
@@ -208,6 +213,69 @@ def test_classify_rejects_values_outside_the_schema(weather_model, weather_perce
         with pytest.raises(DataError) as raised:
             model.classify(values)
         assert str(raised.value) == str(expected.value)
+
+
+def mirrored(csv_text):
+    """The rows again under the other label: both labels' priors and
+    conditionals agree, so every entity's scores tie."""
+    lines = csv_text.splitlines()
+    other = {"pos": "neg", "neg": "pos"}
+    for line in lines[1:]:
+        values, label = line.rsplit(",", 1)
+        lines.append(f"{values},{other[label]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_classify_and_the_folded_grid_score_by_the_definition(tmp_path):
+    rng = random.Random(20261019)
+    path = tmp_path / "data.csv"
+    seen = Counter()
+    for n in range(80):
+        csv_text, entity_values = random_instance(rng)
+        path.write_text(mirrored(csv_text) if n % 4 == 0 else csv_text, encoding="utf-8")
+        exact = train(load_dataset(str(path)))
+        for model in (exact, to_percent(exact)):
+            result = enumerate_counterfactuals(model, Entity("e", entity_values))
+            assert isinstance(result.scorer, engine._FoldedCells)
+            score_type = F if model is exact else int
+            for code in range(result.grid.size):
+                values = result.grid.decode(code)
+                want = oracle_scores(model, values)
+                assert type(want[1]) is type(want[2]) is score_type
+                for got in (model.classify(values), result.scorer.score(code)):
+                    assert got == want
+                    assert tuple(map(type, got)) == tuple(map(type, want))
+                seen[type(model), want[1] == want[2]] += 1
+    # ties, which go to the positive label, and strict wins on both backends
+    for model_type in (NaiveBayesModel, PercentModel):
+        assert seen[model_type, True] > 500 and seen[model_type, False] > 2000
+
+
+@pytest.mark.parametrize("model_type", [NaiveBayesModel, PercentModel])
+def test_two_equal_labels_are_refused(model_type):
+    total = model_type._total
+    with pytest.raises(ModelFormatError, match="^the two labels must differ, not both yes$"):
+        model_type(
+            schema=FeatureSchema((("A", ("x", "y")),)),
+            labels=("yes", "yes"),
+            prior={"yes": F(total, 2)},
+            conditional={("A", "x", "yes"): F(total, 2), ("A", "y", "yes"): F(total, 2)},
+        )
+
+
+def test_negative_values_are_refused_in_model_files_and_facts():
+    # the column sums to 1, and exact classify used to print "yes: -1/8"
+    text = ("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n"
+            "A,x,yes,3/2\nA,x,no,1/2\nA,y,yes,-1/2\nA,y,no,1/2\n")
+    with pytest.raises(ModelFormatError,
+                       match="^conditionals of A given yes must not be negative$"):
+        parse_model(text)
+    facts = ("entSchema(a). dom_a(x). dom_a(y). ent(e,x,o).\n"
+             "p(yes, 150). p(no, -50).\n"
+             "p_a_c(x, yes, 50). p_a_c(y, yes, 50). p_a_c(x, no, 50). p_a_c(y, no, 50).\n")
+    with pytest.raises(ModelFormatError, match="^percent priors must not be negative$"):
+        parse_facts(facts)
+    assert parse_facts(facts.replace("150", "50").replace("-50", "50"))
 
 
 def test_persistence_round_trip(weather_model, tmp_path):
@@ -474,6 +542,27 @@ def test_distribution_checks_name_the_bad_distribution(weather_model, weather_pe
     assert refused(weather_percent, conditional=conditional) == (
         "percent conditionals of Wind given no sum to 99, not 100"
     )
+    # a negative value that the sum hides
+    assert refused(weather_model, prior={"yes": F(3, 2), "no": F(-1, 2)}) == (
+        "priors must not be negative"
+    )
+    conditional = dict(weather_percent.conditional)
+    conditional[("Wind", "weak", "no")] += 70
+    conditional[("Wind", "strong", "no")] -= 70
+    assert refused(weather_percent, conditional=conditional) == (
+        "percent conditionals of Wind given no must not be negative"
+    )
+    # a staged value is a whole percentage; one of another type is read as
+    # the integer it is
+    fractional = "percent priors and conditionals must be integers"
+    assert refused(weather_percent, prior={"yes": F(129, 2), "no": F(71, 2)}) == fractional
+    conditional = dict(weather_percent.conditional)
+    conditional[("Wind", "weak", "no")] += F(1, 2)
+    conditional[("Wind", "strong", "no")] -= F(1, 2)
+    assert refused(weather_percent, conditional=conditional) == fractional
+    prior = {label: F(pct) for label, pct in weather_percent.prior.items()}
+    assert type(weather_percent)(weather_percent.schema, weather_percent.labels, prior,
+                                 weather_percent.conditional) == weather_percent
 
 
 def test_trailing_comments_in_a_model_file_are_ignored(weather_dataset):

@@ -519,6 +519,11 @@ def test_parse_errors(text, fragment):
         parse_query(text)
 
 
+def test_load_queries_names_the_line_of_a_bad_query():
+    with pytest.raises(QueryError, match=r"^line 3: cannot parse literal: 'cause\(E,U'$"):
+        load_queries("% causes\n\ncause(E,U\ncls(E,O,T,H,W,no)?\n")
+
+
 def test_load_queries_skips_comments_and_blanks():
     queries = load_queries(
         "% reference queries\n"

@@ -160,3 +160,10 @@ def test_dataset_refuses_a_row_outside_its_schema_or_labels(rows, message):
     rows = tuple(((v,) if isinstance(v, str) else v, label) for v, label in rows)
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         Dataset(schema=schema, rows=rows, labels=("yes", "no"))
+
+
+def test_dataset_refuses_two_equal_labels():
+    # training it used to raise a bare StopIteration
+    schema = FeatureSchema((("A", ("x", "y")),))
+    with pytest.raises(DataError, match="^the two labels must differ, not both yes$"):
+        Dataset(schema=schema, rows=((("x",), "yes"),), labels=("yes", "yes"))
