@@ -371,6 +371,7 @@ def parse_facts(text: str) -> tuple[PercentModel, Entity]:
     entity: tuple[str, tuple[str, ...]] | None = None
     priors: list[tuple[str, int]] = []
     cond: dict[tuple[str, str, str], int] = {}  # (suffix, value, label) -> pct
+    suffixed: dict[str, tuple[int, str]] = {}  # suffix -> (line, predicate) of its first fact
 
     for lineno, statement in _fact_statements(text):
         match = _FACT_RE.match(re.sub(r"\s+", "", statement))
@@ -381,6 +382,7 @@ def parse_facts(text: str) -> tuple[PercentModel, Entity]:
         try:
             if pred.startswith("dom_"):
                 dom.setdefault(pred[4:], []).append(args[0])
+                suffixed.setdefault(pred[4:], (lineno, pred))
             elif pred == "entSchema":
                 if schema_names is not None:
                     raise FactParseError(f"line {lineno}: repeated entSchema fact")
@@ -401,6 +403,7 @@ def parse_facts(text: str) -> tuple[PercentModel, Entity]:
                         f"line {lineno}: repeated {pred} fact for {args[0]},{args[1]}"
                     )
                 cond[key] = int(args[2])
+                suffixed.setdefault(key[0], (lineno, pred))
             else:
                 raise FactParseError(
                     f"line {lineno}: unrecognized fact predicate {pred!r}"
@@ -420,6 +423,9 @@ def parse_facts(text: str) -> tuple[PercentModel, Entity]:
         raise FactParseError(f"expected 2 prior facts, found {len(priors)}")
 
     suffixes = _unique_prefixes(schema_names)
+    for suffix, (lineno, pred) in suffixed.items():
+        if suffix not in suffixes:
+            raise FactParseError(f"line {lineno}: {pred} names no feature of entSchema")
     features = []
     for name, suffix in zip(schema_names, suffixes):
         if suffix not in dom:

@@ -32,8 +32,8 @@ mixed-radix digits, feature 0 most significant.  An immutable feature keeps
 only its original value, so the grid leaves out cells no search can reach;
 forbidden combinations and dependencies are checks on digits.  The search
 keeps each version as its cell and a bitmask of its changed features, so
-the changed sets that explanations read come straight from the masks;
-value tuples and their chains are decoded only when versions are read.
+the changed sets that explanations read come straight from the masks.  Only
+the result walks the recorded chains and decodes cells, each at most once.
 
 A full search first asks the model to fold the scores of every cell of the
 grid, level by level in schema order as ``classify`` computes them, so each
@@ -60,6 +60,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _Record
@@ -256,9 +257,10 @@ class _SearchResult(Sequence):
     ``found`` maps each version's cell, in the order the search reached it,
     to the bitmask of its changed features (bit i for feature i), ``masks``
     each distinct mask to its changed set, and ``parent`` each reached cell
-    to the cell it was first reached from.  ``len``, ``bool``,
-    ``changed_sets`` and the query layer read only these and ``scorer``;
-    the first index or iteration decodes every version's chain.
+    to the cell it was first reached from.  Only this class walks ``parent``
+    and decodes cells, each at most once; ``len``, ``bool`` and
+    ``changed_sets`` read neither, and the first index or iteration decodes
+    every version's chain.
     """
 
     def __init__(self, eid: str, original: tuple[str, ...], schema: FeatureSchema,
@@ -273,29 +275,56 @@ class _SearchResult(Sequence):
             for mask in set(found.values())
         }
         self.changed_sets = frozenset(self.masks.values())
-        self._versions: tuple[CounterfactualVersion, ...] | None = None
+        self._states = {start: original}
 
     def __len__(self) -> int:
         return len(self.found)
 
     def __getitem__(self, index):
-        return self._decoded()[index]
+        return self._decoded[index]
 
     def __iter__(self):
-        return iter(self._decoded())
+        return iter(self._decoded)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _SearchResult):
-            other = other._decoded()
-        return self._decoded() == other
+            other = other._decoded
+        return self._decoded == other
 
     def __repr__(self) -> str:
-        return repr(self._decoded())
+        return repr(self._decoded)
 
+    def state(self, code: int) -> tuple[str, ...]:
+        """The values of cell ``code``, decoded once."""
+        if (values := self._states.get(code)) is None:
+            values = self._states[code] = self.grid.decode(code)
+        return values
+
+    def chain(self, code: int) -> list[int]:
+        """The cells from the original to ``code``."""
+        cells = [code]
+        while (code := self.parent[code]) is not None:
+            cells.append(code)
+        return cells[::-1]
+
+    def on_chains(self, every: bool) -> list[int]:
+        """The cells on some version's chain, or on every chain if ``every``."""
+        below, parent = {}, self.parent  # cell -> the found cells at or below it
+        for code in self.found:
+            while code is not None:
+                below[code] = below.get(code, 0) + 1
+                code = parent[code]
+        return [code for code, n in below.items() if not every or n == len(self.found)]
+
+    def explanations(self, changed: frozenset[str]) -> list[Explanation]:
+        """Each feature of ``changed`` as a cause, the rest as its contingency."""
+        return [Explanation(self.eid, cause, self.original[self.schema.index(cause)],
+                            changed - {cause}) for cause in changed]
+
+    @cached_property
     def ordered(self) -> list[int]:
         """The found cells in version order: by number of changes, then final state."""
-        found, decode = self.found, self.grid.decode
-        return sorted(found, key=lambda code: (found[code].bit_count(), decode(code)))
+        return sorted(self.found, key=lambda c: (self.found[c].bit_count(), self.state(c)))
 
     def fewest_changes(self) -> _SearchResult:
         """This result restricted to the versions with the fewest changed features."""
@@ -304,23 +333,19 @@ class _SearchResult(Sequence):
         return _SearchResult(self.eid, self.original, self.schema, self.grid, self.scorer,
                              self.parent, self.start, found)
 
+    @cached_property
     def _decoded(self) -> tuple[CounterfactualVersion, ...]:
-        if self._versions is None:
-            grid, parent = self.grid, self.parent
-            # the states from the original to each cell, decoded once
-            paths: dict[int, tuple[tuple[str, ...], ...]] = {self.start: (self.original,)}
+        parent, state = self.parent, self.state
+        # the states from the original to each cell, built once per cell
+        paths: dict[int, tuple[tuple[str, ...], ...]] = {self.start: (self.original,)}
 
-            def path(code: int) -> tuple[tuple[str, ...], ...]:
-                states = paths.get(code)
-                if states is None:
-                    states = paths[code] = path(parent[code]) + (grid.decode(code),)
-                return states
+        def path(code: int) -> tuple[tuple[str, ...], ...]:
+            if code not in paths:
+                paths[code] = path(parent[code]) + (state(code),)
+            return paths[code]
 
-            self._versions = tuple(
-                CounterfactualVersion(self.eid, self.masks[self.found[code]], path(code))
-                for code in self.ordered()
-            )
-        return self._versions
+        return tuple(CounterfactualVersion(self.eid, self.masks[self.found[code]], path(code))
+                     for code in self.ordered)
 
 
 def enumerate_counterfactuals(
@@ -470,16 +495,12 @@ def explanations_of(
     if not isinstance(versions, _SearchResult):
         raise TypeError("explanations_of takes a result of enumerate_counterfactuals, "
                         f"not {type(versions).__name__}")
-    values = tuple(original.values)
-    if versions.original != values:
+    if versions.original != tuple(original.values):
         raise ValueError("version states do not start from the original entity")
     if versions.schema != schema:
         raise ValueError("schema is not the one the versions were searched over")
-    explanations = [
-        Explanation(versions.eid, cause, values[schema.index(cause)], changed - {cause})
-        for changed in versions.changed_sets
-        for cause in changed
-    ]
+    explanations = [ex for changed in versions.changed_sets
+                    for ex in versions.explanations(changed)]
     return tuple(sorted(
         explanations, key=lambda ex: (ex.cause_feature, ex.inv_resp, sorted(ex.contingency))
     ))

@@ -72,6 +72,18 @@ class _Model(_Record):
             _check_text("label", label)
         if labels[0] == labels[1]:
             raise ModelFormatError(f"the two labels must differ, not both {labels[0]}")
+        if set(self.prior) != set(labels):
+            raise ModelFormatError(f"{kind}priors must cover exactly the declared labels")
+        # every (feature, value, label) the schema and labels declare, in table order
+        keys = dict.fromkeys((name, value, label) for name, domain in self.schema.features
+                             for label in labels for value in domain)
+        for key in self.conditional:
+            if key not in keys:
+                raise ModelFormatError(
+                    f"{kind}conditional for an undeclared feature, value or label: {key}")
+        for key in keys:
+            if key not in self.conditional:
+                raise ModelFormatError(f"incomplete {kind}conditional table: missing {key}")
         priors = [self.prior[label] for label in labels]
         if sum(priors) != total:
             raise ModelFormatError(f"{kind}priors must sum to {total}")
@@ -373,8 +385,6 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
 
     if labels is None:
         raise ModelFormatError("missing 'labels:' line")
-    if set(prior) != set(labels):
-        raise ModelFormatError("priors must cover exactly the declared labels")
 
     try:
         schema = FeatureSchema(
@@ -382,10 +392,5 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
         )
     except SchemaError as exc:
         raise ModelFormatError(f"bad feature table: {exc}") from exc
-    try:
-        model = NaiveBayesModel(
-            schema=schema, labels=labels, prior=prior, conditional=cond
-        )
-    except KeyError as exc:
-        raise ModelFormatError(f"incomplete conditional table: missing {exc}") from exc
+    model = NaiveBayesModel(schema=schema, labels=labels, prior=prior, conditional=cond)
     return model, "class" if class_column is None else class_column

@@ -5,11 +5,11 @@ atoms: the shared original entity (annotation ``o``), the states of its
 intervention chain (``do``/``tr`` states with their ``cls`` and staged
 ``pb_num`` atoms), the flipped terminal (``s``), and the version's
 explanation machinery (``expl``, ``cause``, ``cont``, ``invResp``,
-``fullExpl``).  Chains are read as the search recorded them, never
-replayed.  Feature names appear lowercased as constants; contingency sets
-are set-valued arguments.  The predicates and their arities depend only on
-the model (``pb_num`` only for a staged one), so a query can be checked
-before any search.
+``fullExpl``).  The search result walks its chains, decodes their cells
+and expands explanations; this module turns them into atoms.  Feature names
+appear lowercased as constants; contingency sets are set-valued arguments.
+The predicates and their arities depend only on the model (``pb_num`` only
+for a staged one), so a query can be checked before any search.
 
 ``model_atom_sets`` is a view over one search result, and ``answer`` reads
 the result rather than one atom set per version.  Explanation atoms depend
@@ -72,6 +72,7 @@ class ModelAtomSet(_Record):
 
 
 _CHAIN = ("ent", "cls", "pb_num")  # read from chains of cells; the rest from masks
+_EXPLAINED = ("expl", "cause", "cont", "invResp", "fullExpl")
 
 
 def _arities(model: NaiveBayesModel | PercentModel) -> dict[str, int]:
@@ -98,43 +99,29 @@ class _ResultAtomSets(Sequence):
         self.result, self.model, self.arity = result, model, _arities(model)
         self._by_mask: dict[int, dict[str, frozenset[tuple[Value, ...]]]] = {}
         self._by_cell: dict[tuple[str, int], list[tuple[Value, ...]]] = {}
-        self._order: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.result)
 
     def __getitem__(self, index: int) -> ModelAtomSet:
-        if self._order is None:
-            self._order = self.result.ordered()
-        tables = self._version_tables(tuple(self.arity), self._order[index])
+        tables = self._version_tables(tuple(self.arity), self.result.ordered[index])
         return ModelAtomSet(MappingProxyType(dict(zip(self.arity, tables))))
 
     def _tables(self, predicates: list[str], semantics: str) -> list[tuple]:
         """Table combinations whose answer under ``semantics`` is every version's."""
-        found, parent = self.result.found, self.result.parent
         if not any(predicate in _CHAIN for predicate in predicates):
             return [tuple(self._explanations(mask)[predicate] for predicate in predicates)
                     for mask in self.result.masks]
         if len(predicates) > 1:
-            return [self._version_tables(predicates, code) for code in found]
+            return [self._version_tables(predicates, code) for code in self.result.found]
         # a chain row names one atom (a position holds one kind of value), so the
-        # cautious rows are those of the cells on every chain: the cells that
-        # have every found cell at or below them
-        below: dict[int, int] = {}
-        for code in found:
-            while code is not None:
-                below[code] = below.get(code, 0) + 1
-                code = parent[code]
-        cells = [c for c, n in below.items() if semantics == "brave" or n == len(found)]
+        # cautious rows are those of the cells on every chain
+        cells = self.result.on_chains(every=semantics == "cautious")
         return [(self._chain_table(predicates[0], cells),)]
 
     def _version_tables(self, predicates, code: int) -> tuple[frozenset, ...]:
         """The tables ``predicates`` name in the version found at ``code``."""
-        explanations = self._explanations(self.result.found[code])
-        chain = []
-        while code is not None:
-            chain.append(code)
-            code = self.result.parent[code]
+        explanations, chain = self._explanations(self.result.found[code]), self.result.chain(code)
         return tuple(explanations[predicate] if predicate in explanations
                      else self._chain_table(predicate, chain) for predicate in predicates)
 
@@ -144,9 +131,8 @@ class _ResultAtomSets(Sequence):
         ``pb_num`` atoms."""
         result, atoms = self.result, []
         for code in cells:
-            cell_atoms = self._by_cell.get((predicate, code))
-            if cell_atoms is None:
-                eid, state = result.eid, result.grid.decode(code)
+            if (cell_atoms := self._by_cell.get((predicate, code))) is None:
+                eid, state = result.eid, result.state(code)
                 if predicate == "ent":
                     cell_atoms = [(eid, *state, "tr"),
                                   (eid, *state, "o" if code == result.start else "do")]
@@ -163,20 +149,13 @@ class _ResultAtomSets(Sequence):
 
     def _explanations(self, mask: int) -> dict[str, frozenset[tuple[Value, ...]]]:
         """The explanation tables of the versions that change the features of ``mask``."""
-        tables = self._by_mask.get(mask)
-        if tables is None:
-            eid, changed, n = self.result.eid, self.result.masks[mask], mask.bit_count()
-            lower = frozenset(name.lower() for name in changed)
-            # (cause, its original value, its contingency)
-            causes = [(name.lower(), self.result.original[self.model.schema.index(name)],
-                       lower - {name.lower()}) for name in changed]
-            tables = self._by_mask[mask] = {
-                "expl": frozenset((eid, c, value) for c, value, _ in causes),
-                "cause": frozenset((eid, c) for c, _, _ in causes),
-                "cont": frozenset((eid, c, rest) for c, _, rest in causes),
-                "invResp": frozenset((eid, c, n) for c, _, _ in causes),
-                "fullExpl": frozenset((eid, c, n, rest) for c, _, rest in causes),
-            }
+        if (tables := self._by_mask.get(mask)) is None:
+            eid, rows = self.result.eid, []  # per explanation, its atom of each predicate
+            for ex in self.result.explanations(self.result.masks[mask]):
+                cause, rest = ex.cause_feature.lower(), frozenset(map(str.lower, ex.contingency))
+                rows.append([(eid, cause, ex.cause_value), (eid, cause), (eid, cause, rest),
+                             (eid, cause, ex.inv_resp), (eid, cause, ex.inv_resp, rest)])
+            tables = self._by_mask[mask] = dict(zip(_EXPLAINED, map(frozenset, zip(*rows))))
         return tables
 
 

@@ -400,6 +400,10 @@ def test_parse_facts_on_handwritten_text():
         # the later fact used to win, though each label still sums to 100
         (lambda lines: lines + ["p_a_c(x, yes, 45). p_a_c(y, yes, 55)."],
          "line 10: repeated p_a_c fact for x,yes"),
+        # a suffix that names no feature used to be dropped, or to raise a bare ValueError
+        (lambda lines: lines + ["dom_zz(a)."], "^line 10: dom_zz names no feature of entSchema$"),
+        (lambda lines: lines + ["p_zz_c(a, yes, 50)."],
+         "^line 10: p_zz_c names no feature of entSchema$"),
     ],
 )
 def test_parse_facts_errors(mutate, fragment):

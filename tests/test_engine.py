@@ -103,6 +103,30 @@ def test_path_invariants(weather_percent, weather_versions):
         assert labels[-1] == "no"
 
 
+def assert_chains_match_the_versions(result) -> None:
+    """``chain`` and ``on_chains`` of a search result walk the chains its
+    decoded versions carry: each version's, and their union and intersection."""
+    for code, version in zip(result.ordered, result):
+        assert tuple(map(result.state, result.chain(code))) == version.states
+    for every, fold in ((False, set.union), (True, set.intersection)):
+        cells = result.on_chains(every)
+        assert len(cells) == len(set(cells))
+        want = fold(*(set(v.states) for v in result)) if result else set()
+        assert {result.state(code) for code in cells} == want
+
+
+@pytest.mark.parametrize("constraints",
+                         [None, TWO_DEPTH_DEPEND, "forbid Outlook=sunny, Wind=strong"])
+def test_chain_walks_match_the_decoded_versions(weather_percent, weather_entity, constraints):
+    if constraints is not None:
+        constraints = parse_constraints(constraints, weather_percent.schema)
+    for min_change in (False, True):
+        result = enumerate_counterfactuals(weather_percent, weather_entity, constraints,
+                                           min_change=min_change)
+        assert result
+        assert_chains_match_the_versions(result)
+
+
 def test_min_change_is_the_single_humidity_flip(weather_versions, weather_no_versions):
     (only,) = min_change_versions(weather_versions)
     assert only.final == ("rain", "high", "high", "weak")
@@ -657,6 +681,7 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                                                                     model.schema)
                     assert got == want
                     assert got.changed_sets == {v.changed for v in got}
+                    assert_chains_match_the_versions(got)
                     outcomes["versions"] += bool(got)
                     outcomes["target changed"] += any(
                         changed & constraints.dependency_targets

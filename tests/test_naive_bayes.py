@@ -278,6 +278,62 @@ def test_negative_values_are_refused_in_model_files_and_facts():
     assert parse_facts(facts.replace("150", "50").replace("-50", "50"))
 
 
+TINY_MODEL = ("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n"
+              "A,x,yes,1/2\nA,x,no,1/2\nA,y,yes,1/2\nA,y,no,1/2\n")
+TINY_FACTS = ("entSchema(a). dom_a(x). dom_a(y). ent(e,x,o). p(yes, 50). p(no, 50).\n"
+              "p_a_c(x, yes, 50). p_a_c(y, yes, 50). p_a_c(x, no, 50). p_a_c(y, no, 50).\n")
+
+
+def hand_built(model_type, prior, conditional):
+    """A model over ``A`` in ``{x, y}`` with every entry one half, updated by
+    ``prior`` and ``conditional``; an entry updated to None is left out."""
+    half = F(model_type._total, 2)
+
+    def entries(table, changes):
+        return {key: value for key, value in {**table, **changes}.items() if value is not None}
+
+    return model_type(
+        schema=FeatureSchema((("A", ("x", "y")),)), labels=("yes", "no"),
+        prior=entries({"yes": half, "no": half}, prior),
+        conditional=entries({("A", value, label): half
+                             for value in "xy" for label in ("yes", "no")}, conditional),
+    )
+
+
+UNCOVERED = "{kind}priors must cover exactly the declared labels"
+UNDECLARED = "{kind}conditional for an undeclared feature, value or label: {key}"
+MISSING = "incomplete {kind}conditional table: missing {key}"
+
+
+@pytest.mark.parametrize("source, changes, message, kind, key", [
+    # a stray label or value used to be dropped silently, a missing entry to
+    # raise a bare KeyError, and a stray prior was accepted by a hand-built model
+    ("model", "A,x,maybe,1/2", UNDECLARED, "", ("A", "x", "maybe")),
+    ("model", "A,z,yes,0", MISSING, "", ("A", "z", "no")),
+    ("model", "prior: maybe 0", UNCOVERED, "", None),
+    ("facts", "p_a_c(x, maybe, 50).", UNDECLARED, "percent ", ("a", "x", "maybe")),
+    ("facts", "dom_a(z).", MISSING, "percent ", ("a", "z", "yes")),
+    *[(model_type, changes, message, kind, key)
+      for model_type, kind in ((NaiveBayesModel, ""), (PercentModel, "percent "))
+      for changes, message, key in (
+          (({"maybe": 0}, {}), UNCOVERED, None),
+          (({"no": None}, {}), UNCOVERED, None),
+          (({}, {("A", "z", "yes"): 0}), UNDECLARED, ("A", "z", "yes")),
+          (({}, {("A", "x", "maybe"): 0}), UNDECLARED, ("A", "x", "maybe")),
+          (({}, {("A", "y", "no"): None}), MISSING, ("A", "y", "no")),
+      )],
+])
+def test_entries_off_the_declared_table_are_refused(source, changes, message, kind, key):
+    with pytest.raises(ModelFormatError,
+                       match=f"^{re.escape(message.format(kind=kind, key=key))}$"):
+        if source == "model":
+            parse_model(TINY_MODEL + changes + "\n")
+        elif source == "facts":
+            parse_facts(TINY_FACTS + changes + "\n")
+        else:
+            hand_built(source, *changes)
+
+
 def test_persistence_round_trip(weather_model, tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(serialize_model(weather_model, "Play"), encoding="utf-8")
@@ -449,10 +505,11 @@ def test_parse_model_errors():
             parse_model(f"labels: yes,no\nprior: {prior}\n")
     with pytest.raises(ModelFormatError, match="^line 4: bad fraction 'half'$"):
         parse_model(header + "A,x,yes,half\n")
+    # the model checks its priors, so the feature table must build first
     for priors in ("prior: yes 1\n", "prior: yes 1/2\nprior: maybe 1/2\n"):
         with pytest.raises(ModelFormatError,
                            match="^priors must cover exactly the declared labels$"):
-            parse_model("labels: yes,no\n" + priors + "A,x,yes,1\n")
+            parse_model("labels: yes,no\n" + priors + "A,x,yes,1\nA,y,yes,0\n")
     # labels and priors but no conditional lines
     with pytest.raises(ModelFormatError, match="^bad feature table: .*at least one feature"):
         parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n")

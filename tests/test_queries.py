@@ -1,6 +1,7 @@
 """Tests for conjunctive queries over counterfactual model atom sets."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -32,7 +33,7 @@ from xresp.queries import (
 )
 from xresp.schema import render_row, render_value
 
-from conftest import TWO_DEPTH_DEPEND
+from conftest import REPO_ROOT, TWO_DEPTH_DEPEND
 from helpers import CountingModel
 from oracles import oracle_answer, oracle_atoms_of, random_instance
 
@@ -427,6 +428,30 @@ def test_chain_queries_match_the_oracle_on_random_instances(tmp_path):
     assert outcomes["pb_num, integer", "cautious"] > 10
     # the join is cautious-nonempty only for a single version
     assert outcomes["join", "cautious"] > 10
+
+
+@pytest.mark.parametrize("min_change", [False, True])  # folded, then on demand
+def test_each_cell_is_decoded_at_most_once_per_result(weather_percent, weather_entity,
+                                                      monkeypatch, min_change):
+    versions = enumerate_counterfactuals(weather_percent, weather_entity,
+                                         min_change=min_change)
+    decoded = counted(monkeypatch, [engine._Grid], "decode")
+    atom_sets = model_atom_sets(versions, weather_percent, weather_entity)
+    assert list(versions)
+    # each chain predicate alone, and joined with an explanation predicate
+    for query in chain_queries(weather_percent, weather_entity.values, DEFAULT_MAXINT).values():
+        for semantics in ("brave", "cautious"):
+            answer(query, atom_sets, semantics)
+    assert atom_sets[0].tuples("ent")
+    assert Counter(decoded).most_common(1)[0][1] == 1
+    # every chain cell but the original, whose values the result starts from
+    chain_cells = {versions.grid.encode(state) for v in versions for state in v.states}
+    assert set(decoded) == chain_cells - {versions.start}
+
+
+def test_queries_leave_chains_and_cells_to_the_search_result():
+    text = (REPO_ROOT / "src" / "xresp" / "queries.py").read_text(encoding="utf-8")
+    assert not re.findall(r"\.parent\b|\.grid\b", text)
 
 
 def test_versions_with_one_changed_set_share_explanation_tables(weather_percent,
