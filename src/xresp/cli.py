@@ -316,7 +316,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from .queries import _check_query, answer, load_queries, model_atom_sets
-    from .schema import render_row
+    from .schema import render_value
 
     model, entity, maxint = _instance(args)
     queries = load_queries(_read(args.queries))
@@ -329,7 +329,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     blocks = []
     for query in queries:
         rows = answer(query, atom_sets, args.semantics)
-        blocks.append("\n".join(render_row(row) for row in rows))
+        # values repeat across rows: render each distinct one once
+        texts = {value: render_value(value) for value in set().union(*rows)}
+        blocks.append("\n".join(", ".join(map(texts.__getitem__, row)) for row in rows))
     output = "\n\n".join(blocks)
     if output:
         print(output)

@@ -34,16 +34,20 @@ matches ``1`` and ``"1"``.
 
 An answer row echoes the matched value of every non-constant argument
 position, in positional order; constants echo nothing.  Brave answers hold
-in some model, cautious answers in all models.  Rows are deduplicated and
-sorted canonically.  ``render_row`` (defined in ``schema``) prints sets as
-``{a,b}`` (alphabetical, no spaces) and joins row values with a comma and
-space.
+in some model, cautious answers in all models.  One atom of distinct
+variables and no comparison echoes each atom whole, so its atoms of the
+query's arity are its rows as they stand.  Rows are deduplicated and sorted
+canonically; values repeat across rows, so each distinct value is keyed
+once and rows sort by their values' ranks.  ``render_row`` (defined in
+``schema``) prints sets as ``{a,b}`` (alphabetical, no spaces) and joins
+row values with a comma and space; the CLI renders each distinct value of
+an answer once with ``render_value`` and joins those texts the same way.
 """
 from __future__ import annotations
 
 import re
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Collection, Mapping, Sequence, Union
 
 from . import _lines, _Record
 from .engine import _SearchResult
@@ -468,9 +472,16 @@ class _Plan:
             )
         self._slots = slots
         self._tests = [_compile_comparison(cmp, slot_of) for cmp in query.comparisons]
+        # one atom with neither a constant, a repeated variable nor a comparison
+        # echoes every position in order, so its rows are its atoms
+        self._whole = (len(self.steps) == 1 and not self._tests
+                       and self.echo == list(range(self.steps[0][0])))
 
     def rows(self, tables: Sequence[frozenset]) -> set[tuple[Value, ...]]:
         """The answer rows of one model whose atoms' tables are ``tables``."""
+        if self._whole:  # each row is its atom
+            arity = self.steps[0][0]
+            return {atom for atom in tables[0] if len(atom) == arity}
         out: set[tuple[Value, ...]] = set()
         self._extend(tables, 0, [None] * self._slots, out)
         return out
@@ -482,15 +493,19 @@ class _Plan:
             return
         arity, constants, binds, checks = self.steps[depth]
         for atom in tables[depth]:
-            if len(atom) != arity or any(
-                atom[position] not in accepted for position, accepted in constants
-            ):
+            if len(atom) != arity:
                 continue
-            for position, slot in binds:
-                slots[slot] = atom[position]
-            if any(atom[position] != slots[slot] for position, slot in checks):
-                continue
-            self._extend(tables, depth + 1, slots, out)
+            for position, accepted in constants:
+                if atom[position] not in accepted:
+                    break
+            else:
+                for position, slot in binds:
+                    slots[slot] = atom[position]
+                for position, slot in checks:
+                    if atom[position] != slots[slot]:
+                        break
+                else:
+                    self._extend(tables, depth + 1, slots, out)
 
 
 def _compile_comparison(cmp: Comparison, slot_of: Mapping[str, int]) -> Callable[[list], bool]:
@@ -525,20 +540,17 @@ def _compile_comparison(cmp: Comparison, slot_of: Mapping[str, int]) -> Callable
     return ordered
 
 
-def _sorted_rows(rows: Iterable[tuple[Value, ...]]) -> list[tuple[Value, ...]]:
+def _sorted_rows(rows: Collection[tuple[Value, ...]]) -> list[tuple[Value, ...]]:
     """Integers before strings before sets, each kind in its natural order."""
-    keys: dict[Value, tuple] = {}  # values repeat across rows; key each once
-
     def value_key(value: Value) -> tuple:
-        key = keys.get(value)
-        if key is None:
-            if isinstance(value, int):
-                key = (0, value)
-            elif isinstance(value, str):
-                key = (1, value)
-            else:
-                key = (2, ",".join(sorted(value)))
-            keys[value] = key
-        return key
+        if isinstance(value, int):
+            return (0, value)
+        if isinstance(value, str):
+            return (1, value)
+        return (2, ",".join(sorted(value)))
 
-    return sorted(rows, key=lambda row: tuple(map(value_key, row)))
+    # values repeat across rows: key each distinct value once, then compare
+    # rows by the values' dense ranks, which order as their keys do
+    ranked = sorted(set().union(*rows), key=value_key)
+    rank = {value: i for i, value in enumerate(ranked)}
+    return sorted(rows, key=lambda row: tuple(map(rank.__getitem__, row)))

@@ -729,13 +729,52 @@ def random_queries(draw):
     return parse_query(", ".join(literals) + "?")
 
 
+def documented_order(row):
+    """The order ``answer`` documents: integers, then strings, then sets,
+    each kind in its natural order; a set orders as its sorted members
+    joined by commas."""
+    return tuple(
+        (0, value) if isinstance(value, int)
+        else (1, value) if isinstance(value, str)
+        else (2, ",".join(sorted(value)))
+        for value in row
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(query=random_queries(), models=random_models())
 def test_answer_matches_the_definitional_oracle(query, models):
+    # the rows and their order: one list pins both
     for semantics in ("brave", "cautious"):
-        rows = answer(query, models, semantics)
-        assert len(rows) == len(set(rows))
-        assert set(rows) == oracle_answer(query, models, semantics)
+        expected = sorted(oracle_answer(query, models, semantics), key=documented_order)
+        assert answer(query, models, semantics) == expected
+
+
+# Atom tables that mix arities: only the query's arity may answer.  One
+# atom of distinct variables passes its atoms through as rows; a constant,
+# a repeated variable or a comparison must still filter them.
+PAIRS = ModelAtomSet({"p": frozenset({(1, 2), (2, 1), (2, 2), (1,), (1, 2, 3)})})
+MIXED = ModelAtomSet({"p": frozenset({
+    ("a", 1), ("b", "1"), ("c", "c"), ("a", "2"), ("a",), ("c", "c", "c"),
+})})
+
+
+@pytest.mark.parametrize("text, models, expected", [
+    ("p(X,Y)?", [PAIRS, MIXED],
+     [(1, 2), (2, 1), (2, 2), ("a", 1), ("a", "2"), ("b", "1"), ("c", "c")]),
+    ("p(X,_)?", [MIXED],
+     [("a", 1), ("a", "2"), ("b", "1"), ("c", "c")]),
+    ("p(X,X)?", [PAIRS, MIXED], [(2, 2), ("c", "c")]),
+    ("p(X,1)?", [PAIRS, MIXED], [(2,), ("a",), ("b",)]),
+    ("p(X,Y), X<Y?", [PAIRS], [(1, 2)]),
+])
+def test_one_atom_answers_only_at_its_arity(text, models, expected):
+    query = parse_query(text)
+    assert answer(query, models, "brave") == expected
+    assert set(expected) == oracle_answer(query, models, "brave")
+    for model in models:  # cautious over one model is that model's rows
+        assert set(answer(query, [model], "cautious")) == oracle_answer(
+            query, [model], "cautious")
 
 
 # ---------------------------------------------------------------------------
