@@ -295,22 +295,19 @@ def _cmd_counterfactuals(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from .engine import explanations_of, xresp
-    from .schema import render_row
+    from .schema import render_value
 
     model, entity, maxint = _instance(args)
     versions = _versions_of(args, model, entity, maxint)
     explanations = explanations_of(versions, entity, model.schema)
     report = xresp(explanations, model.schema)
-    for name in model.schema.names:
-        print(f"x-resp {name.lower()} = {report.scores[name]}")
-    for ex in explanations:
-        row = (
-            ex.eid,
-            ex.cause_feature.lower(),
-            ex.inv_resp,
-            frozenset(member.lower() for member in ex.contingency),
-        )
-        print(render_row(row))
+    lines = [f"x-resp {name.lower()} = {report.scores[name]}" for name in model.schema.names]
+    # contingency sets repeat across causes: render each distinct one once
+    texts = {contingency: render_value(frozenset(member.lower() for member in contingency))
+             for contingency in {ex.contingency for ex in explanations}}
+    lines += [f"{ex.eid}, {ex.cause_feature.lower()}, {ex.inv_resp}, {texts[ex.contingency]}"
+              for ex in explanations]
+    print("\n".join(lines))
     return 0
 
 

@@ -30,10 +30,15 @@ as a deeper one, or more.
 States are searched as integer cell codes: a state's value indices read as
 mixed-radix digits, feature 0 most significant.  An immutable feature keeps
 only its original value, so the grid leaves out cells no search can reach;
-forbidden combinations and dependencies are checks on digits.  The search
-keeps each version as its cell and a bitmask of its changed features, so
-the changed sets that explanations read come straight from the masks.  Only
-the result walks the recorded chains and decodes cells, each at most once.
+forbidden combinations and dependencies are checks on digits.  The moves
+out of a state are one table of (intervened set, code step) pairs per set
+of features intervened so far, built the first time a state of that set is
+expanded.  The search keeps each version as its cell and a bitmask of its
+changed features, so the changed sets that explanations read come straight
+from the masks, and each reached cell's parent: the cell it was first
+reached from, the original being its own.  Only the result walks the
+recorded chains and decodes cells, each at most once, by looking each
+block of consecutive features up in a table of that block's cells.
 
 A full search first asks the model to fold the scores of every cell of the
 grid, level by level in schema order as ``classify`` computes them, so each
@@ -44,8 +49,11 @@ cell can overflow.  Otherwise, and for minimum-change searches (which often
 stop after a few states) and grids of more than ``_FOLD_LIMIT`` cells, each
 cell is scored on demand through ``classify``, each at most once; a staged
 overflow then raises at the first overflowing cell the search reaches.
-Either way the result keeps the search's scorer, and the query layer reads
-each chain cell's score from it: nothing is classified twice.
+The parents follow the scorer: a folded grid keeps them in a list with one
+slot per cell, -1 until the cell is reached, and an on-demand search in a
+dict of the cells it reaches.  Either way the result keeps the search's
+scorer, and the query layer reads each chain cell's score from it: nothing
+is classified twice.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -61,6 +69,7 @@ import operator
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _Record
@@ -121,8 +130,12 @@ class ResponsibilityReport(_Record):
 # ---------------------------------------------------------------------------
 
 # A grid with more cells than this is scored on demand, not folded: the fold
-# keeps two integers and a label byte for every cell.
+# keeps two integers and a label byte for every cell, and the search one
+# parent slot.
 _FOLD_LIMIT = 1 << 20
+# The most cells of one block of consecutive features that ``_Grid.decode``
+# reads from a table.
+_BLOCK_CELLS = 1 << 10
 
 
 class _Grid:
@@ -149,10 +162,6 @@ class _Grid:
             weights.append(self.size)
             self.size *= len(domain)
         self.weights = weights[::-1]
-        self._places = [
-            (domain, weight, len(domain))
-            for domain, weight in zip(self.domains, self.weights)
-        ]
         self._digits = [{v: d for d, v in enumerate(dom)} for dom in self.domains]
 
         # the (weight, radix, digit) conditions of each forbidden combination;
@@ -182,8 +191,26 @@ class _Grid:
         )
 
     def decode(self, code: int) -> tuple[str, ...]:
-        return tuple([domain[code // weight % radix]
-                      for domain, weight, radix in self._places])
+        values = ()
+        for weight, size, table in self._blocks:
+            values += table[code // weight % size]
+        return values
+
+    @cached_property
+    def _blocks(self) -> list[tuple[int, int, list[tuple[str, ...]]]]:
+        """Consecutive features grouped into blocks of at most ``_BLOCK_CELLS``
+        cells (a larger domain is a block of its own), each as its weight, its
+        number of cells and the values of each of its cells in digit order."""
+        blocks, end = [], len(self.domains)
+        while end:
+            start, size = end - 1, len(self.domains[end - 1])
+            while start and size * len(self.domains[start - 1]) <= _BLOCK_CELLS:
+                start -= 1
+                size *= len(self.domains[start])
+            blocks.append((self.weights[end - 1], size,
+                           list(product(*self.domains[start:end]))))
+            end = start
+        return blocks[::-1]
 
     def admits(self, code: int) -> bool:
         """False iff the cell fully matches some forbidden combination."""
@@ -251,13 +278,22 @@ class _CellsOnDemand(dict):
         return self._scores[code]
 
 
+class _Unseen(dict):
+    """Cell code -> the cell it was first reached from; an unseen cell reads -1."""
+
+    def __missing__(self, code: int) -> int:
+        return -1
+
+
 class _SearchResult(Sequence):
     """The versions one search found, kept as cells until they are read.
 
     ``found`` maps each version's cell, in the order the search reached it,
     to the bitmask of its changed features (bit i for feature i), ``masks``
     each distinct mask to its changed set, and ``parent`` each reached cell
-    to the cell it was first reached from.  Only this class walks ``parent``
+    to the cell it was first reached from: a list over the grid when the
+    grid was folded, else a dict of the reached cells.  The original is its
+    own parent, the root of every chain.  Only this class walks ``parent``
     and decodes cells, each at most once; ``len``, ``bool`` and
     ``changed_sets`` read neither, and the first index or iteration decodes
     every version's chain.
@@ -265,7 +301,7 @@ class _SearchResult(Sequence):
 
     def __init__(self, eid: str, original: tuple[str, ...], schema: FeatureSchema,
                  grid: _Grid, scorer: _FoldedCells | _CellsOnDemand,
-                 parent: dict[int, int | None], start: int,
+                 parent: list[int] | _Unseen, start: int,
                  found: dict[int, int]) -> None:
         self.eid, self.original, self.schema = eid, original, schema
         self.grid, self.scorer, self.parent, self.start = grid, scorer, parent, start
@@ -302,19 +338,40 @@ class _SearchResult(Sequence):
 
     def chain(self, code: int) -> list[int]:
         """The cells from the original to ``code``."""
-        cells = [code]
-        while (code := self.parent[code]) is not None:
+        cells, parent = [code], self.parent
+        while code != self.start:
+            code = parent[code]
             cells.append(code)
         return cells[::-1]
 
     def on_chains(self, every: bool) -> list[int]:
-        """The cells on some version's chain, or on every chain if ``every``."""
-        below, parent = {}, self.parent  # cell -> the found cells at or below it
-        for code in self.found:
-            while code is not None:
-                below[code] = below.get(code, 0) + 1
+        """The cells on some version's chain, or on every chain if ``every``.
+
+        Each cell is visited once: a walk up from a version stops at a cell
+        an earlier walk took, the original's own parent included.  The
+        chains are the root paths of one tree, so the cells on every chain
+        are a prefix of the first chain, cut where a later walk meets it.
+        """
+        parent, codes = self.parent, iter(self.found)
+        if not every:
+            taken = set()
+            for code in codes:
+                while code not in taken:
+                    taken.add(code)
+                    code = parent[code]
+            return list(taken)
+        if (first := next(codes, None)) is None:
+            return []
+        prefix = self.chain(first)
+        depth = {code: i for i, code in enumerate(prefix)}
+        taken, end = set(prefix), len(prefix)
+        for code in codes:
+            while code not in taken:
+                taken.add(code)
                 code = parent[code]
-        return [code for code, n in below.items() if not every or n == len(self.found)]
+            if code in depth:
+                end = min(end, depth[code] + 1)
+        return prefix[:end]
 
     def explanations(self, changed: frozenset[str]) -> list[Explanation]:
         """Each feature of ``changed`` as a cause, the rest as its contingency."""
@@ -389,13 +446,17 @@ def enumerate_counterfactuals(
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
     grid = _Grid(schema, original, constraints)
+    # the cell each cell was first reached from, -1 for an unseen cell; it
+    # doubles as the seen set.  A folded grid keeps one slot per cell, a
+    # search scored on demand only the cells it reaches.
     if (not min_change and grid.size <= _FOLD_LIMIT
             and (scores := model._grid_scores(grid.domains, maxint)) is not None):
-        cells = _FoldedCells(model, scores, maxint)
+        cells, parent = _FoldedCells(model, scores, maxint), [-1] * grid.size
     else:
-        cells = _CellsOnDemand(model, grid, maxint)
+        cells, parent = _CellsOnDemand(model, grid, maxint), _Unseen()
     labels = cells.labels
     start = grid.encode(original)
+    parent[start] = start  # the original is its own parent
     original_label = model.labels.index(cells.score(start)[0])
 
     # per free feature: its bit, and the code steps to each other value
@@ -412,8 +473,9 @@ def enumerate_counterfactuals(
     propagate_cell = grid.propagate if grid._dependencies else None
     admits_cell = grid.admits if grid._forbidden else None
 
-    # the cell each cell was first reached from; doubles as the seen set
-    parent: dict[int, int | None] = {start: None}
+    # per set of intervened features: the (intervened set after the move,
+    # code step) of each move that intervenes a feature not yet in it
+    tables: dict[int, list[tuple[int, int]]] = {}
     # each version's cell -> the bits of the features it changes
     found: dict[int, int] = {}
     # (cell, bits of the features intervened on to reach it); a strict
@@ -430,32 +492,33 @@ def enumerate_counterfactuals(
     while frontier and not (min_change and depth >= best):
         next_frontier = []
         for code, intervened in frontier:
-            for bit, steps in moves:
+            if (table := tables.get(intervened)) is None:
                 # each feature is intervened at most once
-                if intervened & bit:
+                table = tables[intervened] = [
+                    (intervened | bit, step)
+                    for bit, steps in moves if not intervened & bit for step in steps
+                ]
+            for moved, step in table:
+                successor = code + step
+                if propagate_cell:
+                    successor = propagate_cell(successor)
+                if parent[successor] >= 0:
                     continue
-                for step in steps:
-                    successor = code + step
-                    if propagate_cell:
-                        successor = propagate_cell(successor)
-                    if successor in parent:
-                        continue
-                    if admits_cell and not admits_cell(successor):
-                        continue
-                    parent[successor] = code
-                    label = labels[successor]
-                    if label == original_label:
-                        next_frontier.append((successor, intervened | bit))
-                        continue
-                    # an intervened feature never returns to its original
-                    # value; a dependency target is changed if it moved
-                    mask = intervened | bit
-                    for t_bit, t_weight, t_radix, t_digit in targets:
-                        if successor // t_weight % t_radix != t_digit:
-                            mask |= t_bit
-                    found[successor] = mask
-                    if min_change:
-                        best = min(best, mask.bit_count())
+                if admits_cell and not admits_cell(successor):
+                    continue
+                parent[successor] = code
+                if labels[successor] == original_label:
+                    next_frontier.append((successor, moved))
+                    continue
+                # an intervened feature never returns to its original value;
+                # a dependency target is changed if it moved
+                mask = moved
+                for t_bit, t_weight, t_radix, t_digit in targets:
+                    if successor // t_weight % t_radix != t_digit:
+                        mask |= t_bit
+                found[successor] = mask
+                if min_change:
+                    best = min(best, mask.bit_count())
         frontier = next_frontier
         depth += 1
 
@@ -501,8 +564,11 @@ def explanations_of(
         raise ValueError("schema is not the one the versions were searched over")
     explanations = [ex for changed in versions.changed_sets
                     for ex in versions.explanations(changed)]
+    # each distinct contingency's sort key, sorted once
+    members = {contingency: sorted(contingency)
+               for contingency in {ex.contingency for ex in explanations}}
     return tuple(sorted(
-        explanations, key=lambda ex: (ex.cause_feature, ex.inv_resp, sorted(ex.contingency))
+        explanations, key=lambda ex: (ex.cause_feature, ex.inv_resp, members[ex.contingency])
     ))
 
 

@@ -166,18 +166,20 @@ class _Model(_Record):
         ``domains`` gives each feature's values in digit order; a cell's
         index reads its digits mixed-radix, feature 0 most significant.  The
         fold runs level by level in schema order, so each prefix product is
-        computed once for every cell that shares it.
+        computed once for every cell that shares it; the last level takes
+        the prior's step in the same pass.
         """
         if self._divisor != 1 and maxint < self._covering_maxint():
             return None
         divisor, folds = self._divisor, []
         for i in (0, 1):
-            levels = [[column[value][i] for value in domain]
-                      for column, domain in zip(self._table, domains)]
-            acc = levels[0]
-            for factors in levels[1:] + [[self._prior[i]]]:
+            *levels, last = [[column[value][i] for value in domain]
+                             for column, domain in zip(self._table, domains)]
+            acc, prior = [divisor], self._prior[i]  # divisor * f // divisor is f
+            for factors in levels:
                 acc = [a * f // divisor for a in acc for f in factors]
-            folds.append(acc)
+            # the last feature and the prior in one pass over the grid
+            folds.append([a * f // divisor * prior // divisor for a in acc for f in last])
         return folds
 
     def _covering_maxint(self) -> int:

@@ -21,7 +21,6 @@ answer values back out (``render_row``) lives here too.
 
 from __future__ import annotations
 
-import csv
 import re
 
 from . import _Record
@@ -158,6 +157,8 @@ def load_dataset(path: str) -> Dataset:
     order, and the labels likewise; there must be exactly two.  A leading
     byte-order mark, as spreadsheet exports write, is skipped.
     """
+    import csv  # here, so that a run given a model file never loads it
+
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:

@@ -284,6 +284,32 @@ def test_searches_above_the_fold_limit_score_each_cell_on_demand(
     assert len(model.calls) < 36
 
 
+@pytest.mark.parametrize("radices, immutable, blocks", [
+    ((4,) * 5, None, 1),  # exactly 1,024 cells
+    ((4,) * 5 + (2,), None, 2),  # 2,048 cells
+    ((2,) * 21, None, 3),  # blocks of 10, 10 and 1 features
+    ((5,) * 6, "f1", 2),  # the immutable feature's one value shares a block
+    ((1100, 2), None, 2),  # a domain larger than a block is a block of its own
+], ids=["1024", "2048", "three-blocks", "immutable", "wide-domain"])
+def test_decode_reads_every_block_as_the_per_digit_formula(radices, immutable, blocks):
+    schema = FeatureSchema(tuple(
+        (f"f{i}", tuple(f"v{d}" for d in range(radix))) for i, radix in enumerate(radices)
+    ))
+    rng = random.Random(f"decode/{radices}")
+    original = tuple(rng.choice(domain) for _, domain in schema.features)
+    cs = None if immutable is None else parse_constraints(f"immutable {immutable}", schema)
+    grid = engine._Grid(schema, original, cs)
+    assert len(grid._blocks) == blocks
+    for code in [0, grid.size - 1, *(rng.randrange(grid.size) for _ in range(300))]:
+        values = grid.decode(code)
+        assert values == tuple(domain[code // weight % len(domain)]
+                               for domain, weight in zip(grid.domains, grid.weights))
+        assert grid.encode(values) == code
+    for _ in range(300):
+        values = tuple(rng.choice(domain) for domain in grid.domains)
+        assert grid.decode(grid.encode(values)) == values
+
+
 def test_the_search_folds_only_grids_the_covering_ceiling_covers(weather_percent,
                                                                  weather_entity,
                                                                  weather_versions):

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from conftest import DEMO_PROGRAM, README_CONSTRAINTS, REPO_ROOT, WEATHER_CSV
+from xresp import serialize_model
 
 ENTITY = "rain,high,normal,weak"
 
@@ -105,3 +106,16 @@ def test_constraints_load_exactly_with_a_constraints_file(command, with_file, tm
         path.write_text(README_CONSTRAINTS, encoding="utf-8")
         argv += ["--constraints", str(path)]
     assert ("constraints" in loaded_modules(*argv)) == with_file
+
+
+@pytest.mark.parametrize("command", ["explain", "query", "counterfactuals", "emit-dlv"])
+def test_a_model_file_spares_the_csv_reader(command, weather_model, tmp_path):
+    model = tmp_path / "weather.model"
+    model.write_text(serialize_model(weather_model), encoding="utf-8")
+    argv = subcommand_argv(command, tmp_path)
+    argv[argv.index("--data"):argv.index("--data") + 2] = ["--model", str(model)]
+    assert "csv" not in every_loaded_module(*argv)
+
+
+def test_train_reads_its_csv_with_the_csv_reader():
+    assert "csv" in every_loaded_module("train", "--data", str(WEATHER_CSV))
