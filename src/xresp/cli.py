@@ -14,6 +14,7 @@ on stderr with a non-zero exit status.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,11 +36,19 @@ if TYPE_CHECKING:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A run builds many long-lived tuples and no garbage cycle worth freeing
+    # before it ends, so the cyclic collector would only rescan them; a caller
+    # in the same process gets the collector back as it was.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"xresp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +335,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     blocks = []
     for query in queries:
         rows = answer(query, atom_sets, args.semantics)
-        # values repeat across rows: render each distinct one once
-        texts = {value: render_value(value) for value in set().union(*rows)}
-        blocks.append("\n".join(", ".join(map(texts.__getitem__, row)) for row in rows))
+        try:  # a string renders as itself
+            lines = list(map(", ".join, rows))
+        except TypeError:  # some row holds an integer or a set
+            # values repeat across rows: render each distinct one once
+            texts = {value: render_value(value) for value in set().union(*rows)}
+            lines = [", ".join(map(texts.__getitem__, row)) for row in rows]
+        blocks.append("\n".join(lines))
     output = "\n\n".join(blocks)
     if output:
         print(output)

@@ -34,11 +34,14 @@ forbidden combinations and dependencies are checks on digits.  The moves
 out of a state are one table of (intervened set, code step) pairs per set
 of features intervened so far, built the first time a state of that set is
 expanded.  The search keeps each version as its cell and a bitmask of its
-changed features, so the changed sets that explanations read come straight
-from the masks, and each reached cell's parent: the cell it was first
+changed features, and each reached cell's parent: the cell it was first
 reached from, the original being its own.  Only the result walks the
 recorded chains and decodes cells, each at most once, by looking each
-block of consecutive features up in a table of that block's cells.
+block of consecutive features up in a table of that block's cells.  It
+also expands each changed-feature mask into explanation rows, plain
+(cause, original value, contingency) tuples whose contingency set is built
+once per contingency mask; ``explanations_of`` alone makes records of them,
+and the query layer makes atoms.
 
 A full search first asks the model to fold the scores of every cell of the
 grid, level by level in schema order as ``classify`` computes them, so each
@@ -294,9 +297,9 @@ class _SearchResult(Sequence):
     to the cell it was first reached from: a list over the grid when the
     grid was folded, else a dict of the reached cells.  The original is its
     own parent, the root of every chain.  Only this class walks ``parent``
-    and decodes cells, each at most once; ``len``, ``bool`` and
-    ``changed_sets`` read neither, and the first index or iteration decodes
-    every version's chain.
+    and decodes cells, each at most once; ``len``, ``bool``,
+    ``changed_sets`` and ``explanation_rows`` read neither, and the first
+    index or iteration decodes every version's chain.
     """
 
     def __init__(self, eid: str, original: tuple[str, ...], schema: FeatureSchema,
@@ -306,10 +309,11 @@ class _SearchResult(Sequence):
         self.eid, self.original, self.schema = eid, original, schema
         self.grid, self.scorer, self.parent, self.start = grid, scorer, parent, start
         self.found = found
-        self.masks = {
-            mask: frozenset(name for i, name in enumerate(schema.names) if mask >> i & 1)
-            for mask in set(found.values())
-        }
+        # each feature mask's names, and per feature its bit, name and original value
+        self._sets: dict[int, frozenset[str]] = {0: frozenset()}
+        self._causes = [(1 << i, name, value)
+                        for i, (name, value) in enumerate(zip(schema.names, original))]
+        self.masks = {mask: self._named(mask) for mask in set(found.values())}
         self.changed_sets = frozenset(self.masks.values())
         self._states = {start: original}
 
@@ -373,10 +377,20 @@ class _SearchResult(Sequence):
                 end = min(end, depth[code] + 1)
         return prefix[:end]
 
-    def explanations(self, changed: frozenset[str]) -> list[Explanation]:
-        """Each feature of ``changed`` as a cause, the rest as its contingency."""
-        return [Explanation(self.eid, cause, self.original[self.schema.index(cause)],
-                            changed - {cause}) for cause in changed]
+    def _named(self, mask: int) -> frozenset[str]:
+        """The names of the features of ``mask``, built once per mask from
+        those of the mask without its lowest feature."""
+        if (names := self._sets.get(mask)) is None:
+            low = mask & -mask
+            names = self._sets[mask] = (self._named(mask ^ low)
+                                        | {self.schema.names[low.bit_length() - 1]})
+        return names
+
+    def explanation_rows(self, mask: int) -> list[tuple[str, str, frozenset[str]]]:
+        """Per feature of ``mask`` as a cause: its name, its original value and
+        the rest of the mask's features as its contingency."""
+        return [(name, value, self._named(mask ^ bit))
+                for bit, name, value in self._causes if mask & bit]
 
     @cached_property
     def ordered(self) -> list[int]:
@@ -562,14 +576,16 @@ def explanations_of(
         raise ValueError("version states do not start from the original entity")
     if versions.schema != schema:
         raise ValueError("schema is not the one the versions were searched over")
-    explanations = [ex for changed in versions.changed_sets
-                    for ex in versions.explanations(changed)]
-    # each distinct contingency's sort key, sorted once
-    members = {contingency: sorted(contingency)
-               for contingency in {ex.contingency for ex in explanations}}
-    return tuple(sorted(
-        explanations, key=lambda ex: (ex.cause_feature, ex.inv_resp, members[ex.contingency])
-    ))
+    rows = [row for mask in versions.masks for row in versions.explanation_rows(mask)]
+    # a cause and its contingency fix the row, and a contingency's rank orders
+    # as (inv_resp, sorted members): rank each distinct contingency once
+    ranked = sorted({contingency for _, _, contingency in rows},
+                    key=lambda contingency: (len(contingency), sorted(contingency)))
+    rank = {contingency: i for i, contingency in enumerate(ranked)}
+    return tuple(Explanation(versions.eid, cause, value, contingency)
+                 for cause, _, value, contingency in sorted(
+                     (cause, rank[contingency], value, contingency)
+                     for cause, value, contingency in rows))
 
 
 def xresp(

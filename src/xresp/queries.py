@@ -14,10 +14,12 @@ for a staged one), so a query can be checked before any search.
 ``model_atom_sets`` is a view over one search result, and ``answer`` reads
 the result rather than one atom set per version.  Explanation atoms depend
 only on the changed set: their tables are built once per changed-feature
-mask, and a query naming only them runs once per mask and decodes no
-chain.  A one-atom ``ent``, ``cls`` or ``pb_num`` query runs once, over the
-atoms of the cells on some chain (brave) or on every chain (cautious);
-each cell's atoms are built once, with the score the search's scorer holds.
+mask, straight from the result's explanation rows (no ``Explanation``
+record is made), and a query naming only them runs once per mask and
+decodes no chain.  A one-atom ``ent``, ``cls`` or ``pb_num`` query runs
+once, over the atoms of the cells on some chain (brave) or on every chain
+(cautious); each cell's atoms are built once per predicate, with the score
+the search's scorer holds.
 Only a query joining a chain predicate with another atom runs per version.
 ``answer`` folds the rows of these runs into one union (brave) or
 intersection (cautious).  A result searched with another model object or
@@ -37,11 +39,14 @@ position, in positional order; constants echo nothing.  Brave answers hold
 in some model, cautious answers in all models.  One atom of distinct
 variables and no comparison echoes each atom whole, so its atoms of the
 query's arity are its rows as they stand.  Rows are deduplicated and sorted
-canonically; values repeat across rows, so each distinct value is keyed
-once and rows sort by their values' ranks.  ``render_row`` (defined in
-``schema``) prints sets as ``{a,b}`` (alphabetical, no spaces) and joins
-row values with a comma and space; the CLI renders each distinct value of
-an answer once with ``render_value`` and joins those texts the same way.
+canonically.  Rows of strings alone sort as plain tuples, which is that
+order; otherwise values repeat across rows, so each distinct value is
+keyed once and rows sort by their values' ranks.  ``render_row`` (defined
+in ``schema``) prints sets as ``{a,b}`` (alphabetical, no spaces) and
+joins row values with a comma and space.  A string renders as itself, so
+the CLI joins rows of strings as they stand; other answers it renders
+once per distinct value with ``render_value`` and joins those texts the
+same way.
 """
 from __future__ import annotations
 
@@ -102,7 +107,11 @@ class _ResultAtomSets(Sequence):
     def __init__(self, result: _SearchResult, model: NaiveBayesModel | PercentModel) -> None:
         self.result, self.model, self.arity = result, model, _arities(model)
         self._by_mask: dict[int, dict[str, frozenset[tuple[Value, ...]]]] = {}
-        self._by_cell: dict[tuple[str, int], list[tuple[Value, ...]]] = {}
+        self._by_cell: dict[str, dict[int, list[tuple[Value, ...]]]] = {
+            predicate: {} for predicate in _CHAIN}
+        # feature names as constants, and each distinct contingency so named
+        self._lower = {name: name.lower() for name in model.schema.names}
+        self._lowered: dict[frozenset[str], frozenset[str]] = {}
 
     def __len__(self) -> int:
         return len(self.result)
@@ -133,32 +142,36 @@ class _ResultAtomSets(Sequence):
         """The ``predicate`` atoms of ``cells``: per cell a ``tr`` state, an ``o``
         (start) or ``do`` state, an ``s`` state if found, a ``cls`` atom and
         ``pb_num`` atoms."""
-        result, atoms = self.result, []
+        result, by_cell, atoms = self.result, self._by_cell[predicate], []
+        eid, state, score = result.eid, result.state, result.scorer.score
         for code in cells:
-            if (cell_atoms := self._by_cell.get((predicate, code))) is None:
-                eid, state = result.eid, result.state(code)
+            if (cell_atoms := by_cell.get(code)) is None:
+                values = state(code)
                 if predicate == "ent":
-                    cell_atoms = [(eid, *state, "tr"),
-                                  (eid, *state, "o" if code == result.start else "do")]
+                    cell_atoms = [(eid, *values, "tr"),
+                                  (eid, *values, "o" if code == result.start else "do")]
                     if code in result.found:
-                        cell_atoms.append((eid, *state, "s"))
+                        cell_atoms.append((eid, *values, "s"))
                 elif predicate == "cls":
-                    cell_atoms = [(eid, *state, result.scorer.score(code)[0])]
+                    cell_atoms = [(eid, *values, score(code)[0])]
                 else:
-                    cell_atoms = [(eid, *state, label, num) for label, num
-                                  in zip(self.model.labels, result.scorer.score(code)[1:])]
-                self._by_cell[predicate, code] = cell_atoms
+                    cell_atoms = [(eid, *values, label, num)
+                                  for label, num in zip(self.model.labels, score(code)[1:])]
+                by_cell[code] = cell_atoms
             atoms += cell_atoms
         return frozenset(atoms)
 
     def _explanations(self, mask: int) -> dict[str, frozenset[tuple[Value, ...]]]:
         """The explanation tables of the versions that change the features of ``mask``."""
         if (tables := self._by_mask.get(mask)) is None:
-            eid, rows = self.result.eid, []  # per explanation, its atom of each predicate
-            for ex in self.result.explanations(self.result.masks[mask]):
-                cause, rest = ex.cause_feature.lower(), frozenset(map(str.lower, ex.contingency))
-                rows.append([(eid, cause, ex.cause_value), (eid, cause), (eid, cause, rest),
-                             (eid, cause, ex.inv_resp), (eid, cause, ex.inv_resp, rest)])
+            eid, lower, inv_resp = self.result.eid, self._lower, mask.bit_count()
+            rows = []  # per explanation, its atom of each predicate
+            for cause, value, contingency in self.result.explanation_rows(mask):
+                cause = lower[cause]
+                if (rest := self._lowered.get(contingency)) is None:
+                    rest = self._lowered[contingency] = frozenset(map(lower.__getitem__, contingency))
+                rows.append(((eid, cause, value), (eid, cause), (eid, cause, rest),
+                             (eid, cause, inv_resp), (eid, cause, inv_resp, rest)))
             tables = self._by_mask[mask] = dict(zip(_EXPLAINED, map(frozenset, zip(*rows))))
         return tables
 
@@ -549,8 +562,11 @@ def _sorted_rows(rows: Collection[tuple[Value, ...]]) -> list[tuple[Value, ...]]
             return (1, value)
         return (2, ",".join(sorted(value)))
 
+    values = set().union(*rows)
+    if set(map(type, values)) <= {str}:
+        return sorted(rows)  # every key is (1, value): strings order as they stand
     # values repeat across rows: key each distinct value once, then compare
     # rows by the values' dense ranks, which order as their keys do
-    ranked = sorted(set().union(*rows), key=value_key)
+    ranked = sorted(values, key=value_key)
     rank = {value: i for i, value in enumerate(ranked)}
     return sorted(rows, key=lambda row: tuple(map(rank.__getitem__, row)))

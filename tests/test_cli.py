@@ -2,6 +2,7 @@
 a run could hang)."""
 
 import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from xresp import (
     to_percent,
     train,
 )
+from xresp import cli
 from xresp.cli import _build_parser, main
 from xresp.constraints import parse_constraints
 from xresp.queries import answer, load_queries
@@ -459,6 +461,40 @@ def test_integer_constants_still_match_integer_values(run_cli, tmp_path):
     assert (code, out, err) == (0, "e, humidity\n", "")
 
 
+def test_query_prints_each_row_as_render_row_does(run_cli, tmp_path):
+    # rows of strings alone print as they stand and sort as strings do: the
+    # digit string 10 before 9, aZ before ab; fullExpl rows hold integers
+    # and sets, which still render one value at a time
+    data = tmp_path / "strings.csv"
+    data.write_text(
+        "n,w,label\n9,ab,yes\n10,aZ,no\n100,b,yes\n9,aZ,no\n10,b,no\n100,ab,yes\n"
+        "9,ab,yes\n",
+        encoding="utf-8",
+    )
+    lines = ("ent(E,N,W,S)?", "cls(E,N,W,L)?", "fullExpl(E,U,R,S)?")
+    code, out, err = run_cli(
+        "query", "--data", str(data), "--entity", "9,ab",
+        "--queries", write_queries(tmp_path, *lines), "--brave",
+    )
+    assert (code, err) == (0, "")
+    model = to_percent(train(load_dataset(str(data))))
+    entity = parse_entity("9,ab", model.schema)
+    atom_sets = model_atom_sets(enumerate_counterfactuals(model, entity), model, entity)
+    assert out == "\n\n".join(
+        "\n".join(render_row(row) for row in answer(query, atom_sets, "brave"))
+        for query in load_queries("\n".join(lines))
+    ) + "\n"
+    assert out == (
+        "e, 10, aZ, do\ne, 10, aZ, s\ne, 10, aZ, tr\ne, 10, ab, do\ne, 10, ab, tr\n"
+        "e, 10, b, do\ne, 10, b, s\ne, 10, b, tr\ne, 9, aZ, do\ne, 9, aZ, s\n"
+        "e, 9, aZ, tr\ne, 9, ab, o\ne, 9, ab, tr\n"
+        "\n"
+        "e, 10, aZ, no\ne, 10, ab, yes\ne, 10, b, no\ne, 9, aZ, no\ne, 9, ab, yes\n"
+        "\n"
+        "e, n, 2, {w}\ne, w, 1, {}\ne, w, 2, {n}\n"
+    )
+
+
 def test_query_rejects_empty_query_files(run_cli, tmp_path):
     queries = write_queries(tmp_path, "% nothing but comments")
     code, _, err = run_cli(
@@ -654,6 +690,35 @@ def test_feature_names_differing_only_in_case_are_refused(run_cli, tmp_path, com
     code, out, err = run_cli(command, "--data", str(data), *argv)
     assert (code, out) == (1, "")
     assert err == "xresp: SchemaError: feature names differ only in case: A, a\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("entity, code", [(ENTITY, 0), ("rain,high,normal,gusty", 1)])
+def test_a_run_leaves_the_cyclic_collector_as_it_found_it(
+    run_cli, tmp_path, monkeypatch, collecting, entity, code
+):
+    # the run goes without the collector, whether it answers or fails
+    during = []
+    instance = cli._instance
+
+    def watched(args):
+        during.append(gc.isenabled())
+        return instance(args)
+
+    monkeypatch.setattr(cli, "_instance", watched)
+    queries = write_queries(tmp_path, "cls(E,O,T,H,W,L)?")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        result = run_cli(
+            "query", "--data", DATA, "--entity", entity, "--queries", queries, "--brave"
+        )
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result[0] == code
+    assert result[2].startswith("xresp: DataError:") == bool(code)
+    assert (during, after) == ([False], collecting)
 
 
 def test_solve_asp_prints_stable_models(run_cli):

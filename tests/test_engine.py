@@ -27,6 +27,7 @@ from xresp.schema import Entity, FeatureSchema, SchemaError, load_dataset
 from conftest import TWO_DEPTH_DEPEND
 from helpers import CountingModel
 from oracles import (
+    oracle_atoms_of,
     oracle_explanations,
     oracle_versions,
     random_instance,
@@ -701,10 +702,13 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                     # the changed sets and explanations come from the masks,
                     # before any version is read
                     assert got.changed_sets == {v.changed for v in want}
+                    # the definition's explanations, each once, in the documented
+                    # order: by cause, inverse responsibility, then contingency
                     explanations = explanations_of(got, entity, model.schema)
-                    assert len(explanations) == len(set(explanations))
-                    assert set(explanations) == oracle_explanations(want, entity,
-                                                                    model.schema)
+                    assert list(explanations) == sorted(
+                        oracle_explanations(want, entity, model.schema),
+                        key=lambda ex: (ex.cause_feature, ex.inv_resp,
+                                        sorted(ex.contingency)))
                     assert got == want
                     assert got.changed_sets == {v.changed for v in got}
                     assert_chains_match_the_versions(got)
@@ -719,6 +723,9 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                     atom_sets = model_atom_sets(got, model, entity, maxint=maxint)
                     for version, atom_set in zip(got, atom_sets):
                         assert model.classify(version.final, maxint)[0] != original_label
+                        oracle = oracle_atoms_of(version, model, entity, maxint=maxint)
+                        for predicate in ("expl", "cause", "cont", "invResp", "fullExpl"):
+                            assert atom_set.tuples(predicate) == oracle[predicate]
                         scores = [(state, model.classify(state, maxint))
                                   for state in version.states]
                         assert atom_set.tuples("cls") == {

@@ -750,6 +750,40 @@ def test_answer_matches_the_definitional_oracle(query, models):
         assert answer(query, models, semantics) == expected
 
 
+# Rows of strings alone sort as plain tuples: digit strings and initial
+# case order as strings do ("10" before "9", "Zeta" before "alpha").  Rows
+# that mix kinds, or hold sets, whose plain order is by inclusion, keep
+# the documented order.
+STRINGS = ModelAtomSet({"p": frozenset({
+    ("9", "alpha"), ("10", "alpha"), ("Zeta", "b"), ("alpha", "Zeta"), ("9", "Alpha"),
+    ("b", "10"),
+})})
+ALL_KINDS = ModelAtomSet({"p": frozenset({
+    (10, "9"), ("10", 9), (frozenset({"b"}), "a"), (frozenset({"a", "b"}), frozenset()),
+    ("Zeta", frozenset({"a"})), (9, "alpha"), ("9", 10),
+})})
+SETS = ModelAtomSet({"p": frozenset({
+    (frozenset({"b"}), frozenset()), (frozenset({"a", "b"}), frozenset({"b"})),
+    (frozenset(), frozenset({"a", "b"})),
+})})
+
+
+@pytest.mark.parametrize("text", ["p(X,Y)?", "p(X,_)?", "p(_,Y)?"])
+@pytest.mark.parametrize("models", [[STRINGS], [ALL_KINDS], [SETS], [STRINGS, ALL_KINDS]])
+def test_rows_of_every_kind_sort_in_the_documented_order(text, models):
+    query = parse_query(text)
+    for semantics in ("brave", "cautious"):
+        expected = sorted(oracle_answer(query, models, semantics), key=documented_order)
+        assert answer(query, models, semantics) == expected
+
+
+def test_string_rows_order_as_strings_do():
+    assert answer(parse_query("p(X,Y)?"), [STRINGS], "brave") == [
+        ("10", "alpha"), ("9", "Alpha"), ("9", "alpha"), ("Zeta", "b"), ("alpha", "Zeta"),
+        ("b", "10"),
+    ]
+
+
 # Atom tables that mix arities: only the query's arity may answer.  One
 # atom of distinct variables passes its atoms through as rows; a constant,
 # a repeated variable or a comparison must still filter them.

@@ -9,7 +9,7 @@ mismatch and exits 1 if there is any.  From the root of the repository::
     python3 tools/check_outputs.py [workload ...]
 
 With no workload named, all four run: about ten minutes on two cores.
-Nothing under ``perfbench/`` is changed.
+Nothing under ``perfbench/`` is changed, and no child writes bytecode.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"unknown workload(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(workloads.WORKLOADS)}")
     expected = json.loads((proc.BENCH / "expected.json").read_text(encoding="utf-8"))
-    env = proc.child_env()
+    # children write no bytecode either, so src/ keeps no __pycache__ and
+    # each run compiles what it loads, as the benchmark's runs do
+    env = proc.child_env() | {"PYTHONDONTWRITEBYTECODE": "1"}
     failed = False
     for name in names:
         record = expected["workloads"][name]
