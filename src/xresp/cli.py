@@ -297,8 +297,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_counterfactuals(args: argparse.Namespace) -> int:
     model, entity, maxint = _instance(args)
-    for version in _versions_of(args, model, entity, maxint):
-        print(f"ent({version.eid},{','.join(version.final)},s)")
+    # each version's final state is its cell's: no chain is decoded
+    result = _versions_of(args, model, entity, maxint)
+    lines = [f"ent({result.eid},{','.join(result.state(code))},s)" for code in result.ordered]
+    if lines:
+        print("\n".join(lines))
     return 0
 
 

@@ -33,30 +33,47 @@ only its original value, so the grid leaves out cells no search can reach;
 forbidden combinations and dependencies are checks on digits.  The moves
 out of a state are one table of (intervened set, code step) pairs per set
 of features intervened so far, built the first time a state of that set is
-expanded.  The search keeps each version as its cell and a bitmask of its
-changed features, and each reached cell's parent: the cell it was first
-reached from, the original being its own.  Only the result walks the
-recorded chains and decodes cells, each at most once, by looking each
-block of consecutive features up in a table of that block's cells.  It
-also expands each changed-feature mask into explanation rows, plain
+expanded.  The breadth-first search keeps each version as its cell and a
+bitmask of its changed features, and each reached cell's parent: the cell
+it was first reached from, the original being its own.  Only the result
+walks the recorded chains and decodes cells, each at most once, by looking
+each block of consecutive features up in a table of that block's cells.
+It also expands each changed-feature mask into explanation rows, plain
 (cause, original value, contingency) tuples whose contingency set is built
 once per contingency mask; ``explanations_of`` alone makes records of them,
 and the query layer makes atoms.
 
-A full search first asks the model to fold the scores of every cell of the
+A full search first asks the model to fold the labels of every cell of the
 grid, level by level in schema order as ``classify`` computes them, so each
-prefix product is computed once for all the cells that share it.  Only the
-staged model can refuse: it folds only when ``maxint`` is at least its
-covering ceiling, the largest staged product of any state, so no folded
-cell can overflow.  Otherwise, and for minimum-change searches (which often
-stop after a few states) and grids of more than ``_FOLD_LIMIT`` cells, each
-cell is scored on demand through ``classify``, each at most once; a staged
-overflow then raises at the first overflowing cell the search reaches.
-The parents follow the scorer: a folded grid keeps them in a list with one
-slot per cell, -1 until the cell is reached, and an on-demand search in a
-dict of the cells it reaches.  Either way the result keeps the search's
-scorer, and the query layer reads each chain cell's score from it: nothing
-is classified twice.
+prefix product is computed once for all the cells that share it.  The fold
+keeps those prefix products and one label byte per cell; a cell's scores
+are computed from its prefix product when the query layer reads them.
+Only the staged model can refuse: it folds only when ``maxint`` is at
+least its covering ceiling, the largest staged product of any state, so no
+folded cell can overflow.  Otherwise, and for minimum-change searches
+(which often stop after a few states) and grids of more than
+``_FOLD_LIMIT`` cells, each cell is scored on demand through ``classify``,
+each at most once; a staged overflow then raises at the first overflowing
+cell the search reaches.  Either way the result keeps the search's scorer,
+and the query layer reads each chain cell's score from it: nothing is
+classified twice.
+
+A full search over a folded grid without dependencies runs its levels as
+bitmaps, one Python integer with a bit per cell, in the manner of the
+bitmap frontiers of Beamer, Asanovic and Patterson (*Direction-Optimizing
+Breadth-First Search*, SC 2012).  Without dependencies a state at depth k
+changes exactly k features, so a level is the union, over each feature i
+and each other digit d of it, of the frontier's cells still at i's original
+digit shifted by d's code step; its admissible cells that keep the label
+are the next frontier and the others are versions.  The result's length
+and changed-feature masks come from the bitmap of the version cells, the
+masks split out feature by feature, and explanations and x-resp scores read
+nothing else.  The breadth-first search, with its parents, runs only when
+the versions' cells or chains are first read (``counterfactuals``,
+``query``).  Every other search runs it at once.  The parents follow the
+scorer: a folded grid keeps them in a list with one slot per cell, -1 until
+the cell is reached, and an on-demand search in a dict of the cells it
+reaches.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -68,12 +85,11 @@ responsibility, or 0 when the feature is changed in no version.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import _Record
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
@@ -133,9 +149,12 @@ class ResponsibilityReport(_Record):
 # ---------------------------------------------------------------------------
 
 # A grid with more cells than this is scored on demand, not folded: the fold
-# keeps two integers and a label byte for every cell, and the search one
-# parent slot.
+# keeps a label byte for every cell and a prefix product for every cell of
+# all but the last feature, the level-bitmap search a few integers of one bit
+# per cell, and the breadth-first search one parent slot per cell.
 _FOLD_LIMIT = 1 << 20
+# A cell's label index as the character of its bit in a binary numeral.
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 # The most cells of one block of consecutive features that ``_Grid.decode``
 # reads from a table.
 _BLOCK_CELLS = 1 << 10
@@ -147,14 +166,15 @@ class _Grid:
     Feature 0 is the most significant digit.  An immutable feature keeps
     only its original value, so its digit is always 0.  Forbidden
     combinations and dependencies are compiled to checks on digits; ``None``
-    constrains nothing.  ``targets`` names the dependency targets.
+    constrains nothing.  ``targets`` holds the places of the dependency
+    targets.
     """
 
     def __init__(self, schema: FeatureSchema, original: tuple[str, ...],
                  cs: ConstraintSet | None) -> None:
         forbidden, dependencies, immutable = ((), (), frozenset()) if cs is None else (
             cs.forbidden, cs.dependencies, cs.immutable)
-        self.targets = frozenset(dep.target for dep in dependencies)
+        self.targets = [schema.index(dep.target) for dep in dependencies]
         self.domains = tuple(
             (value,) if name in immutable else domain
             for (name, domain), value in zip(schema.features, original)
@@ -215,6 +235,55 @@ class _Grid:
             end = start
         return blocks[::-1]
 
+    def moves(self, start: int) -> list[tuple[int, int, list[int]]]:
+        """Per feature a search from cell ``start`` intervenes on (neither
+        immutable nor a dependency target): its place, its digit in
+        ``start`` and the code steps to each of its other digits."""
+        moves = []
+        for i, (weight, domain) in enumerate(zip(self.weights, self.domains)):
+            digit = start // weight % len(domain)
+            if i not in self.targets and len(domain) > 1:
+                moves.append((i, digit, [(d - digit) * weight
+                                         for d in range(len(domain)) if d != digit]))
+        return moves
+
+    def cells_at(self, weight: int, radix: int, digit: int) -> int:
+        """The bitmap (bit c for cell c) of the cells whose digit of ``weight``
+        and ``radix`` is ``digit``: one run of ``weight`` bits per period of
+        ``weight * radix`` cells, repeated by doubling."""
+        cells, period = ((1 << weight) - 1) << digit * weight, weight * radix
+        while period < self.size:
+            cells |= cells << period
+            period *= 2
+        return cells & ((1 << self.size) - 1)
+
+    def changed_masks(self, cells: int, start: int) -> list[int]:
+        """The distinct bitmasks of the features in which the cells of bitmap
+        ``cells`` differ from cell ``start``.
+
+        The cells are split feature by feature, most significant first: a
+        digit's cells are a run of bits per period, so shifting each run down
+        leaves a bitmap over the remaining features, and the runs of the
+        cells that agree on which features changed so far are merged.
+        """
+        parts = {0: cells} if cells else {}
+        for i, (weight, domain) in enumerate(zip(self.weights, self.domains)):
+            radix = len(domain)
+            if radix == 1:  # an immutable feature never changes
+                continue
+            low, digit, split = (1 << weight) - 1, start // weight % radix, {}
+            for mask, part in parts.items():
+                moved = 0
+                for d in range(radix):
+                    if d != digit:
+                        moved |= (part >> d * weight) & low
+                if same := (part >> digit * weight) & low:
+                    split[mask] = split.get(mask, 0) | same
+                if moved:
+                    split[mask | 1 << i] = split.get(mask | 1 << i, 0) | moved
+            parts = split
+        return list(parts)
+
     def admits(self, code: int) -> bool:
         """False iff the cell fully matches some forbidden combination."""
         return not any(
@@ -241,19 +310,19 @@ class _Grid:
 
 
 class _FoldedCells:
-    """The scores of every cell of a grid, as the model folded them under
-    ``maxint`` and read as ``classify`` returns them.  ``labels`` holds each
-    cell's label index (0 positive, 1 negative).
+    """Every cell's label index (0 positive, 1 negative) in ``labels``, as the
+    model folded the grid under ``maxint``; a cell's scores are computed
+    from the fold when read, as ``classify`` returns them.
     """
 
-    def __init__(self, model: NaiveBayesModel | PercentModel, scores: list[list],
+    def __init__(self, model: NaiveBayesModel | PercentModel,
+                 fold: tuple[bytearray, Callable[[int], tuple[int, int]]],
                  maxint: int) -> None:
         self.model, self.maxint = model, maxint
-        self.pos, self.neg = scores
-        self.labels = bytearray(map(operator.lt, self.pos, self.neg))
+        self.labels, self._scores = fold
 
     def score(self, code: int) -> tuple:
-        model, pos, neg = self.model, self.pos[code], self.neg[code]
+        model, (pos, neg) = self.model, self._scores(code)
         if model._divisor == 1:
             pos, neg = Fraction(pos, model._denominator), Fraction(neg, model._denominator)
         return model.labels[self.labels[code]], pos, neg
@@ -296,29 +365,48 @@ class _SearchResult(Sequence):
     each distinct mask to its changed set, and ``parent`` each reached cell
     to the cell it was first reached from: a list over the grid when the
     grid was folded, else a dict of the reached cells.  The original is its
-    own parent, the root of every chain.  Only this class walks ``parent``
-    and decodes cells, each at most once; ``len``, ``bool``,
-    ``changed_sets`` and ``explanation_rows`` read neither, and the first
-    index or iteration decodes every version's chain.
+    own parent, the root of every chain.  ``search()`` runs the
+    breadth-first search that builds ``parent`` and ``found``.  Given
+    ``versions``, the bitmap of the version cells a level-bitmap search
+    found, the length and ``masks`` come from it and the search runs when
+    ``found`` or ``parent`` is first read; otherwise it runs at once.  Only
+    this class walks ``parent`` and decodes cells, each at most once;
+    ``len``, ``bool``, ``changed_sets`` and ``explanation_rows`` read
+    neither, and the first index or iteration decodes every version's chain.
     """
 
     def __init__(self, eid: str, original: tuple[str, ...], schema: FeatureSchema,
-                 grid: _Grid, scorer: _FoldedCells | _CellsOnDemand,
-                 parent: list[int] | _Unseen, start: int,
-                 found: dict[int, int]) -> None:
+                 grid: _Grid, scorer: _FoldedCells | _CellsOnDemand, start: int,
+                 search: Callable[[], tuple[list[int] | _Unseen, dict[int, int]]],
+                 versions: int | None = None) -> None:
         self.eid, self.original, self.schema = eid, original, schema
-        self.grid, self.scorer, self.parent, self.start = grid, scorer, parent, start
-        self.found = found
+        self.grid, self.scorer, self.start, self._search = grid, scorer, start, search
         # each feature mask's names, and per feature its bit, name and original value
         self._sets: dict[int, frozenset[str]] = {0: frozenset()}
         self._causes = [(1 << i, name, value)
                         for i, (name, value) in enumerate(zip(schema.names, original))]
-        self.masks = {mask: self._named(mask) for mask in set(found.values())}
+        if versions is None:
+            self._count, masks = len(self.found), set(self.found.values())
+        else:
+            self._count, masks = versions.bit_count(), grid.changed_masks(versions, start)
+        self.masks = {mask: self._named(mask) for mask in masks}
         self.changed_sets = frozenset(self.masks.values())
         self._states = {start: original}
 
+    @cached_property
+    def _tree(self) -> tuple[list[int] | _Unseen, dict[int, int]]:
+        return self._search()
+
+    @property
+    def parent(self) -> list[int] | _Unseen:
+        return self._tree[0]
+
+    @property
+    def found(self) -> dict[int, int]:
+        return self._tree[1]
+
     def __len__(self) -> int:
-        return len(self.found)
+        return self._count
 
     def __getitem__(self, index):
         return self._decoded[index]
@@ -395,18 +483,20 @@ class _SearchResult(Sequence):
     @cached_property
     def ordered(self) -> list[int]:
         """The found cells in version order: by number of changes, then final state."""
-        return sorted(self.found, key=lambda c: (self.found[c].bit_count(), self.state(c)))
+        found, state = self.found, self.state
+        return sorted(found, key=lambda c: (found[c].bit_count(), state(c)))
 
     def fewest_changes(self) -> _SearchResult:
         """This result restricted to the versions with the fewest changed features."""
-        best = min(map(int.bit_count, self.found.values()), default=0)
+        best = min(map(int.bit_count, self.masks), default=0)
+        parent = self.parent
         found = {code: m for code, m in self.found.items() if m.bit_count() == best}
         return _SearchResult(self.eid, self.original, self.schema, self.grid, self.scorer,
-                             self.parent, self.start, found)
+                             self.start, lambda: (parent, found))
 
     @cached_property
     def _decoded(self) -> tuple[CounterfactualVersion, ...]:
-        parent, state = self.parent, self.state
+        parent, found, state = self.parent, self.found, self.state
         # the states from the original to each cell, built once per cell
         paths: dict[int, tuple[tuple[str, ...], ...]] = {self.start: (self.original,)}
 
@@ -415,7 +505,7 @@ class _SearchResult(Sequence):
                 paths[code] = path(parent[code]) + (state(code),)
             return paths[code]
 
-        return tuple(CounterfactualVersion(self.eid, self.masks[self.found[code]], path(code))
+        return tuple(CounterfactualVersion(self.eid, self.masks[found[code]], path(code))
                      for code in self.ordered)
 
 
@@ -439,7 +529,9 @@ def enumerate_counterfactuals(
     The result is an immutable sequence of versions sorted by the number of
     changed features, then by ``final``.  Its length, truth value and
     ``changed_sets`` (all ``explanations_of`` reads) come from the search's
-    cells; the first index or iteration decodes every version's chain.
+    cells, and from its level bitmaps alone when the grid was folded and no
+    dependency applies; the first index or iteration decodes every
+    version's chain.
 
     ``strict`` tightens admissibility twice over: interventions only run
     when the original label is the positive one, and forbidden combinations
@@ -460,30 +552,79 @@ def enumerate_counterfactuals(
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
     grid = _Grid(schema, original, constraints)
-    # the cell each cell was first reached from, -1 for an unseen cell; it
-    # doubles as the seen set.  A folded grid keeps one slot per cell, a
-    # search scored on demand only the cells it reaches.
     if (not min_change and grid.size <= _FOLD_LIMIT
-            and (scores := model._grid_scores(grid.domains, maxint)) is not None):
-        cells, parent = _FoldedCells(model, scores, maxint), [-1] * grid.size
+            and (fold := model._grid_labels(grid.domains, maxint)) is not None):
+        cells = _FoldedCells(model, fold, maxint)
     else:
-        cells, parent = _CellsOnDemand(model, grid, maxint), _Unseen()
-    labels = cells.labels
+        cells = _CellsOnDemand(model, grid, maxint)
     start = grid.encode(original)
+    original_label = cells.labels[start]
+    # a strict search from a negative or inadmissible original searches nothing
+    searched = not strict or (original_label == 0 and grid.admits(start))
+    search = partial(_search, grid, cells, start, original_label, searched, min_change)
+    versions = None
+    if isinstance(cells, _FoldedCells) and not grid._dependencies:
+        versions = _version_cells(grid, cells.labels, start, original_label, searched)
+    result = _SearchResult(entity.eid, original, schema, grid, cells, start, search, versions)
+    return result.fewest_changes() if min_change else result
+
+
+def _version_cells(grid: _Grid, labels: bytearray, start: int, original_label: int,
+                   searched: bool) -> int:
+    """The bitmap of the version cells of a full search over a folded grid
+    without dependencies, searched level by level.
+
+    Without dependencies a cell at depth k changes exactly k features, so
+    the levels are disjoint and need no seen set: a level's cells are the
+    frontier's cells with some feature i still at its original digit,
+    shifted to each other digit of i.  The admissible ones keep the label
+    (the next frontier) or flip it (versions).
+    """
+    everything = (1 << grid.size) - 1
+    negative = int(labels.translate(_BITS)[::-1], 2)  # bit c set iff cell c is negative
+    keep = negative if original_label else everything ^ negative
+    flip = everything ^ keep
+    for conditions in grid._forbidden:
+        forbidden = everything
+        for weight, radix, digit in conditions:
+            forbidden &= grid.cells_at(weight, radix, digit)
+        keep &= ~forbidden
+        flip &= ~forbidden
+    # per free feature: the cells at its original digit, and the code steps
+    # to each other digit
+    moves = [(grid.cells_at(grid.weights[i], len(grid.domains[i]), digit), steps)
+             for i, digit, steps in grid.moves(start)]
+    frontier, versions = (1 << start) if searched else 0, 0
+    while frontier:
+        reached = 0
+        for at_original, steps in moves:
+            if cells := frontier & at_original:
+                for step in steps:
+                    reached |= cells << step if step > 0 else cells >> -step
+        versions |= reached & flip
+        frontier = reached & keep
+    return versions
+
+
+def _search(grid: _Grid, cells: _FoldedCells | _CellsOnDemand, start: int,
+            original_label: int, searched: bool,
+            min_change: bool) -> tuple[list[int] | _Unseen, dict[int, int]]:
+    """The breadth-first search: each reached cell's parent and each version's
+    cell with its changed-feature mask, in the order it was reached.
+
+    A folded grid keeps the parents in a list with one slot per cell, -1
+    until the cell is reached, a search scored on demand in a dict of the
+    cells it reaches; either way the parents double as the seen set.
+    """
+    labels = cells.labels
+    parent = [-1] * grid.size if isinstance(cells, _FoldedCells) else _Unseen()
     parent[start] = start  # the original is its own parent
-    original_label = model.labels.index(cells.score(start)[0])
 
     # per free feature: its bit, and the code steps to each other value
-    moves = []
+    moves = [(1 << i, steps) for i, _, steps in grid.moves(start)]
     # per dependency target: its bit, its place and its original digit
-    targets = []
-    for i, (name, domain) in enumerate(zip(schema.names, grid.domains)):
-        digit = start // grid.weights[i] % len(domain)
-        if name in grid.targets:
-            targets.append((1 << i, grid.weights[i], len(domain), digit))
-        elif len(domain) > 1:  # an immutable feature keeps its one value
-            steps = [(d - digit) * grid.weights[i] for d in range(len(domain)) if d != digit]
-            moves.append((1 << i, steps))
+    targets = [(1 << i, grid.weights[i], len(grid.domains[i]),
+                start // grid.weights[i] % len(grid.domains[i])) for i in grid.targets]
     propagate_cell = grid.propagate if grid._dependencies else None
     admits_cell = grid.admits if grid._forbidden else None
 
@@ -492,15 +633,11 @@ def enumerate_counterfactuals(
     tables: dict[int, list[tuple[int, int]]] = {}
     # each version's cell -> the bits of the features it changes
     found: dict[int, int] = {}
-    # (cell, bits of the features intervened on to reach it); a strict
-    # search from a negative or inadmissible original searches nothing
-    if strict and (original_label != 0 or not grid.admits(start)):
-        frontier = []
-    else:
-        frontier = [(start, 0)]
+    # (cell, bits of the features intervened on to reach it)
+    frontier = [(start, 0)] if searched else []
     # the fewest changed features of any version found so far; no version
     # changes more than every feature
-    best = len(schema)
+    best = len(grid.domains)
     depth = 0
 
     while frontier and not (min_change and depth >= best):
@@ -535,9 +672,7 @@ def enumerate_counterfactuals(
                     best = min(best, mask.bit_count())
         frontier = next_frontier
         depth += 1
-
-    result = _SearchResult(entity.eid, original, schema, grid, cells, parent, start, found)
-    return result.fewest_changes() if min_change else result
+    return parent, found
 
 
 def min_change_versions(versions: _SearchResult) -> _SearchResult:

@@ -10,7 +10,8 @@ entity's conditionals, in integers.  Both model types share one base, which
 holds the fields, checks the distributions, computes and decides:
 ``classify(values, maxint)`` returns ``(label, positive score, negative
 score)``, the larger score winning and ties going to the positive label,
-and a whole grid of entities can be scored in one fold.  The two types
+and a whole grid of entities can be labelled in one fold, from which any
+one cell is scored when it is read.  The two types
 differ only in what divides each product:
 
 * ``NaiveBayesModel`` divides by 1: its scores are exact, read as Fractions.
@@ -29,10 +30,11 @@ each distribution sums to exactly 100.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import _lines, _read, _Record
 from .schema import (
@@ -158,29 +160,46 @@ class _Model(_Record):
             scores.append(acc)
         return scores
 
-    def _grid_scores(self, domains: tuple[tuple[str, ...], ...],
-                     maxint: int) -> list[list[int]] | None:
-        """``_scores`` of every cell of a grid, per label, or None when a staged
-        ``maxint`` is below ``_covering_maxint()``.
+    def _grid_labels(self, domains: tuple[tuple[str, ...], ...], maxint: int
+                     ) -> tuple[bytearray, Callable[[int], tuple[int, int]]] | None:
+        """The label index (0 positive, 1 negative) ``_scores`` gives every cell
+        of a grid, and a function giving one cell's ``_scores``; None when a
+        staged ``maxint`` is below ``_covering_maxint()``.
 
         ``domains`` gives each feature's values in digit order; a cell's
         index reads its digits mixed-radix, feature 0 most significant.  The
-        fold runs level by level in schema order, so each prefix product is
-        computed once for every cell that shares it; the last level takes
-        the prior's step in the same pass.
+        fold runs level by level in schema order up to the last feature, so
+        each prefix product is computed once for every cell that shares it,
+        and only these prefix products are kept.  The labels take the last
+        feature's and the prior's steps one last digit at a time across all
+        prefixes; a cell's scores take them when they are read.
         """
         if self._divisor != 1 and maxint < self._covering_maxint():
             return None
-        divisor, folds = self._divisor, []
+        divisor, prefixes, lasts = self._divisor, [], []
         for i in (0, 1):
             *levels, last = [[column[value][i] for value in domain]
                              for column, domain in zip(self._table, domains)]
-            acc, prior = [divisor], self._prior[i]  # divisor * f // divisor is f
+            acc = [divisor]  # divisor * f // divisor is f
             for factors in levels:
                 acc = [a * f // divisor for a in acc for f in factors]
-            # the last feature and the prior in one pass over the grid
-            folds.append([a * f // divisor * prior // divisor for a in acc for f in last])
-        return folds
+            prefixes.append(acc)
+            lasts.append(last)
+        (pos, neg), (pos_last, neg_last), (pos_prior, neg_prior) = prefixes, lasts, self._prior
+        radix = len(pos_last)
+        labels = bytearray(len(pos) * radix)
+        for digit in range(radix):
+            p, n = pos_last[digit], neg_last[digit]
+            labels[digit::radix] = bytes(map(
+                operator.lt, [a * p // divisor * pos_prior // divisor for a in pos],
+                [a * n // divisor * neg_prior // divisor for a in neg]))
+
+        def scores(code: int) -> tuple[int, int]:
+            prefix, digit = divmod(code, radix)
+            return (pos[prefix] * pos_last[digit] // divisor * pos_prior // divisor,
+                    neg[prefix] * neg_last[digit] // divisor * neg_prior // divisor)
+
+        return labels, scores
 
     def _covering_maxint(self) -> int:
         """The smallest ``maxint`` under which no grid state overflows.

@@ -118,7 +118,7 @@ class _ResultAtomSets(Sequence):
 
     def __getitem__(self, index: int) -> ModelAtomSet:
         tables = self._version_tables(tuple(self.arity), self.result.ordered[index])
-        return ModelAtomSet(MappingProxyType(dict(zip(self.arity, tables))))
+        return ModelAtomSet(MappingProxyType(dict(zip(self.arity, map(frozenset, tables)))))
 
     def _tables(self, predicates: list[str], semantics: str) -> list[tuple]:
         """Table combinations whose answer under ``semantics`` is every version's."""
@@ -132,25 +132,26 @@ class _ResultAtomSets(Sequence):
         cells = self.result.on_chains(every=semantics == "cautious")
         return [(self._chain_table(predicates[0], cells),)]
 
-    def _version_tables(self, predicates, code: int) -> tuple[frozenset, ...]:
+    def _version_tables(self, predicates, code: int) -> tuple[Collection, ...]:
         """The tables ``predicates`` name in the version found at ``code``."""
         explanations, chain = self._explanations(self.result.found[code]), self.result.chain(code)
         return tuple(explanations[predicate] if predicate in explanations
                      else self._chain_table(predicate, chain) for predicate in predicates)
 
-    def _chain_table(self, predicate: str, cells: list[int]) -> frozenset[tuple[Value, ...]]:
+    def _chain_table(self, predicate: str, cells: list[int]) -> list[tuple[Value, ...]]:
         """The ``predicate`` atoms of ``cells``: per cell a ``tr`` state, an ``o``
         (start) or ``do`` state, an ``s`` state if found, a ``cls`` atom and
-        ``pb_num`` atoms."""
+        ``pb_num`` atoms.  Distinct cells have distinct atoms, so the list
+        holds each atom once."""
         result, by_cell, atoms = self.result, self._by_cell[predicate], []
-        eid, state, score = result.eid, result.state, result.scorer.score
+        eid, state, score, found = result.eid, result.state, result.scorer.score, result.found
         for code in cells:
             if (cell_atoms := by_cell.get(code)) is None:
                 values = state(code)
                 if predicate == "ent":
                     cell_atoms = [(eid, *values, "tr"),
                                   (eid, *values, "o" if code == result.start else "do")]
-                    if code in result.found:
+                    if code in found:
                         cell_atoms.append((eid, *values, "s"))
                 elif predicate == "cls":
                     cell_atoms = [(eid, *values, score(code)[0])]
@@ -159,7 +160,7 @@ class _ResultAtomSets(Sequence):
                                   for label, num in zip(self.model.labels, score(code)[1:])]
                 by_cell[code] = cell_atoms
             atoms += cell_atoms
-        return frozenset(atoms)
+        return atoms
 
     def _explanations(self, mask: int) -> dict[str, frozenset[tuple[Value, ...]]]:
         """The explanation tables of the versions that change the features of ``mask``."""
@@ -399,14 +400,18 @@ def answer(
         _check_arities(query, models)
         combinations = (tuple(model_atoms.tuples(predicate) for predicate in predicates)
                         for model_atoms in models)
-    plan, rows = _Plan(query), None
+    plan, rows = _Plan(query, uniform=isinstance(models, _ResultAtomSets)), None
     for tables in combinations:
+        got = plan.rows(tables)
         if rows is None:
-            rows = plan.rows(tables)
-        elif semantics == "brave":
-            rows |= plan.rows(tables)
+            rows = got
         else:
-            rows &= plan.rows(tables)
+            if not isinstance(rows, set):  # a table passed through as it stands
+                rows = set(rows)
+            if semantics == "brave":
+                rows.update(got)
+            else:
+                rows.intersection_update(got)
         if not rows and semantics == "cautious":
             break
     return _sorted_rows(rows or ())
@@ -457,10 +462,12 @@ class _Plan:
     accepted values)``, binds ``(position, slot)`` for the first occurrence
     of a variable or an ``_``, and checks ``(position, slot)`` for a
     variable already bound.  ``echo`` lists the slot of every non-constant
-    argument position in reading order.
+    argument position in reading order.  ``uniform`` tables hold atoms of
+    the query's arity alone and no atom twice, so a one-atom query that
+    echoes each atom whole passes such a table through as its rows.
     """
 
-    def __init__(self, query: Query) -> None:
+    def __init__(self, query: Query, uniform: bool = False) -> None:
         slot_of: dict[str, int] = {}
         self.steps: list[tuple[int, tuple, tuple, tuple]] = []
         self.echo: list[int] = []
@@ -489,10 +496,13 @@ class _Plan:
         # echoes every position in order, so its rows are its atoms
         self._whole = (len(self.steps) == 1 and not self._tests
                        and self.echo == list(range(self.steps[0][0])))
+        self._uniform = uniform
 
-    def rows(self, tables: Sequence[frozenset]) -> set[tuple[Value, ...]]:
-        """The answer rows of one model whose atoms' tables are ``tables``."""
+    def rows(self, tables: Sequence[Collection]) -> Collection[tuple[Value, ...]]:
+        """The distinct answer rows of one model whose atoms' tables are ``tables``."""
         if self._whole:  # each row is its atom
+            if self._uniform:
+                return tables[0]
             arity = self.steps[0][0]
             return {atom for atom in tables[0] if len(atom) == arity}
         out: set[tuple[Value, ...]] = set()

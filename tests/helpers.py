@@ -77,8 +77,8 @@ class CountingModel:
         self.calls[tuple(values)] += 1
         return super().classify(values, maxint)
 
-    def _grid_scores(self, domains, maxint):
-        scores = super()._grid_scores(domains, maxint)
-        if scores is not None:
-            self.folds.append(len(scores[0]))
-        return scores
+    def _grid_labels(self, domains, maxint):
+        fold = super()._grid_labels(domains, maxint)
+        if fold is not None:
+            self.folds.append(len(fold[0]))
+        return fold

@@ -19,7 +19,7 @@ from xresp import (
     to_percent,
     train,
 )
-from xresp import cli
+from xresp import cli, engine
 from xresp.cli import _build_parser, main
 from xresp.constraints import parse_constraints
 from xresp.queries import answer, load_queries
@@ -205,6 +205,33 @@ def test_counterfactuals_lists_all_ten(run_cli):
     code, out, err = run_cli("counterfactuals", "--data", DATA, "--entity", ENTITY)
     assert code == 0 and err == ""
     assert out == EXPECTED_COUNTERFACTUALS
+
+
+@pytest.mark.parametrize("min_change", [False, True])
+def test_counterfactuals_print_version_cells_and_decode_no_chain(run_cli, monkeypatch,
+                                                                 min_change):
+    decoded, built = [], []
+    decode, version = engine._Grid.decode, engine.CounterfactualVersion
+
+    def counting_decode(grid, code):
+        decoded.append(code)
+        return decode(grid, code)
+
+    def counting_version(*args):
+        built.append(args)
+        return version(*args)
+
+    monkeypatch.setattr(engine._Grid, "decode", counting_decode)
+    monkeypatch.setattr(engine, "CounterfactualVersion", counting_version)
+    argv = ["counterfactuals", "--data", DATA, "--entity", ENTITY]
+    code, out, _ = run_cli(*argv, *["--min-change"] * min_change)
+    assert code == 0
+    lines = EXPECTED_COUNTERFACTUALS.splitlines(keepends=True)
+    assert out == "".join(lines[:1] if min_change else lines)
+    assert not built
+    if not min_change:  # a search scored on demand decodes the cells it classifies
+        # each version's cell is decoded once, and no other cell
+        assert len(decoded) == len(set(decoded)) == out.count("\n")
 
 
 def test_counterfactuals_min_change_is_a_single_line(run_cli):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from xresp import engine
+from xresp import cli, engine
 from xresp.constraints import ConstraintSet, parse_constraints
 from xresp.engine import (
     Explanation,
@@ -24,11 +24,12 @@ from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent, t
 from xresp.queries import model_atom_sets
 from xresp.schema import Entity, FeatureSchema, SchemaError, load_dataset
 
-from conftest import TWO_DEPTH_DEPEND
+from conftest import TWO_DEPTH_DEPEND, WEATHER_CSV
 from helpers import CountingModel
 from oracles import (
     oracle_atoms_of,
     oracle_explanations,
+    oracle_scores,
     oracle_versions,
     random_instance,
     strict_actual_cause,
@@ -634,12 +635,13 @@ def test_path_semantics_diverge_from_strict_definition(weather_percent, weather_
 # ---------------------------------------------------------------------------
 
 
-def random_constraint_lines(rng, schema):
-    """Zero to two lines of each kind; dependencies run forward in schema
-    order, declared in random order, so propagation can need two passes."""
+def random_constraint_lines(rng, schema, depend=True):
+    """Zero to two lines of each kind (no ``depend`` unless ``depend``);
+    dependencies run forward in schema order, declared in random order, so
+    propagation can need two passes."""
     names = list(schema.names)
     lines, targets = [], set()
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, 2) if depend else 0):
         source, target = sorted(rng.sample(range(len(names)), 2))
         source, target = names[source], names[target]
         if target in targets:
@@ -743,3 +745,118 @@ def test_search_matches_the_per_state_oracle(tmp_path):
     assert outcomes["versions"] > 800
     # dependency targets changed in some version's mask
     assert outcomes["target changed"] > 100
+
+
+# ---------------------------------------------------------------------------
+# Level bitmaps and chains searched when read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The arguments of every breadth-first search run from now on."""
+    calls, search = [], engine._search
+
+    def counting_search(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(engine, "_search", counting_search)
+    return calls
+
+
+def test_level_bitmaps_match_the_per_state_oracle(tmp_path, searches):
+    """A folded search without dependencies answers its length, masks and
+    changed sets from level bitmaps, searching nothing breadth-first; the
+    versions, chains and scores read afterwards are the definition's."""
+    rng = random.Random(20261020)
+    path = tmp_path / "data.csv"
+    outcomes = Counter()
+    for _ in range(300):
+        csv_text, entity_values = random_instance(rng)
+        path.write_text(csv_text, encoding="utf-8")
+        exact = train(load_dataset(str(path)))
+        entity = Entity("e", entity_values)
+        staged = to_percent(exact)
+        text = random_constraint_lines(rng, staged.schema, depend=False)
+        constraints = parse_constraints(text, staged.schema) if text else None
+        outcomes["forbid"] += "forbid" in text
+        outcomes["immutable"] += "immutable" in text
+        maxint = max(DEFAULT_MAXINT, staged._covering_maxint())
+        for model in (exact, staged):
+            grid = engine._Grid(model.schema, entity_values, constraints)
+            want_scores = [oracle_scores(model, grid.decode(code)) for code in range(grid.size)]
+            for strict in (False, True):
+                searches.clear()
+                got = enumerate_counterfactuals(model, entity, constraints,
+                                                strict=strict, maxint=maxint)
+                want = oracle_versions(model, entity, constraints, strict=strict, maxint=maxint)
+                # every cell's label byte is the definition's
+                assert got.scorer.labels == bytes(
+                    model.labels.index(score[0]) for score in want_scores)
+                # the length, masks, changed sets and explanations come from
+                # the level bitmaps, and no breadth-first search has run
+                assert len(got) == len(want) and bool(got) == bool(want)
+                assert got.masks == {
+                    sum(1 << model.schema.index(name) for name in v.changed): v.changed
+                    for v in want
+                }
+                assert got.changed_sets == {v.changed for v in want}
+                explanations = explanations_of(got, entity, model.schema)
+                assert set(explanations) == oracle_explanations(want, entity, model.schema)
+                xresp(explanations, model.schema)
+                assert not searches
+                # reading versions runs the search once; chains and scores
+                # read afterwards are the definition's
+                assert got == want
+                assert_chains_match_the_versions(got)
+                for code in got.on_chains(every=False):
+                    assert got.scorer.score(code) == want_scores[code]
+                assert len(searches) == 1
+                outcomes["versions"] += bool(got)
+                outcomes["strict empty"] += strict and not got
+    assert outcomes["forbid"] > 100 and outcomes["immutable"] > 100
+    assert outcomes["versions"] > 600 and outcomes["strict empty"] > 200
+
+
+@pytest.mark.parametrize("constraints, options, bitmaps", [
+    (None, {}, True),
+    ("forbid Outlook=sunny, Wind=strong\nimmutable Temperature", {"strict": True}, True),
+    (TWO_DEPTH_DEPEND, {}, False),
+    (None, {"min_change": True}, False),
+], ids=["plain", "forbid-immutable-strict", "depend", "min-change"])
+def test_only_folded_searches_without_dependencies_run_level_bitmaps(
+    weather_percent, weather_entity, searches, constraints, options, bitmaps
+):
+    if constraints is not None:
+        constraints = parse_constraints(constraints, weather_percent.schema)
+    result = enumerate_counterfactuals(weather_percent, weather_entity, constraints,
+                                       **options)
+    assert len(searches) == (0 if bitmaps else 1)
+    list(result)
+    result.on_chains(every=True)
+    assert len(searches) == 1
+
+
+def test_searches_scored_on_demand_run_no_level_bitmaps(weather_percent, weather_entity,
+                                                      searches, monkeypatch):
+    # one below the covering ceiling, the search runs at once and the first
+    # overflowing state raises
+    with pytest.raises(StagedOverflowError):
+        enumerate_counterfactuals(weather_percent, weather_entity, maxint=580159)
+    assert len(searches) == 1
+    monkeypatch.setattr(engine, "_FOLD_LIMIT", 35)
+    result = enumerate_counterfactuals(weather_percent, weather_entity)
+    assert isinstance(result.scorer, engine._CellsOnDemand) and len(searches) == 2
+
+
+def test_explain_builds_no_parent(weather_entity, searches):
+    """The CLI's explain reads changed sets alone, so no breadth-first search runs."""
+    assert cli.main(["explain", "--data", str(WEATHER_CSV),
+                     "--entity", ",".join(weather_entity.values)]) == 0
+    assert not searches
+    # counterfactuals reads the version cells, so it runs the search once
+    assert cli.main(["counterfactuals", "--data", str(WEATHER_CSV),
+                     "--entity", ",".join(weather_entity.values)]) == 0
+    assert len(searches) == 1
+
