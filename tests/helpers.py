@@ -1,12 +1,15 @@
-"""Helpers that only tests need: DLV statement normalization, CSV output and
-a classification-counting model."""
+"""Helpers that only tests need: DLV statement normalization, CSV output, a
+classification-counting model and the commands of the README's CLI
+walkthrough."""
 
 from __future__ import annotations
 
 import csv
 import io
 import re
+import shlex
 from collections import Counter
+from pathlib import Path
 
 from xresp import DEFAULT_MAXINT, Dataset
 
@@ -40,6 +43,28 @@ def split_statements(text: str) -> list[str]:
         if normalized:
             statements.append(normalized)
     return statements
+
+
+def readme_walkthrough(readme: Path) -> list[tuple[list[str], list[str]]]:
+    """Each ``$`` command of the README's "CLI walkthrough", as an argument
+    list, with the output lines its ``sh`` block shows after it."""
+    text = readme.read_text(encoding="utf-8")
+    section = text[text.index("## CLI walkthrough"):text.index("## Performance")]
+    commands: list[tuple[list[str], list[str]]] = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        lines = iter(block.splitlines())
+        for line in lines:
+            if line.startswith("$ "):
+                command = line[2:]
+                while command.endswith("\\"):
+                    command = command[:-1] + next(lines)
+                commands.append((shlex.split(command), []))
+            elif commands:
+                commands[-1][1].append(line)
+    for _, shown in commands:
+        while shown and not shown[-1]:
+            shown.pop()
+    return commands
 
 
 def serialize_dataset(dataset: Dataset) -> str:

@@ -13,11 +13,13 @@ them, the way the search did before it read integer cell codes; the random
 generators produce small ground programs and datasets from a seeded Random
 instance.  The query oracles materialize a version's atoms eagerly, straight
 from its recorded states, and answer a query by trying every combination of
-one tuple per atom in every model.
+one tuple per atom in every model.  ``_build_parser`` builds the CLI's
+command line with argparse, the reference for the CLI's own option table.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -35,6 +37,16 @@ from xresp import (
     QueryError,
     Rule,
     WeakConstraint,
+)
+from xresp.cli import (
+    _MAXINT_DEFAULT_HELP,
+    _cmd_classify,
+    _cmd_counterfactuals,
+    _cmd_emit,
+    _cmd_explain,
+    _cmd_query,
+    _cmd_solve,
+    _cmd_train,
 )
 from xresp.queries import Constant, Variable
 from xresp.schema import validate_values
@@ -562,3 +574,158 @@ def random_grid_entity(rng: random.Random, schema) -> tuple[str, ...]:
 
 def all_grid_tuples(schema):
     return product(*(domain for _, domain in schema.features))
+
+
+# ---------------------------------------------------------------------------
+# The argparse reference parser
+# ---------------------------------------------------------------------------
+
+# The CLI's command line built with argparse: the option table's parser must
+# give the same values for every argument list this one accepts, and exit 2
+# for every one it refuses.
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="xresp",
+        description=(
+            "Counterfactual explanations and responsibility scores for "
+            "naive-Bayes classifications."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_train = sub.add_parser("train", help="train a classifier and persist it")
+    p_train.add_argument("--data", required=True, help="training CSV")
+    p_train.add_argument(
+        "--positive-label",
+        help="label treated as positive (default: the majority label)",
+    )
+    p_train.add_argument("--out", help="model file (default: stdout)")
+    p_train.set_defaults(handler=_cmd_train)
+
+    p_classify = sub.add_parser("classify", help="classify one entity")
+    _add_model_source(p_classify)
+    _add_entity(p_classify)
+    _add_backend_flags(p_classify)
+    p_classify.set_defaults(handler=_cmd_classify)
+
+    p_cf = sub.add_parser(
+        "counterfactuals", help="enumerate label-flipping entity versions"
+    )
+    _add_model_source(p_cf)
+    _add_entity(p_cf)
+    _add_backend_flags(p_cf)
+    _add_engine_flags(p_cf)
+    p_cf.add_argument(
+        "--min-change",
+        action="store_true",
+        help="keep only versions with the fewest changed features",
+    )
+    p_cf.set_defaults(handler=_cmd_counterfactuals)
+
+    p_explain = sub.add_parser(
+        "explain", help="responsibility scores and full explanations"
+    )
+    _add_model_source(p_explain)
+    _add_entity(p_explain)
+    _add_backend_flags(p_explain)
+    _add_engine_flags(p_explain)
+    p_explain.set_defaults(handler=_cmd_explain, min_change=False)
+
+    p_query = sub.add_parser(
+        "query", help="answer queries over the counterfactual models"
+    )
+    _add_model_source(p_query)
+    _add_entity(p_query)
+    _add_backend_flags(p_query)
+    _add_engine_flags(p_query)
+    p_query.add_argument("--queries", required=True, help="query file, one per line")
+    semantics = p_query.add_mutually_exclusive_group(required=True)
+    semantics.add_argument(
+        "--brave",
+        dest="semantics",
+        action="store_const",
+        const="brave",
+        help="answers true in some model",
+    )
+    semantics.add_argument(
+        "--cautious",
+        dest="semantics",
+        action="store_const",
+        const="cautious",
+        help="answers true in all models",
+    )
+    p_query.add_argument(
+        "--min-change",
+        action="store_true",
+        help="query only the minimum-change models",
+    )
+    p_query.set_defaults(handler=_cmd_query)
+
+    p_emit = sub.add_parser(
+        "emit-dlv", help="emit the counterfactual intervention program"
+    )
+    _add_model_source(p_emit)
+    _add_entity(p_emit)
+    p_emit.add_argument("--constraints", help="domain-knowledge file")
+    p_emit.add_argument(
+        "--weak",
+        action="store_true",
+        help="append the change-minimizing weak constraints",
+    )
+    p_emit.add_argument(
+        "--maxint",
+        type=int,
+        help=f"#maxint ceiling written into the program {_MAXINT_DEFAULT_HELP}",
+    )
+    p_emit.add_argument("--out", help="output file (default: stdout)")
+    # emit-dlv always writes the staged program
+    p_emit.set_defaults(handler=_cmd_emit, classifier="staged")
+
+    p_solve = sub.add_parser(
+        "solve-asp", help="stable models of a ground disjunctive program"
+    )
+    p_solve.add_argument("program", help="program file")
+    p_solve.set_defaults(handler=_cmd_solve)
+
+    return parser
+
+
+def _add_model_source(sub: argparse.ArgumentParser) -> None:
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="training CSV (trains on the fly)")
+    source.add_argument("--model", help="persisted model file")
+
+
+def _add_entity(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--entity", required=True, help="comma-separated feature values"
+    )
+    sub.add_argument("--eid", default="e", help="entity identifier (default: e)")
+
+
+def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--classifier",
+        choices=("staged", "exact"),
+        default="staged",
+        help="staged integer pipeline (default) or exact rationals",
+    )
+    sub.add_argument(
+        "--maxint",
+        type=int,
+        help=f"overflow ceiling for staged products {_MAXINT_DEFAULT_HELP}",
+    )
+
+
+def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--constraints", help="domain-knowledge file")
+    sub.add_argument(
+        "--strict",
+        action="store_true",
+        help=(
+            "positive-to-negative flips only, and forbidden combinations "
+            "also apply to the original entity"
+        ),
+    )

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface (in-process, except where
 a run could hang)."""
 
-import argparse
+import contextlib
 import gc
+import io
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -20,7 +23,7 @@ from xresp import (
     train,
 )
 from xresp import cli, engine
-from xresp.cli import _build_parser, main
+from xresp.cli import _COMMANDS, _parse, main
 from xresp.constraints import parse_constraints
 from xresp.queries import answer, load_queries
 from xresp.schema import render_row
@@ -33,6 +36,8 @@ from conftest import (
     TWO_DEPTH_DEPEND,
     WEATHER_CSV,
 )
+from helpers import readme_walkthrough
+from oracles import _build_parser
 
 DATA = str(WEATHER_CSV)
 ENTITY = "rain,high,normal,weak"
@@ -105,20 +110,19 @@ EXPECTED_OPTIONS = {
 }
 
 
-def test_cli_options_are_pinned():
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_cli_options_are_pinned(capsys):
     # a switch is added to or removed from the CLI on purpose
-    (subcommands,) = [
-        action for action in _build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
+    commands = re.findall(r"^  ([\w-]+) ", help_text(capsys), re.M)
     options = {
-        name: {
-            option
-            for action in parser._actions
-            for option in action.option_strings
-            if option not in ("-h", "--help")
-        }
-        for name, parser in subcommands.choices.items()
+        command: set(re.findall(r"^  (--[\w-]+)", help_text(capsys, command), re.M))
+        for command in commands
     }
     assert options == EXPECTED_OPTIONS
 
@@ -855,22 +859,20 @@ def test_maxint_is_checked_before_any_file_is_read(run_cli, tmp_path, command):
         )
 
 
-def test_maxint_help_states_the_library_default():
-    # the parser writes the default out rather than import naive_bayes for it
-    (subcommands,) = [
-        action for action in _build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
+def test_maxint_help_states_the_library_default(capsys):
+    # the option table writes the default out rather than import naive_bayes for it
+    rows = [
+        line
+        for command in EXPECTED_OPTIONS
+        for line in help_text(capsys, command).splitlines()
+        if line.startswith("  --maxint ")
     ]
-    helps = [
-        action
-        for parser in subcommands.choices.values()
-        for action in parser._actions
-        if "--maxint" in action.option_strings
-    ]
-    assert len(helps) == 5
-    for action in helps:
-        assert action.default is None
-        assert action.help.endswith(f"(default: {DEFAULT_MAXINT})")
+    assert len(rows) == 5
+    for row in rows:
+        assert row.endswith(f"(default: {DEFAULT_MAXINT})")
+    assert all(default is None
+               for *_, options in _COMMANDS.values()
+               for flag, _, _, default, _, _ in options if flag == "--maxint")
 
 
 @pytest.mark.parametrize(
@@ -894,3 +896,189 @@ def test_runs_are_deterministic(run_cli):
     first = run_cli("explain", "--data", DATA, "--entity", ENTITY)
     second = run_cli("explain", "--data", DATA, "--entity", ENTITY)
     assert first == second
+
+
+def solve_asp(program, stdout, unbuffered):
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               PYTHONUNBUFFERED=unbuffered)
+    return subprocess.Popen(
+        [sys.executable, "-m", "xresp.cli", "solve-asp", str(program)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_after_the_first_line_ends_the_run_quietly(tmp_path, unbuffered):
+    # 1,024 stable models of some 330 bytes each: more than a pipe holds, so
+    # the run is still writing when the reader closes its end
+    program = tmp_path / "many.lp"
+    program.write_text("".join(
+        f"a_rather_long_atom_name_{i:02d}_left v a_rather_long_atom_name_{i:02d}_right.\n"
+        for i in range(10)
+    ), encoding="utf-8")
+    with solve_asp(program, subprocess.PIPE, unbuffered) as run:
+        assert run.stdout.readline().startswith("{a_rather_long_atom_name_00_left, ")
+        run.stdout.close()
+        assert (run.wait(timeout=60), run.stderr.read()) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_before_any_output_ends_the_run_quietly(unbuffered):
+    # buffered, the two models fit in stdout's buffer, so only the flush at
+    # the end of the run finds the pipe closed
+    read, write = os.pipe()
+    os.close(read)
+    with solve_asp(DEMO_PROGRAM, write, unbuffered) as run:
+        os.close(write)
+        assert (run.wait(timeout=60), run.stderr.read()) == (1, "")
+
+
+# ---------------------------------------------------------------------------
+# The option table against the argparse reference
+# ---------------------------------------------------------------------------
+
+REFERENCE = _build_parser()
+
+
+def outcome(parse, argv):
+    """``("values", namespace attributes)`` or ``("exit", status)``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "values", vars(parse(list(argv)))
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+def assert_parsed_as_argparse_does(argv):
+    expected = outcome(REFERENCE.parse_args, argv)
+    assert outcome(_parse, argv) == expected, argv
+    return expected
+
+
+STAGED_8X3 = ["--model", "8x3.model", "--entity", "jade,red,ruby,plum,ruby,green,amber,teal",
+              "--maxint", "100000000000"]
+EXACT_9X3 = ["--model", "9x3.model", "--entity", "plum,jade,plum,ruby,amber,green,red,red,amber",
+             "--classifier", "exact"]
+INSTANCE = ["--data", DATA, "--entity", ENTITY]
+ACCEPTED = {
+    **{f"readme-{i}": argv[1:] for i, (argv, _) in
+       enumerate(readme_walkthrough(REPO_ROOT / "README.md")) if argv[0] == "xresp"},
+    # one argument list of each shape the benchmark runs
+    "bench-train": ["train", "--data", "8x3.csv", "--out", "8x3.model"],
+    "bench-explain": ["explain", *STAGED_8X3],
+    "bench-explain-constrained": ["explain", *STAGED_8X3, "--constraints", "8x3-e00.cons"],
+    "bench-query": ["query", *STAGED_8X3, "--queries", "8x3.q", "--cautious"],
+    "bench-full-search": ["counterfactuals", *EXACT_9X3],
+    "bench-min-change": ["counterfactuals", *EXACT_9X3, "--min-change"],
+    "bench-min-change-query": ["query", *EXACT_9X3, "--min-change",
+                               "--queries", "9x3.mcq", "--brave"],
+    "bench-emit": ["emit-dlv", *STAGED_8X3, "--constraints", "8x3-e00.cons", "--weak"],
+    "bench-solve": ["solve-asp", "p14-0.lp"],
+    "equals": ["classify", f"--data={DATA}", f"--entity={ENTITY}", "--classifier=exact"],
+    "equals-empty": ["explain", "--data", DATA, "--entity="],
+    "abbreviations": ["query", "--da", DATA, "--ent", ENTITY, "--qu=q.txt",
+                      "--ca", "--mi", "--str"],
+    "repeated": ["query", *INSTANCE, "--queries", "a", "--queries", "b", "--brave", "--brave",
+                 "--classifier", "exact", "--classifier", "staged", "--data", "other.csv"],
+    "negative-values": ["classify", "--data", DATA, "--entity", "-5", "--maxint", "-5",
+                        "--eid", "-1.5"],
+    "value-with-space": ["train", "--data", "-a b", "--positive-label", "yes"],
+    "positional-after-dashes": ["solve-asp", "--", "-p.lp"],
+    "dashes-after-positional": ["solve-asp", "p.lp", "--"],
+    "int-forms": ["emit-dlv", *INSTANCE, "--maxint", " 1_000 "],
+}
+REFUSED = {
+    "no-subcommand": [],
+    "unknown-subcommand": ["explian", *INSTANCE],
+    "abbreviated-subcommand": ["expl", *INSTANCE],
+    "missing-entity": ["classify", "--data", DATA],
+    "missing-model-source": ["classify", "--entity", ENTITY],
+    "missing-semantics": ["query", *INSTANCE, "--queries", "q.txt"],
+    "missing-program": ["solve-asp"],
+    "data-and-model": ["classify", *INSTANCE, "--model", "m.txt"],
+    "brave-and-cautious": ["query", *INSTANCE, "--queries", "q", "--brave", "--cautious"],
+    "bad-choice": ["classify", *INSTANCE, "--classifier", "fuzzy"],
+    "bad-int": ["classify", *INSTANCE, "--maxint", "lots"],
+    "unknown-option": ["explain", *INSTANCE, "--verbose"],
+    "option-of-another-command": ["classify", *INSTANCE, "--strict"],
+    "option-before-command": ["--strict", "explain", *INSTANCE],
+    "missing-value": ["classify", "--data", DATA, "--entity"],
+    "option-as-value": ["classify", "--data", "--entity", ENTITY],
+    "ambiguous-prefix": ["counterfactuals", *INSTANCE, "--m"],
+    "value-to-a-switch": ["explain", *INSTANCE, "--strict=yes"],
+    "extra-positional": ["solve-asp", "a.lp", "b.lp"],
+    "stray-positional": ["explain", *INSTANCE, "extra"],
+    "dashes-without-positional": ["explain", *INSTANCE, "--"],
+}
+HELP = {
+    "top": ["-h"],
+    "top-long": ["--help"],
+    "command": ["explain", "--help"],
+    "command-prefix": ["query", "--he"],
+    "before-missing-values": ["solve-asp", "-h"],
+    "after-unknown": ["train", "--bogus", "-h"],
+}
+
+
+@pytest.mark.parametrize("argv", ACCEPTED.values(), ids=ACCEPTED)
+def test_the_option_table_gives_argparse_values(argv):
+    assert assert_parsed_as_argparse_does(argv)[0] == "values"
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED)
+def test_the_option_table_refuses_what_argparse_refuses(argv, capsys):
+    assert assert_parsed_as_argparse_does(argv) == ("exit", 2)
+    with pytest.raises(SystemExit):
+        _parse(argv)
+    err = capsys.readouterr().err.splitlines()
+    command = next((token for token in argv if token in _COMMANDS), None)
+    assert err[0].startswith(f"usage: xresp {command or ''}".rstrip())
+    assert err[-1].startswith(f"xresp {command}: error: " if command else "xresp: error: ")
+
+
+@pytest.mark.parametrize("argv", HELP.values(), ids=HELP)
+def test_help_exits_zero_as_in_argparse(argv, capsys):
+    assert assert_parsed_as_argparse_does(argv) == ("exit", 0)
+    with pytest.raises(SystemExit):
+        _parse(argv)
+    assert capsys.readouterr().out.startswith("usage: xresp")
+
+
+# tokens that argparse reads as a value, an option or a positional by their
+# form; a "--" given as an option's "=" value is left out, because argparse
+# 3.10 and 3.11 read it as an empty list
+TOKENS = ("a,b", "5", "-3", " 9", "1_0", "exact", "staged", "", "-1.5", "a b", "-a b",
+          "=", "-", "--", "-x", "--x", "--m", "--c", "--he", "x")
+
+
+def random_argv(rng):
+    command = rng.choice([*_COMMANDS, "bogus"])
+    options = _COMMANDS.get(command, ((),))[-1]
+    groups = [option[4] for option in options]
+    given = []
+    for name, _, kind, _, group, _ in options:
+        required = group is not None and groups.count(group) == 1
+        for _ in range(rng.choice((1, 1, 1, 2) if required else (0, 1))):
+            value = rng.choice(TOKENS) if rng.random() < 0.3 else "v"
+            if name[0] != "-":
+                given.append([value])
+                continue
+            flag = name if rng.random() < 0.5 else name[:rng.randint(3, len(name))]
+            if not isinstance(kind, (type, tuple)):  # a switch
+                given.append([flag])
+            elif rng.random() < 0.3 and value != "--":
+                given.append([f"{flag}={value}"])
+            else:
+                given.append([flag, value])
+    rng.shuffle(given)
+    for _ in range(rng.choice((0, 0, 0, 1))):
+        given.insert(rng.randint(0, len(given)), [rng.choice(TOKENS)])
+    return [command, *(token for tokens in given for token in tokens)]
+
+
+def test_random_argument_lists_parse_as_argparse_does():
+    rng = random.Random(5)
+    outcomes = [assert_parsed_as_argparse_does(random_argv(rng))[0] for _ in range(3000)]
+    # both kinds are drawn often
+    assert min(outcomes.count("values"), outcomes.count("exit")) > 300

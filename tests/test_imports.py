@@ -87,14 +87,15 @@ def subcommand_argv(command, tmp_path):
     }.get(command, [command, *instance])
 
 
-# dataclasses would bring in inspect, ast, dis, tokenize and copy at start-up
+# dataclasses would bring in inspect, ast, dis, tokenize and copy at start-up,
+# and argparse its gettext, whose first lookup imports locale
 @pytest.mark.parametrize("command", [
     "train", "classify", "counterfactuals", "explain", "query", "emit-dlv", "solve-asp",
 ])
 def test_no_subcommand_loads_dataclasses_or_inspect(command, tmp_path):
     loaded = every_loaded_module(*subcommand_argv(command, tmp_path))
     assert "xresp.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("with_file", [False, True], ids=["without", "with"])
