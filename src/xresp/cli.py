@@ -20,20 +20,37 @@ and an ``xresp <command>: error: <detail>`` line on stderr; ``-h`` or
 while running surface as one-line ``xresp: <Kind>: <detail>`` diagnostics
 on stderr with exit status 1.  Output its reader stops reading (``| head``)
 ends the run with status 1 and nothing on stderr.
+
+A process runs the CLI through ``run``, the console script's entry and the
+module's ``__main__``.  After ``main`` it keeps what an interpreter's exit
+does that anyone can see: it runs the handlers registered with ``atexit``,
+then flushes stdout and stderr, in the interpreter's own order, and ends the
+process with ``os._exit`` and the status ``main`` returned or exited with.
+It skips the teardown (clearing every module, a last collection and freeing
+each object the run built), several milliseconds of CPU that change no
+output; nothing in the package needs a finaliser, since every file it opens
+is closed by a ``with``.  A flush that fails then leaves the status as it
+is, as ``main`` already chose it.  An exception ``main`` does not turn into
+a status leaves ``run`` with its traceback and status 1, as before.
+``main`` called in process returns its status and never ends the process.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import os
 import sys
 from itertools import groupby
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from . import _read
 
+TYPE_CHECKING = False  # typing, which defines it, costs every run its import
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+    from typing import NoReturn
+
     from .constraints import ConstraintSet
     from .naive_bayes import NaiveBayesModel, PercentModel
     from .schema import Entity
@@ -70,6 +87,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+def run() -> NoReturn:
+    """Run ``main`` on the command line and end the process with its status,
+    skipping the interpreter's teardown."""
+    try:
+        status = main()
+    except SystemExit as stop:  # _fail's 2 and _help's 0
+        status = stop.code
+    atexit._run_exitfuncs()  # a handler may still write to stdout or stderr
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # main already chose the status
+            pass
+    os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -465,4 +498,4 @@ _COMMANDS = {
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -16,10 +16,12 @@ The search applies them to integer cell codes (``engine._Grid``).
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from . import _lines, _read, _Record
 from .schema import FeatureSchema
+
+TYPE_CHECKING = False  # typing, which defines it, costs every run its import
+if TYPE_CHECKING:
+    from collections.abc import Mapping
 
 
 class ConstraintError(ValueError):

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import re
 import textwrap
-from typing import TYPE_CHECKING
 
 from . import _lines, _Record
 from .naive_bayes import DEFAULT_MAXINT, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
+TYPE_CHECKING = False  # typing, which defines it, costs every run its import
 if TYPE_CHECKING:
     from .constraints import ConstraintSet
 

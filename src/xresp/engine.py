@@ -89,13 +89,15 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import _Record
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import Entity, FeatureSchema, validate_values
 
+TYPE_CHECKING = False  # typing, which defines it, costs every run its import
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Mapping
+
     from .constraints import ConstraintSet
 
 

@@ -34,12 +34,15 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping
 
 from . import _lines, _read, _Record
 from .schema import (
     _NAME_RE, Dataset, FeatureSchema, SchemaError, _check_text, validate_values,
 )
+
+TYPE_CHECKING = False  # typing, which defines it, costs every run its import
+if TYPE_CHECKING:
+    from collections.abc import Callable, Mapping
 
 
 class ModelFormatError(ValueError):

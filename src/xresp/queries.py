@@ -51,15 +51,19 @@ same way.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from types import MappingProxyType
-from typing import Callable, Collection, Mapping, Sequence, Union
 
 from . import _lines, _Record
 from .engine import _SearchResult
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import _CONSTANT_RE, Entity
 
-Value = Union[str, int, frozenset]
+TYPE_CHECKING = False  # typing, which defines it, costs every run its import
+if TYPE_CHECKING:
+    from collections.abc import Callable, Collection, Mapping
+
+Value = str | int | frozenset
 
 
 class QueryError(ValueError):
@@ -224,7 +228,7 @@ class Constant(_Record):
     _uncompared = ("spelling",)
 
 
-Term = Union[Variable, Anonymous, Constant]
+Term = Variable | Anonymous | Constant
 
 
 class AtomPattern(_Record):

@@ -16,7 +16,10 @@ labels and entity ids are DLV constants: a lowercase-initial identifier or
 a run of digits (``Sunny`` would read as a variable).  Feature names and
 the class column are letter-initial identifiers, so that they lowercase to
 constants.  Anything else raises DataError.  The one rule for printing
-answer values back out (``render_row``) lives here too.
+answer values back out (``render_value``) lives here too.  The CLI never
+calls ``render_row``, which joins a whole row; it stays public because the
+benchmark's traced runner renders ``explain`` and ``query`` rows with it,
+and the tests check how ``query`` prints rows against it.
 """
 
 from __future__ import annotations

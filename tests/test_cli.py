@@ -272,12 +272,10 @@ def test_two_dependencies_with_one_target_are_refused(tmp_path, command):
         "depend Wind -> Humidity: weak->normal, strong->high\n",
         encoding="utf-8",
     )
-    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
         [sys.executable, "-m", "xresp.cli", command, "--data", DATA,
          "--entity", ENTITY, "--constraints", str(knowledge)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "xresp: ConstraintError: Humidity is the target of two dependencies\n"
@@ -898,13 +896,17 @@ def test_runs_are_deterministic(run_cli):
     assert first == second
 
 
-def solve_asp(program, stdout, unbuffered):
+def child_env(**variables):
+    """The environment of a child interpreter that imports xresp from src."""
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
-               PYTHONUNBUFFERED=unbuffered)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **variables)
+
+
+def solve_asp(program, stdout, unbuffered):
     return subprocess.Popen(
         [sys.executable, "-m", "xresp.cli", "solve-asp", str(program)],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=child_env(PYTHONUNBUFFERED=unbuffered),
     )
 
 
@@ -932,6 +934,98 @@ def test_a_pipe_closed_before_any_output_ends_the_run_quietly(unbuffered):
     with solve_asp(DEMO_PROGRAM, write, unbuffered) as run:
         os.close(write)
         assert (run.wait(timeout=60), run.stderr.read()) == (1, "")
+
+
+# ---------------------------------------------------------------------------
+# The process entry
+# ---------------------------------------------------------------------------
+
+
+def process(*argv, prelude=None, stdout=subprocess.PIPE):
+    """A child process running the CLI on ``argv``, its stdout block-buffered
+    as in a pipeline: ``python -m xresp.cli``, or ``prelude`` and then the
+    module run as ``__main__`` in a ``python -c`` script."""
+    if prelude is None:
+        command = ["-m", "xresp.cli"]
+    else:
+        command = ["-c", f"{prelude}\nimport runpy\n"
+                   "runpy.run_module('xresp.cli', run_name='__main__', alter_sys=True)\n"]
+    return subprocess.run([sys.executable, *command, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT,
+                          env=child_env(PYTHONUNBUFFERED=""), timeout=60)
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (["explain", "--data", DATA, "--entity", ENTITY], 0, EXPECTED_EXPLAIN, ""),
+    (["explain", "--data", "missing.csv", "--entity", ENTITY], 1, "",
+     "xresp: FileNotFoundError: [Errno 2] No such file or directory: 'missing.csv'\n"),
+    (["explain", "--data", DATA], 2, "",
+     "xresp explain: error: the following arguments are required: --entity ENTITY\n"),
+    (["explain", "--help"], 0, "usage: xresp explain [-h]", ""),
+    ([], 2, "", "xresp: error: the following arguments are required: command\n"),
+], ids=["answered", "failed", "refused", "help", "no-command"])
+def test_a_process_exits_with_the_status_main_gives(argv, status, out, err):
+    result = process(*argv)
+    assert result.returncode == status
+    assert result.stdout.startswith(out) and (out or not result.stdout)
+    assert result.stderr.endswith(err) and (err or not result.stderr)
+
+
+def test_an_exit_handler_registered_before_run_still_runs():
+    # the handlers write after the run's output, into stdout's buffer and
+    # to stderr, which the process must still flush
+    result = process("solve-asp", str(DEMO_PROGRAM), prelude=(
+        "import atexit, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "atexit.register(sys.stderr.write, 'on stderr too\\n')"
+    ))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "{a, e}\n{b, d, e}\nhandler ran\n", "on stderr too\n"
+    )
+
+
+def test_a_flush_that_fails_after_the_run_keeps_its_status(tmp_path):
+    # train --out prints nothing; the handler's line is flushed only after
+    # main, into a pipe whose reader has gone
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = process("train", "--data", DATA, "--out", str(tmp_path / "m"),
+                         prelude="import atexit\natexit.register(print, 'too late')",
+                         stdout=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_the_module_ends_its_process_without_teardown():
+    # teardown would clear the script's globals and so finalise ``late``
+    result = process("solve-asp", str(DEMO_PROGRAM), prelude=(
+        "import sys\n"
+        "class Late:\n"
+        "    def __del__(self): sys.stderr.write('torn down\\n')\n"
+        "late = Late()"
+    ))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "{a, e}\n{b, d, e}\n", "")
+
+
+def test_a_process_writes_its_out_file_and_its_stdout_whole(run_cli, tmp_path):
+    out = tmp_path / "weather.model"
+    assert process("train", "--data", DATA, "--out", str(out)).returncode == 0
+    assert out.read_text(encoding="utf-8") == run_cli("train", "--data", DATA)[1]
+    result = process("counterfactuals", "--data", DATA, "--entity", ENTITY)
+    assert (result.returncode, result.stdout, result.stderr) == (0, EXPECTED_COUNTERFACTUALS, "")
+
+
+def test_an_unexpected_exception_still_prints_its_traceback():
+    result = process("solve-asp", str(DEMO_PROGRAM), prelude=(
+        "import xresp.asp\n"
+        "def parse_program(text): raise RuntimeError('not a ValueError or OSError')\n"
+        "xresp.asp.parse_program = parse_program"
+    ))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert result.stderr.endswith("RuntimeError: not a ValueError or OSError\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,11 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def every_loaded_module(*argv):
+def every_loaded_module(*argv, flags=()):
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(list(argv))],
+        [sys.executable, *flags, "-c", PROBE, json.dumps(list(argv))],
         capture_output=True, text=True, env=env, check=True,
     )
     return set(json.loads(result.stdout))
@@ -96,6 +96,23 @@ def test_no_subcommand_loads_dataclasses_or_inspect(command, tmp_path):
     loaded = every_loaded_module(*subcommand_argv(command, tmp_path))
     assert "xresp.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+# typing would bring in re, collections, functools and contextlib: the package
+# names it only in annotations, behind a TYPE_CHECKING of its own.  Run
+# without site (-S), whose .pth files may import typing in every interpreter
+@pytest.mark.parametrize("command", [
+    "train", "classify", "counterfactuals", "explain", "query", "emit-dlv", "solve-asp",
+])
+def test_no_subcommand_loads_typing(command, tmp_path):
+    argv = subcommand_argv(command, tmp_path)
+    if command in ("counterfactuals", "explain", "query", "emit-dlv"):
+        path = tmp_path / "weather.constraints"
+        path.write_text(README_CONSTRAINTS, encoding="utf-8")
+        argv += ["--constraints", str(path)]
+    loaded = every_loaded_module(*argv, flags=["-S"])
+    assert "xresp.cli" in loaded
+    assert "typing" not in loaded
 
 
 @pytest.mark.parametrize("with_file", [False, True], ids=["without", "with"])
