@@ -18,21 +18,26 @@ output.  A refused command line exits with status 2 after a ``usage:`` line
 and an ``xresp <command>: error: <detail>`` line on stderr; ``-h`` or
 ``--help`` prints the usage and each option's help and exits 0.  Errors
 while running surface as one-line ``xresp: <Kind>: <detail>`` diagnostics
-on stderr with exit status 1.  Output its reader stops reading (``| head``)
-ends the run with status 1 and nothing on stderr.
+on stderr with exit status 1.  Output its reader stops reading (``| head``),
+or a stdout closed before the run started, ends the run with status 1 and
+nothing on stderr; a run that writes nothing to stdout, as ``--out`` does,
+is not affected.
 
 A process runs the CLI through ``run``, the console script's entry and the
-module's ``__main__``.  After ``main`` it keeps what an interpreter's exit
-does that anyone can see: it runs the handlers registered with ``atexit``,
-then flushes stdout and stderr, in the interpreter's own order, and ends the
-process with ``os._exit`` and the status ``main`` returned or exited with.
+module's ``__main__``.  It owns the process: it turns the cyclic collector
+off, and stands a pipe whose reader has gone in for a closed stdout.  After
+``main`` it keeps what an interpreter's exit does that anyone can see: it
+runs the handlers registered with ``atexit``, then flushes stdout and
+stderr, in the interpreter's own order, and ends the process with
+``os._exit`` and the status ``main`` returned or exited with.
 It skips the teardown (clearing every module, a last collection and freeing
 each object the run built), several milliseconds of CPU that change no
 output; nothing in the package needs a finaliser, since every file it opens
 is closed by a ``with``.  A flush that fails then leaves the status as it
 is, as ``main`` already chose it.  An exception ``main`` does not turn into
 a status leaves ``run`` with its traceback and status 1, as before.
-``main`` called in process returns its status and never ends the process.
+``main`` called in process returns its status, never ends the process and
+leaves the collector as its caller set it.
 """
 
 from __future__ import annotations
@@ -64,11 +69,6 @@ if TYPE_CHECKING:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # A run builds many long-lived tuples and no garbage cycle worth freeing
-    # before it ends, so the cyclic collector would only rescan them; a caller
-    # in the same process gets the collector back as it was.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         status = args.handler(args)
@@ -84,14 +84,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"xresp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def run() -> NoReturn:
     """Run ``main`` on the command line and end the process with its status,
     skipping the interpreter's teardown."""
+    # a run builds many long-lived tuples and no garbage cycle worth freeing
+    # before it ends, so the cyclic collector would only rescan them
+    gc.disable()
+    if sys.stdout is None:  # started with stdout closed: a reader that has gone
+        read, write = os.pipe()
+        os.close(read)
+        sys.stdout = open(write, "w")
     try:
         status = main()
     except SystemExit as stop:  # _fail's 2 and _help's 0

@@ -498,16 +498,9 @@ class _SearchResult(Sequence):
 
     @cached_property
     def _decoded(self) -> tuple[CounterfactualVersion, ...]:
-        parent, found, state = self.parent, self.found, self.state
-        # the states from the original to each cell, built once per cell
-        paths: dict[int, tuple[tuple[str, ...], ...]] = {self.start: (self.original,)}
-
-        def path(code: int) -> tuple[tuple[str, ...], ...]:
-            if code not in paths:
-                paths[code] = path(parent[code]) + (state(code),)
-            return paths[code]
-
-        return tuple(CounterfactualVersion(self.eid, self.masks[found[code]], path(code))
+        found, state = self.found, self.state
+        return tuple(CounterfactualVersion(self.eid, self.masks[found[code]],
+                                           tuple(map(state, self.chain(code))))
                      for code in self.ordered)
 
 
@@ -680,10 +673,16 @@ def _search(grid: _Grid, cells: _FoldedCells | _CellsOnDemand, start: int,
 def min_change_versions(versions: _SearchResult) -> _SearchResult:
     """The fewest-change versions of a result of ``enumerate_counterfactuals``,
     as ``min_change=True`` finds them; anything else raises TypeError."""
-    if not isinstance(versions, _SearchResult):
-        raise TypeError("min_change_versions takes a result of enumerate_counterfactuals, "
-                        f"not {type(versions).__name__}")
+    _require_result(versions, "min_change_versions")
     return versions.fewest_changes()
+
+
+def _require_result(versions: object, caller: str) -> None:
+    """Raise TypeError, naming ``caller``, unless ``versions`` is a result of
+    ``enumerate_counterfactuals``."""
+    if not isinstance(versions, _SearchResult):
+        raise TypeError(f"{caller} takes a result of enumerate_counterfactuals, "
+                        f"not {type(versions).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +705,7 @@ def explanations_of(
     version is read.  A result searched from another entity than
     ``original``, or over another schema than ``schema``, raises ValueError.
     """
-    if not isinstance(versions, _SearchResult):
-        raise TypeError("explanations_of takes a result of enumerate_counterfactuals, "
-                        f"not {type(versions).__name__}")
+    _require_result(versions, "explanations_of")
     if versions.original != tuple(original.values):
         raise ValueError("version states do not start from the original entity")
     if versions.schema != schema:

@@ -55,13 +55,15 @@ from collections.abc import Sequence
 from types import MappingProxyType
 
 from . import _lines, _Record
-from .engine import _SearchResult
+from .engine import _require_result
 from .naive_bayes import DEFAULT_MAXINT, NaiveBayesModel, PercentModel
 from .schema import _CONSTANT_RE, Entity
 
 TYPE_CHECKING = False  # typing, which defines it, costs every run its import
 if TYPE_CHECKING:
     from collections.abc import Callable, Collection, Mapping
+
+    from .engine import _SearchResult
 
 Value = str | int | frozenset
 
@@ -108,7 +110,8 @@ class _ResultAtomSets(Sequence):
     mapping of that version's tables.
     """
 
-    def __init__(self, result: _SearchResult, model: NaiveBayesModel | PercentModel) -> None:
+    def __init__(self, result: _SearchResult) -> None:
+        model = result.scorer.model
         self.result, self.model, self.arity = result, model, _arities(model)
         self._by_mask: dict[int, dict[str, frozenset[tuple[Value, ...]]]] = {}
         self._by_cell: dict[str, dict[int, list[tuple[Value, ...]]]] = {
@@ -195,9 +198,7 @@ def model_atom_sets(
     entity than ``original``, or not with this ``model`` object and
     ``maxint``, raises QueryError.
     """
-    if not isinstance(versions, _SearchResult):
-        raise TypeError("model_atom_sets takes a result of enumerate_counterfactuals, "
-                        f"not {type(versions).__name__}")
+    _require_result(versions, "model_atom_sets")
     if versions.original != tuple(original.values):
         # the caller mixed versions and originals from different runs
         raise QueryError("version states do not start from the original entity")
@@ -205,7 +206,7 @@ def model_atom_sets(
     if scorer.model is not model or scorer.maxint != maxint:
         # cls atoms from another classification belong to no answer set
         raise QueryError("version was not searched with this model and maxint")
-    return _ResultAtomSets(versions, model)
+    return _ResultAtomSets(versions)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ class Variable(_Record):
 
 
 class Anonymous(_Record):
-    slot: int  # position marker; each _ is distinct
+    """The term ``_``: each one is distinct."""
 
 
 class Constant(_Record):
@@ -264,7 +265,6 @@ def parse_query(text: str) -> Query:
     literals = _split_top_level(stripped)
     atoms: list[AtomPattern] = []
     comparisons: list[Comparison] = []
-    anon_counter = 0
 
     for literal in literals:
         match = _ATOM_TEXT_RE.match(literal)
@@ -272,17 +272,13 @@ def parse_query(text: str) -> Query:
             predicate, arg_text = match.groups()
             if not arg_text.strip():
                 raise QueryError(f"atom {predicate!r} needs at least one argument")
-            args: list[Term] = []
-            for piece in _split_top_level(arg_text):
-                term, anon_counter = _parse_term(piece, anon_counter)
-                args.append(term)
-            atoms.append(AtomPattern(predicate=predicate, args=tuple(args)))
+            args = tuple(map(_parse_term, _split_top_level(arg_text)))
+            atoms.append(AtomPattern(predicate=predicate, args=args))
             continue
         cmp_match = _COMPARISON_RE.match(literal)
         if cmp_match:
             left_text, op, right_text = cmp_match.groups()
-            left, anon_counter = _parse_term(left_text.strip(), anon_counter)
-            right, anon_counter = _parse_term(right_text.strip(), anon_counter)
+            left, right = _parse_term(left_text.strip()), _parse_term(right_text.strip())
             if isinstance(left, Anonymous) or isinstance(right, Anonymous):
                 raise QueryError("comparisons cannot use anonymous terms")
             comparisons.append(Comparison(op=op, left=left, right=right))
@@ -335,9 +331,9 @@ def _split_top_level(text: str) -> list[str]:
     return pieces
 
 
-def _parse_term(text: str, anon_counter: int) -> tuple[Term, int]:
+def _parse_term(text: str) -> Term:
     if text == "_":
-        return Anonymous(slot=anon_counter), anon_counter + 1
+        return Anonymous()
     if text.startswith("{"):
         if not text.endswith("}"):
             raise QueryError(f"unterminated set literal: {text!r}")
@@ -349,13 +345,13 @@ def _parse_term(text: str, anon_counter: int) -> tuple[Term, int]:
         )
         if not all(_CONSTANT_RE.fullmatch(member) for member in members):
             raise QueryError(f"bad term: {text!r} (set members are constants)")
-        return Constant(value=members), anon_counter
+        return Constant(value=members)
     if re.fullmatch(r"-?\d+", text):
-        return Constant(value=int(text), spelling=text), anon_counter
+        return Constant(value=int(text), spelling=text)
     if _CONSTANT_RE.fullmatch(text):
-        return Constant(value=text), anon_counter
+        return Constant(value=text)
     if _VARIABLE_RE.fullmatch(text):
-        return Variable(name=text), anon_counter
+        return Variable(name=text)
     raise QueryError(f"bad term: {text!r}")
 
 
@@ -402,9 +398,11 @@ def answer(
         if not models:
             return []
         _check_arities(query, models)
-        combinations = (tuple(model_atoms.tuples(predicate) for predicate in predicates)
+        # an atom set may hold a predicate at several arities: keep the pattern's
+        combinations = (tuple({atom for atom in model_atoms.tuples(pattern.predicate)
+                               if len(atom) == len(pattern.args)} for pattern in query.atoms)
                         for model_atoms in models)
-    plan, rows = _Plan(query, uniform=isinstance(models, _ResultAtomSets)), None
+    plan, rows = _Plan(query), None
     for tables in combinations:
         got = plan.rows(tables)
         if rows is None:
@@ -462,18 +460,18 @@ def _accepted(term: Constant) -> frozenset[Value]:
 class _Plan:
     """A query compiled to slot operations over a list of bound values.
 
-    Each atom becomes a step: an arity, constant checks ``(position,
-    accepted values)``, binds ``(position, slot)`` for the first occurrence
-    of a variable or an ``_``, and checks ``(position, slot)`` for a
-    variable already bound.  ``echo`` lists the slot of every non-constant
-    argument position in reading order.  ``uniform`` tables hold atoms of
-    the query's arity alone and no atom twice, so a one-atom query that
-    echoes each atom whole passes such a table through as its rows.
+    Each atom becomes a step: constant checks ``(position, accepted
+    values)``, binds ``(position, slot)`` for the first occurrence of a
+    variable or an ``_``, and checks ``(position, slot)`` for a variable
+    already bound.  ``echo`` lists the slot of every non-constant argument
+    position in reading order.  Each table holds the atoms of its pattern's
+    arity alone and no atom twice, so a one-atom query that echoes each atom
+    whole passes its table through as its rows.
     """
 
-    def __init__(self, query: Query, uniform: bool = False) -> None:
+    def __init__(self, query: Query) -> None:
         slot_of: dict[str, int] = {}
-        self.steps: list[tuple[int, tuple, tuple, tuple]] = []
+        self.steps: list[tuple[tuple, tuple, tuple]] = []
         self.echo: list[int] = []
         slots = 0
         for pattern in query.atoms:
@@ -491,24 +489,18 @@ class _Plan:
                         slot_of[term.name] = slot
                     binds.append((position, slot))
                 self.echo.append(slot)
-            self.steps.append(
-                (len(pattern.args), tuple(constants), tuple(binds), tuple(checks))
-            )
+            self.steps.append((tuple(constants), tuple(binds), tuple(checks)))
         self._slots = slots
         self._tests = [_compile_comparison(cmp, slot_of) for cmp in query.comparisons]
         # one atom with neither a constant, a repeated variable nor a comparison
         # echoes every position in order, so its rows are its atoms
         self._whole = (len(self.steps) == 1 and not self._tests
-                       and self.echo == list(range(self.steps[0][0])))
-        self._uniform = uniform
+                       and self.echo == list(range(len(query.atoms[0].args))))
 
     def rows(self, tables: Sequence[Collection]) -> Collection[tuple[Value, ...]]:
         """The distinct answer rows of one model whose atoms' tables are ``tables``."""
         if self._whole:  # each row is its atom
-            if self._uniform:
-                return tables[0]
-            arity = self.steps[0][0]
-            return {atom for atom in tables[0] if len(atom) == arity}
+            return tables[0]
         out: set[tuple[Value, ...]] = set()
         self._extend(tables, 0, [None] * self._slots, out)
         return out
@@ -518,10 +510,8 @@ class _Plan:
             if all(test(slots) for test in self._tests):
                 out.add(tuple([slots[slot] for slot in self.echo]))
             return
-        arity, constants, binds, checks = self.steps[depth]
+        constants, binds, checks = self.steps[depth]
         for atom in tables[depth]:
-            if len(atom) != arity:
-                continue
             for position, accepted in constants:
                 if atom[position] not in accepted:
                     break

@@ -726,7 +726,8 @@ def test_feature_names_differing_only_in_case_are_refused(run_cli, tmp_path, com
 def test_a_run_leaves_the_cyclic_collector_as_it_found_it(
     run_cli, tmp_path, monkeypatch, collecting, entity, code
 ):
-    # the run goes without the collector, whether it answers or fails
+    # main in process neither turns the collector off nor on, whether the run
+    # answers or fails: only run, which owns the process, turns it off
     during = []
     instance = cli._instance
 
@@ -747,7 +748,7 @@ def test_a_run_leaves_the_cyclic_collector_as_it_found_it(
         (gc.enable if was else gc.disable)()
     assert result[0] == code
     assert result[2].startswith("xresp: DataError:") == bool(code)
-    assert (during, after) == ([False], collecting)
+    assert (during, after) == ([collecting], collecting)
 
 
 def test_solve_asp_prints_stable_models(run_cli):
@@ -1017,6 +1018,36 @@ def test_a_process_writes_its_out_file_and_its_stdout_whole(run_cli, tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, EXPECTED_COUNTERFACTUALS, "")
 
 
+def test_a_process_runs_its_handler_without_the_cyclic_collector():
+    result = process("solve-asp", str(DEMO_PROGRAM), prelude=(
+        "import gc, sys, xresp.asp\n"
+        "parse = xresp.asp.parse_program\n"
+        "def parse_program(text):\n"
+        "    sys.stderr.write(f'collecting: {gc.isenabled()}\\n')\n"
+        "    return parse(text)\n"
+        "xresp.asp.parse_program = parse_program\n"
+        "gc.enable()"
+    ))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "{a, e}\n{b, d, e}\n", "collecting: False\n"
+    )
+
+
+@pytest.mark.parametrize("writes, status", [(True, 1), (False, 0)],
+                         ids=["to-stdout", "to-out-file"])
+def test_a_process_started_with_stdout_closed(tmp_path, writes, status):
+    # the shell closes fd 1 before the interpreter starts, so sys.stdout is
+    # None: output is lost as to a reader that has gone, an --out file is not
+    out = tmp_path / "weather.model"
+    argv = ["solve-asp", str(DEMO_PROGRAM)] if writes else ["train", "--data", DATA,
+                                                            "--out", str(out)]
+    result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                             "-m", "xresp.cli", *argv],
+                            stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (status, "")
+    assert out.exists() != writes
+
+
 def test_an_unexpected_exception_still_prints_its_traceback():
     result = process("solve-asp", str(DEMO_PROGRAM), prelude=(
         "import xresp.asp\n"
@@ -1137,6 +1168,26 @@ def test_help_exits_zero_as_in_argparse(argv, capsys):
     with pytest.raises(SystemExit):
         _parse(argv)
     assert capsys.readouterr().out.startswith("usage: xresp")
+
+
+# pinned to what the table prints, not compared with the running argparse,
+# whose reading of these changed in CPython 3.13
+def test_a_short_help_flag_given_twice_is_help(capsys):
+    top = help_text(capsys)
+    with pytest.raises(SystemExit) as stop:
+        _parse(["-hh"])
+    assert (stop.value.code, *capsys.readouterr()) == (0, top, "")
+
+
+@pytest.mark.parametrize("flag", ["-hx", "--help=x"])
+def test_a_help_flag_given_a_value_is_refused(flag, capsys):
+    with pytest.raises(SystemExit) as stop:
+        _parse(["explain", flag])
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (2, "")
+    assert err.startswith("usage: xresp explain [-h] ")
+    assert err.endswith(
+        "\nxresp explain: error: argument -h/--help: ignored explicit argument 'x'\n")
 
 
 # tokens that argparse reads as a value, an option or a positional by their

@@ -72,6 +72,7 @@ def test_exactly_the_ten_versions(weather_percent, weather_entity, weather_versi
     assert enumerate_counterfactuals(weather_percent, weather_entity, empty) == weather_versions
     assert all(weather_percent.classify(v.final)[0] == "no" for v in weather_versions)
     assert all(v.eid == "e" for v in weather_versions)
+    assert repr(weather_versions) == repr(tuple(weather_versions))
 
 
 def test_versions_sorted_by_changes_then_final(weather_versions):

@@ -506,7 +506,7 @@ def test_parse_term_kinds():
     (pattern,) = query.atoms
     assert pattern.args == (
         Variable("X"),
-        Anonymous(0),
+        Anonymous(),
         Constant("abc"),
         Constant(42),
         Constant(-7),

@@ -28,7 +28,7 @@ CONDITIONAL = {
     for label, share in zip(("yes", "no"), shares)
 }
 RULE = Rule(frozenset({"a"}), frozenset(), frozenset({"b"}))
-ATOM = AtomPattern("ent", (Variable("E"), Anonymous(1), Constant(1, "01")))
+ATOM = AtomPattern("ent", (Variable("E"), Anonymous(), Constant(1, "01")))
 
 # type -> (field names, one record's field values)
 RECORDS = {
@@ -65,7 +65,7 @@ RECORDS = {
     GroundProgram: (("atoms", "rules", "weak"),
                     (frozenset({"a"}), (RULE,), (WeakConstraint(frozenset(), frozenset({"a"})),))),
     Variable: (("name",), ("E",)),
-    Anonymous: (("slot",), (3,)),
+    Anonymous: ((), ()),
     Constant: (("value", "spelling"), (7, "007")),
     AtomPattern: (("predicate", "args"), ("ent", ATOM.args)),
     Comparison: (("op", "left", "right"), ("<", Variable("R"), Constant(2))),
@@ -146,14 +146,14 @@ REPRS = {
         "Variable(name='E')"
     ),
     "Anonymous": (
-        'Anonymous(slot=3)'
+        'Anonymous()'
     ),
     "Constant": (
         "Constant(value=7, spelling='007')"
     ),
     "AtomPattern": (
         "AtomPattern(predicate='ent', args=(Variable(name='E'), "
-        "Anonymous(slot=1), Constant(value=1, spelling='01')))"
+        "Anonymous(), Constant(value=1, spelling='01')))"
     ),
     "Comparison": (
         "Comparison(op='<', left=Variable(name='R'), right=Constant(value=2, "
@@ -161,7 +161,7 @@ REPRS = {
     ),
     "Query": (
         "Query(text='ent(E,_,1), R < 2', atoms=(AtomPattern(predicate='ent', "
-        "args=(Variable(name='E'), Anonymous(slot=1), Constant(value=1, "
+        "args=(Variable(name='E'), Anonymous(), Constant(value=1, "
         "spelling='01'))),), comparisons=(Comparison(op='<', "
         "left=Variable(name='R'), right=Constant(value=2, spelling=None)),))"
     ),
@@ -219,8 +219,9 @@ def test_a_missing_or_unknown_argument_is_a_type_error(cls, case):
     with pytest.raises(TypeError):
         cls(*values, no_such_field=1)
     with pytest.raises(TypeError):
-        cls(*values, values[0])
-    if cls is not EmitterOptions:  # every EmitterOptions field has a default
+        cls(*values, "one too many")
+    # every EmitterOptions field has a default, and Anonymous has none
+    if cls not in (EmitterOptions, Anonymous):
         with pytest.raises(TypeError):
             cls()
 
