@@ -21,15 +21,16 @@ while running surface as one-line ``xresp: <Kind>: <detail>`` diagnostics
 on stderr with exit status 1.  Output its reader stops reading (``| head``),
 or a stdout closed before the run started, ends the run with status 1 and
 nothing on stderr; a run that writes nothing to stdout, as ``--out`` does,
-is not affected.
+is not affected.  A stderr that is closed or read-only changes no status.
 
 A process runs the CLI through ``run``, the console script's entry and the
 module's ``__main__``.  It owns the process: it turns the cyclic collector
-off, and stands a pipe whose reader has gone in for a closed stdout.  After
-``main`` it keeps what an interpreter's exit does that anyone can see: it
-runs the handlers registered with ``atexit``, then flushes stdout and
-stderr, in the interpreter's own order, and ends the process with
-``os._exit`` and the status ``main`` returned or exited with.
+off, stands a pipe whose reader has gone in for a closed stdout, and
+``os.devnull`` in for a closed stderr.  After ``main`` it keeps what an
+interpreter's exit does that anyone can see: it runs the handlers
+registered with ``atexit``, then flushes stdout and stderr, in the
+interpreter's own order, and ends the process with ``os._exit`` and the
+status ``main`` returned or exited with.
 It skips the teardown (clearing every module, a last collection and freeing
 each object the run built), several milliseconds of CPU that change no
 output; nothing in the package needs a finaliser, since every file it opens
@@ -96,6 +97,8 @@ def run() -> NoReturn:
         read, write = os.pipe()
         os.close(read)
         sys.stdout = open(write, "w")
+    if sys.stderr is None:  # started with stderr closed: what it says is lost
+        sys.stderr = open(os.devnull, "w")
     try:
         status = main()
     except SystemExit as stop:  # _fail's 2 and _help's 0
@@ -293,7 +296,10 @@ def _help(command, flag, text) -> NoReturn:
 
 def _fail(command, detail: str) -> NoReturn:
     prog = "xresp" if command is None else f"xresp {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {detail}\n")
+    try:
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {detail}\n")
+    except OSError:  # stderr open read-only: the status still tells
+        pass
     raise SystemExit(2)
 
 

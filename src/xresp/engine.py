@@ -20,12 +20,13 @@ The search runs level by level: a state at depth k differs from the
 original in exactly k intervened free features, plus whatever dependency
 targets propagation overwrote, so every version found at depth k changes at
 least k features.  A minimum-change search therefore stops before the first
-depth that exceeds the fewest changes found so far.  The truncation is
-exact: a level is built only from the levels before it (their frontier and
-the cells they reached), so every level the truncated search runs equals
-the full search's.  Stopping at the first depth holding a flip would not be
-exact: a dependency can give a shallower version as many changed features
-as a deeper one, or more.
+depth that exceeds the fewest changes found so far, and keeps the versions
+with the fewest; ``min_change_versions`` runs it over a full result's grid
+and scorer.  The truncation is exact: a level is built only from the
+levels before it (their frontier and the cells they reached), so every
+level the truncated search runs equals the full search's.  Stopping at the
+first depth holding a flip would not be exact: a dependency can give a
+shallower version as many changed features as a deeper one, or more.
 
 States are searched as integer cell codes: a state's value indices read as
 mixed-radix digits, feature 0 most significant.  An immutable feature keeps
@@ -169,7 +170,7 @@ class _Grid:
     only its original value, so its digit is always 0.  Forbidden
     combinations and dependencies are compiled to checks on digits; ``None``
     constrains nothing.  ``targets`` holds the places of the dependency
-    targets.
+    targets; ``start`` is the cell of ``original``, where searches start.
     """
 
     def __init__(self, schema: FeatureSchema, original: tuple[str, ...],
@@ -208,6 +209,7 @@ class _Grid:
                 (self.weights[s], len(self.domains[s]),
                  self.weights[t], len(self.domains[t]), image)
             )
+        self.original, self.start = original, self.encode(original)
 
     def encode(self, values: tuple[str, ...]) -> int:
         return sum(
@@ -237,13 +239,13 @@ class _Grid:
             end = start
         return blocks[::-1]
 
-    def moves(self, start: int) -> list[tuple[int, int, list[int]]]:
-        """Per feature a search from cell ``start`` intervenes on (neither
-        immutable nor a dependency target): its place, its digit in
-        ``start`` and the code steps to each of its other digits."""
+    def moves(self) -> list[tuple[int, int, list[int]]]:
+        """Per feature a search intervenes on (neither immutable nor a
+        dependency target): its place, its original digit and the code steps
+        to each of its other digits."""
         moves = []
         for i, (weight, domain) in enumerate(zip(self.weights, self.domains)):
-            digit = start // weight % len(domain)
+            digit = self.start // weight % len(domain)
             if i not in self.targets and len(domain) > 1:
                 moves.append((i, digit, [(d - digit) * weight
                                          for d in range(len(domain)) if d != digit]))
@@ -259,9 +261,9 @@ class _Grid:
             period *= 2
         return cells & ((1 << self.size) - 1)
 
-    def changed_masks(self, cells: int, start: int) -> list[int]:
+    def changed_masks(self, cells: int) -> list[int]:
         """The distinct bitmasks of the features in which the cells of bitmap
-        ``cells`` differ from cell ``start``.
+        ``cells`` differ from the original.
 
         The cells are split feature by feature, most significant first: a
         digit's cells are a run of bits per period, so shifting each run down
@@ -273,7 +275,7 @@ class _Grid:
             radix = len(domain)
             if radix == 1:  # an immutable feature never changes
                 continue
-            low, digit, split = (1 << weight) - 1, start // weight % radix, {}
+            low, digit, split = (1 << weight) - 1, self.start // weight % radix, {}
             for mask, part in parts.items():
                 moved = 0
                 for d in range(radix):
@@ -324,10 +326,7 @@ class _FoldedCells:
         self.labels, self._scores = fold
 
     def score(self, code: int) -> tuple:
-        model, (pos, neg) = self.model, self._scores(code)
-        if model._divisor == 1:
-            pos, neg = Fraction(pos, model._denominator), Fraction(neg, model._denominator)
-        return model.labels[self.labels[code]], pos, neg
+        return self.model._verdict(*self._scores(code))
 
 
 class _CellsOnDemand(dict):
@@ -366,9 +365,9 @@ class _SearchResult(Sequence):
     to the bitmask of its changed features (bit i for feature i), ``masks``
     each distinct mask to its changed set, and ``parent`` each reached cell
     to the cell it was first reached from: a list over the grid when the
-    grid was folded, else a dict of the reached cells.  The original is its
-    own parent, the root of every chain.  ``search()`` runs the
-    breadth-first search that builds ``parent`` and ``found``.  Given
+    grid was folded, else a dict of the reached cells.  The grid's ``start``
+    is its own parent, the root of every chain.  ``search``, ``_search``
+    with every argument bound, builds ``parent`` and ``found``.  Given
     ``versions``, the bitmap of the version cells a level-bitmap search
     found, the length and ``masks`` come from it and the search runs when
     ``found`` or ``parent`` is first read; otherwise it runs at once.  Only
@@ -377,23 +376,22 @@ class _SearchResult(Sequence):
     neither, and the first index or iteration decodes every version's chain.
     """
 
-    def __init__(self, eid: str, original: tuple[str, ...], schema: FeatureSchema,
-                 grid: _Grid, scorer: _FoldedCells | _CellsOnDemand, start: int,
-                 search: Callable[[], tuple[list[int] | _Unseen, dict[int, int]]],
+    def __init__(self, eid: str, grid: _Grid, scorer: _FoldedCells | _CellsOnDemand,
+                 search: partial[tuple[list[int] | _Unseen, dict[int, int]]],
                  versions: int | None = None) -> None:
-        self.eid, self.original, self.schema = eid, original, schema
-        self.grid, self.scorer, self.start, self._search = grid, scorer, start, search
+        self.eid, self.grid, self.scorer, self._search = eid, grid, scorer, search
+        self.original, self.start, self.schema = grid.original, grid.start, scorer.model.schema
         # each feature mask's names, and per feature its bit, name and original value
         self._sets: dict[int, frozenset[str]] = {0: frozenset()}
         self._causes = [(1 << i, name, value)
-                        for i, (name, value) in enumerate(zip(schema.names, original))]
+                        for i, (name, value) in enumerate(zip(self.schema.names, self.original))]
         if versions is None:
             self._count, masks = len(self.found), set(self.found.values())
         else:
-            self._count, masks = versions.bit_count(), grid.changed_masks(versions, start)
+            self._count, masks = versions.bit_count(), grid.changed_masks(versions)
         self.masks = {mask: self._named(mask) for mask in masks}
         self.changed_sets = frozenset(self.masks.values())
-        self._states = {start: original}
+        self._states = {self.start: self.original}
 
     @cached_property
     def _tree(self) -> tuple[list[int] | _Unseen, dict[int, int]]:
@@ -446,17 +444,9 @@ class _SearchResult(Sequence):
         chains are the root paths of one tree, so the cells on every chain
         are a prefix of the first chain, cut where a later walk meets it.
         """
-        parent, codes = self.parent, iter(self.found)
-        if not every:
-            taken = set()
-            for code in codes:
-                while code not in taken:
-                    taken.add(code)
-                    code = parent[code]
-            return list(taken)
-        if (first := next(codes, None)) is None:
-            return []
-        prefix = self.chain(first)
+        parent, codes, prefix = self.parent, iter(self.found), []
+        if every and (first := next(codes, None)) is not None:
+            prefix = self.chain(first)
         depth = {code: i for i, code in enumerate(prefix)}
         taken, end = set(prefix), len(prefix)
         for code in codes:
@@ -465,7 +455,7 @@ class _SearchResult(Sequence):
                 code = parent[code]
             if code in depth:
                 end = min(end, depth[code] + 1)
-        return prefix[:end]
+        return prefix[:end] if every else list(taken)
 
     def _named(self, mask: int) -> frozenset[str]:
         """The names of the features of ``mask``, built once per mask from
@@ -487,14 +477,6 @@ class _SearchResult(Sequence):
         """The found cells in version order: by number of changes, then final state."""
         found, state = self.found, self.state
         return sorted(found, key=lambda c: (found[c].bit_count(), state(c)))
-
-    def fewest_changes(self) -> _SearchResult:
-        """This result restricted to the versions with the fewest changed features."""
-        best = min(map(int.bit_count, self.masks), default=0)
-        parent = self.parent
-        found = {code: m for code, m in self.found.items() if m.bit_count() == best}
-        return _SearchResult(self.eid, self.original, self.schema, self.grid, self.scorer,
-                             self.start, lambda: (parent, found))
 
     @cached_property
     def _decoded(self) -> tuple[CounterfactualVersion, ...]:
@@ -522,11 +504,11 @@ def enumerate_counterfactuals(
     pairing) or a NaiveBayesModel for exact rationals.
 
     The result is an immutable sequence of versions sorted by the number of
-    changed features, then by ``final``.  Its length, truth value and
-    ``changed_sets`` (all ``explanations_of`` reads) come from the search's
-    cells, and from its level bitmaps alone when the grid was folded and no
-    dependency applies; the first index or iteration decodes every
-    version's chain.
+    changed features, then by ``final``.  Its length, truth value,
+    ``changed_sets`` and ``masks`` (its changed-feature bitmasks, all
+    ``explanations_of`` reads) come from the search's cells, and from its
+    level bitmaps alone when the grid was folded and no dependency applies;
+    the first index or iteration decodes every version's chain.
 
     ``strict`` tightens admissibility twice over: interventions only run
     when the original label is the positive one, and forbidden combinations
@@ -534,37 +516,34 @@ def enumerate_counterfactuals(
     original itself is inadmissible).  An empty result is legal and means no
     counterfactual version exists under the constraints.
 
-    ``min_change`` returns ``min_change_versions`` of the result without
-    building it whole: depth k of the search changes at least k features,
-    so the search stops once k exceeds the fewest changes found so far.
-    Every shallower level runs exactly as in the full search, so the answer
-    is the same; states past the stop are never classified, so a staged
-    overflow there no longer ends the search.
+    ``min_change`` keeps only the versions with the fewest changed features,
+    from the search ``min_change_versions`` also runs: depth k changes at
+    least k features, so the search stops once k exceeds the fewest changes
+    found so far.  Every shallower level runs exactly as in the full search,
+    so the answer is the full search's filtered; states past the stop are
+    never classified, so a staged overflow there no longer ends the search.
     """
     schema = model.schema
     validate_values(schema, entity.values)
     if constraints is not None and constraints.schema != schema:
         raise ValueError("constraint set was built against a different schema")
-    original = tuple(entity.values)
-    grid = _Grid(schema, original, constraints)
+    grid = _Grid(schema, tuple(entity.values), constraints)
     if (not min_change and grid.size <= _FOLD_LIMIT
             and (fold := model._grid_labels(grid.domains, maxint)) is not None):
         cells = _FoldedCells(model, fold, maxint)
     else:
         cells = _CellsOnDemand(model, grid, maxint)
-    start = grid.encode(original)
-    original_label = cells.labels[start]
+    original_label = cells.labels[grid.start]
     # a strict search from a negative or inadmissible original searches nothing
-    searched = not strict or (original_label == 0 and grid.admits(start))
-    search = partial(_search, grid, cells, start, original_label, searched, min_change)
+    searched = not strict or (original_label == 0 and grid.admits(grid.start))
+    search = partial(_search, grid, cells, original_label, searched, min_change)
     versions = None
     if isinstance(cells, _FoldedCells) and not grid._dependencies:
-        versions = _version_cells(grid, cells.labels, start, original_label, searched)
-    result = _SearchResult(entity.eid, original, schema, grid, cells, start, search, versions)
-    return result.fewest_changes() if min_change else result
+        versions = _version_cells(grid, cells.labels, original_label, searched)
+    return _SearchResult(entity.eid, grid, cells, search, versions)
 
 
-def _version_cells(grid: _Grid, labels: bytearray, start: int, original_label: int,
+def _version_cells(grid: _Grid, labels: bytearray, original_label: int,
                    searched: bool) -> int:
     """The bitmap of the version cells of a full search over a folded grid
     without dependencies, searched level by level.
@@ -588,8 +567,8 @@ def _version_cells(grid: _Grid, labels: bytearray, start: int, original_label: i
     # per free feature: the cells at its original digit, and the code steps
     # to each other digit
     moves = [(grid.cells_at(grid.weights[i], len(grid.domains[i]), digit), steps)
-             for i, digit, steps in grid.moves(start)]
-    frontier, versions = (1 << start) if searched else 0, 0
+             for i, digit, steps in grid.moves()]
+    frontier, versions = (1 << grid.start) if searched else 0, 0
     while frontier:
         reached = 0
         for at_original, steps in moves:
@@ -601,22 +580,22 @@ def _version_cells(grid: _Grid, labels: bytearray, start: int, original_label: i
     return versions
 
 
-def _search(grid: _Grid, cells: _FoldedCells | _CellsOnDemand, start: int,
-            original_label: int, searched: bool,
-            min_change: bool) -> tuple[list[int] | _Unseen, dict[int, int]]:
+def _search(grid: _Grid, cells: _FoldedCells | _CellsOnDemand, original_label: int,
+            searched: bool, min_change: bool) -> tuple[list[int] | _Unseen, dict[int, int]]:
     """The breadth-first search: each reached cell's parent and each version's
-    cell with its changed-feature mask, in the order it was reached.
+    cell with its changed-feature mask, in the order it was reached, or with
+    ``min_change`` only the fewest-change versions of the truncated search.
 
     A folded grid keeps the parents in a list with one slot per cell, -1
     until the cell is reached, a search scored on demand in a dict of the
     cells it reaches; either way the parents double as the seen set.
     """
-    labels = cells.labels
+    labels, start = cells.labels, grid.start
     parent = [-1] * grid.size if isinstance(cells, _FoldedCells) else _Unseen()
     parent[start] = start  # the original is its own parent
 
     # per free feature: its bit, and the code steps to each other value
-    moves = [(1 << i, steps) for i, _, steps in grid.moves(start)]
+    moves = [(1 << i, steps) for i, _, steps in grid.moves()]
     # per dependency target: its bit, its place and its original digit
     targets = [(1 << i, grid.weights[i], len(grid.domains[i]),
                 start // grid.weights[i] % len(grid.domains[i])) for i in grid.targets]
@@ -667,14 +646,20 @@ def _search(grid: _Grid, cells: _FoldedCells | _CellsOnDemand, start: int,
                     best = min(best, mask.bit_count())
         frontier = next_frontier
         depth += 1
+    if min_change:
+        # a deeper level, or a dependency, can add versions with more changes
+        found = {code: mask for code, mask in found.items() if mask.bit_count() == best}
     return parent, found
 
 
 def min_change_versions(versions: _SearchResult) -> _SearchResult:
-    """The fewest-change versions of a result of ``enumerate_counterfactuals``,
-    as ``min_change=True`` finds them; anything else raises TypeError."""
+    """The fewest-change versions of a result of ``enumerate_counterfactuals``:
+    its search rerun as ``min_change=True`` runs it, over its grid and scorer
+    so that no cell is classified twice; anything else raises TypeError."""
     _require_result(versions, "min_change_versions")
-    return versions.fewest_changes()
+    search = versions._search
+    return _SearchResult(versions.eid, versions.grid, versions.scorer,
+                         partial(search.func, *search.args[:-1], True))
 
 
 def _require_result(versions: object, caller: str) -> None:
@@ -701,8 +686,8 @@ def explanations_of(
     keeps the feature's original value; the contingency is the version's
     remaining changed features.  A single-change version yields the empty
     contingency.  A cause and its contingency fix the changed set, so each
-    of the result's distinct ``changed_sets`` is expanded once and no
-    version is read.  A result searched from another entity than
+    of the result's distinct changed-feature ``masks`` is expanded once and
+    no version is read.  A result searched from another entity than
     ``original``, or over another schema than ``schema``, raises ValueError.
     """
     _require_result(versions, "explanations_of")

@@ -138,7 +138,10 @@ class _Model(_Record):
         if rows is None or len(values) != len(table):
             validate_values(self.schema, values)
         rows.append(self._prior)
-        pos, neg = self._scores(rows, maxint)
+        return self._verdict(*self._scores(rows, maxint))
+
+    def _verdict(self, pos: int, neg: int) -> tuple:
+        """``classify``'s answer for the integer scores ``_scores`` gives."""
         label = self.labels[0] if pos >= neg else self.labels[1]
         if self._divisor == 1:
             return label, Fraction(pos, self._denominator), Fraction(neg, self._denominator)

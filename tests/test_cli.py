@@ -1048,6 +1048,23 @@ def test_a_process_started_with_stdout_closed(tmp_path, writes, status):
     assert out.exists() != writes
 
 
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, status, out", [
+    (["solve-asp", str(DEMO_PROGRAM)], 0, "{a, e}\n{b, d, e}\n"),
+    (["explain", "--data", "missing.csv", "--entity", ENTITY], 1, ""),
+    (["explain", "--data", DATA], 2, ""),
+], ids=["answered", "failed", "refused"])
+def test_a_process_started_with_stderr_unwritable(argv, status, out, redirect):
+    # closed before the interpreter starts, sys.stderr is None; opened
+    # read-only, every write to it fails: what the run says there is lost,
+    # and its status and stdout stay as with stderr open
+    result = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable,
+                             "-m", "xresp.cli", *argv],
+                            stdout=subprocess.PIPE, text=True, cwd=REPO_ROOT,
+                            env=child_env(), timeout=60)
+    assert (result.returncode, result.stdout) == (status, out)
+
+
 def test_an_unexpected_exception_still_prints_its_traceback():
     result = process("solve-asp", str(DEMO_PROGRAM), prelude=(
         "import xresp.asp\n"

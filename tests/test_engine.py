@@ -851,6 +851,29 @@ def test_searches_scored_on_demand_run_no_level_bitmaps(weather_percent, weather
     assert isinstance(result.scorer, engine._CellsOnDemand) and len(searches) == 2
 
 
+def test_min_change_versions_of_an_unread_result_runs_only_the_truncated_search(
+    weather_model, weather_percent, weather_entity, searches
+):
+    """``min_change_versions`` of a level-bitmap result runs the search that
+    ``min_change=True`` runs, over the result's own scorer, never the full
+    breadth-first search."""
+    for model in (weather_percent, weather_model):
+        counting = CountingModel.of(model)
+        full = enumerate_counterfactuals(counting, weather_entity)
+        assert not searches and len(full) > 2
+        kept = min_change_versions(full)
+        list(kept)
+        explained = explanations_of(kept, weather_entity, model.schema)
+        # one search, with the stop rule (its last argument, ``min_change``)
+        assert len(searches) == 1 and searches[0][-1] is True
+        # the folded scorer serves it: no cell is classified
+        assert kept.scorer is full.scorer and not counting.calls
+        bounded = enumerate_counterfactuals(counting, weather_entity, min_change=True)
+        assert kept == bounded and len(kept) == 1
+        assert explained == explanations_of(bounded, weather_entity, model.schema)
+        searches.clear()
+
+
 def test_explain_builds_no_parent(weather_entity, searches):
     """The CLI's explain reads changed sets alone, so no breadth-first search runs."""
     assert cli.main(["explain", "--data", str(WEATHER_CSV),
