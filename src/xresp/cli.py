@@ -26,9 +26,9 @@ is not affected.  A stderr that is closed or read-only changes no status.
 A process runs the CLI through ``run``, the console script's entry and the
 module's ``__main__``.  It owns the process: it turns the cyclic collector
 off, stands a pipe whose reader has gone in for a closed stdout, and
-``os.devnull`` in for a closed stderr.  After ``main`` it keeps what an
-interpreter's exit does that anyone can see: it runs the handlers
-registered with ``atexit``, then flushes stdout and stderr, in the
+``os.devnull`` in for a stderr that is closed or read-only.  After ``main``
+it keeps what an interpreter's exit does that anyone can see: it runs the
+handlers registered with ``atexit``, then flushes stdout and stderr, in the
 interpreter's own order, and ends the process with ``os._exit`` and the
 status ``main`` returned or exited with.
 It skips the teardown (clearing every module, a last collection and freeing
@@ -97,7 +97,9 @@ def run() -> NoReturn:
         read, write = os.pipe()
         os.close(read)
         sys.stdout = open(write, "w")
-    if sys.stderr is None:  # started with stderr closed: what it says is lost
+    try:  # a stderr started closed is None, one open read-only takes no write
+        os.write(sys.stderr.fileno(), b"")
+    except (AttributeError, OSError):  # what it says is lost
         sys.stderr = open(os.devnull, "w")
     try:
         status = main()
@@ -296,10 +298,7 @@ def _help(command, flag, text) -> NoReturn:
 
 def _fail(command, detail: str) -> NoReturn:
     prog = "xresp" if command is None else f"xresp {command}"
-    try:
-        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {detail}\n")
-    except OSError:  # stderr open read-only: the status still tells
-        pass
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {detail}\n")
     raise SystemExit(2)
 
 

@@ -380,11 +380,13 @@ class _SearchResult(Sequence):
                  search: partial[tuple[list[int] | _Unseen, dict[int, int]]],
                  versions: int | None = None) -> None:
         self.eid, self.grid, self.scorer, self._search = eid, grid, scorer, search
-        self.original, self.start, self.schema = grid.original, grid.start, scorer.model.schema
+        # the grid's, named here for the readers outside engine, which read
+        # cells only through this class and never the grid
+        self.original, self.start = grid.original, grid.start
         # each feature mask's names, and per feature its bit, name and original value
         self._sets: dict[int, frozenset[str]] = {0: frozenset()}
-        self._causes = [(1 << i, name, value)
-                        for i, (name, value) in enumerate(zip(self.schema.names, self.original))]
+        self._causes = [(1 << i, name, value) for i, (name, value)
+                        in enumerate(zip(scorer.model.schema.names, self.original))]
         if versions is None:
             self._count, masks = len(self.found), set(self.found.values())
         else:
@@ -463,7 +465,7 @@ class _SearchResult(Sequence):
         if (names := self._sets.get(mask)) is None:
             low = mask & -mask
             names = self._sets[mask] = (self._named(mask ^ low)
-                                        | {self.schema.names[low.bit_length() - 1]})
+                                        | {self._causes[low.bit_length() - 1][1]})
         return names
 
     def explanation_rows(self, mask: int) -> list[tuple[str, str, frozenset[str]]]:
@@ -693,7 +695,7 @@ def explanations_of(
     _require_result(versions, "explanations_of")
     if versions.original != tuple(original.values):
         raise ValueError("version states do not start from the original entity")
-    if versions.schema != schema:
+    if versions.scorer.model.schema != schema:
         raise ValueError("schema is not the one the versions were searched over")
     rows = [row for mask in versions.masks for row in versions.explanation_rows(mask)]
     # a cause and its contingency fix the row, and a contingency's rank orders

@@ -1,6 +1,6 @@
 """Helpers that only tests need: DLV statement normalization, CSV output, a
-classification-counting model and the commands of the README's CLI
-walkthrough."""
+classification-counting model, the fewest-change filter of a full search and
+the commands of the README's CLI walkthrough."""
 
 from __future__ import annotations
 
@@ -75,6 +75,13 @@ def serialize_dataset(dataset: Dataset) -> str:
     for values, label in dataset.rows:
         writer.writerow(list(values) + [label])
     return out.getvalue()
+
+
+def fewest_changes(versions) -> tuple:
+    """The versions of ``versions`` that change the fewest features, in their
+    order: the full search filtered, which the truncated search must equal."""
+    best = min((len(v.changed) for v in versions), default=0)
+    return tuple(v for v in versions if len(v.changed) == best)
 
 
 class CountingModel:

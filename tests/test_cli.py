@@ -36,7 +36,7 @@ from conftest import (
     TWO_DEPTH_DEPEND,
     WEATHER_CSV,
 )
-from helpers import readme_walkthrough
+from helpers import fewest_changes, readme_walkthrough
 from oracles import _build_parser
 
 DATA = str(WEATHER_CSV)
@@ -440,9 +440,9 @@ def test_min_change_with_a_dependency_prints_the_filtered_full_search(
     model = to_percent(base) if classifier == "staged" else base
     entity = parse_entity(ENTITY, model.schema)
     constraints = parse_constraints(TWO_DEPTH_DEPEND, model.schema)
-    versions = min_change_versions(
-        enumerate_counterfactuals(model, entity, constraints)
-    )
+    full = enumerate_counterfactuals(model, entity, constraints)
+    versions = min_change_versions(full)
+    assert versions == fewest_changes(full)
     assert len({len(v.states) for v in versions}) == 2
     flags = ["--data", DATA, "--entity", ENTITY, "--classifier", classifier,
              "--constraints", str(knowledge), "--min-change"]
@@ -1057,9 +1057,15 @@ def test_a_process_started_with_stdout_closed(tmp_path, writes, status):
 def test_a_process_started_with_stderr_unwritable(argv, status, out, redirect):
     # closed before the interpreter starts, sys.stderr is None; opened
     # read-only, every write to it fails: what the run says there is lost,
-    # and its status and stdout stay as with stderr open
+    # and its status and stdout stay as with stderr open.  The run still ends
+    # in ``run``, without the teardown that would finalise ``late``.
+    script = ("class Late:\n"
+              "    def __del__(self): print('torn down')\n"
+              "late = Late()\n"
+              "import runpy\n"
+              "runpy.run_module('xresp.cli', run_name='__main__', alter_sys=True)\n")
     result = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable,
-                             "-m", "xresp.cli", *argv],
+                             "-c", script, *argv],
                             stdout=subprocess.PIPE, text=True, cwd=REPO_ROOT,
                             env=child_env(), timeout=60)
     assert (result.returncode, result.stdout) == (status, out)

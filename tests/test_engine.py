@@ -25,7 +25,7 @@ from xresp.queries import model_atom_sets
 from xresp.schema import Entity, FeatureSchema, SchemaError, load_dataset
 
 from conftest import TWO_DEPTH_DEPEND, WEATHER_CSV
-from helpers import CountingModel
+from helpers import CountingModel, fewest_changes
 from oracles import (
     oracle_atoms_of,
     oracle_explanations,
@@ -190,7 +190,7 @@ def test_min_change_search_keeps_minimum_versions_from_two_depths(
             model, weather_entity, constraints, min_change=True
         )
         full = enumerate_counterfactuals(model, weather_entity, constraints)
-        assert bounded == min_change_versions(full)
+        assert bounded == fewest_changes(full) == min_change_versions(full)
         assert {v.final: len(v.states) - 1 for v in bounded} == {
             ("rain", "high", "high", "strong"): 1,
             ("sunny", "high", "normal", "strong"): 2,
@@ -238,7 +238,8 @@ def test_min_change_search_equals_the_filtered_full_search(tmp_path):
                 bounded = enumerate_counterfactuals(
                     model, entity, constraints, strict=strict, min_change=True
                 )
-                assert bounded == min_change_versions(full)
+                assert bounded == fewest_changes(full) == min_change_versions(full)
+                assert bounded.changed_sets == {v.changed for v in bounded}
                 checked += bool(bounded)
                 two_depths += len({len(v.states) for v in bounded}) > 1
     assert checked > 500 and two_depths
@@ -269,7 +270,7 @@ def test_an_exact_search_folds_the_grid_and_min_change_scores_on_demand(weather_
     assert model.folds == [36] and not model.calls
     model.folds.clear()
     bounded = enumerate_counterfactuals(model, weather_entity, min_change=True)
-    assert bounded == min_change_versions(full)
+    assert bounded == fewest_changes(full) == min_change_versions(full)
     assert not model.folds
     assert set(model.calls.values()) == {1} and len(model.calls) < 36
 
@@ -871,6 +872,8 @@ def test_min_change_versions_of_an_unread_result_runs_only_the_truncated_search(
         bounded = enumerate_counterfactuals(counting, weather_entity, min_change=True)
         assert kept == bounded and len(kept) == 1
         assert explained == explanations_of(bounded, weather_entity, model.schema)
+        # and it is the full search, read at last, filtered to its fewest changes
+        assert kept == fewest_changes(full)
         searches.clear()
 
 
