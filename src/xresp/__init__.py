@@ -36,17 +36,17 @@ _MODULE_OF = {
         ),
         "naive_bayes": (
             "DEFAULT_MAXINT", "ModelFormatError", "NaiveBayesModel",
-            "PercentModel", "StagedOverflowError", "load_model",
-            "serialize_model", "to_percent", "train",
+            "PercentModel", "StagedOverflowError", "load_model", "to_percent",
         ),
         "queries": (
             "ModelAtomSet", "Query", "QueryError", "answer", "load_queries",
             "model_atom_sets",
         ),
         "schema": (
-            "DataError", "Dataset", "Entity", "FeatureSchema", "SchemaError",
-            "load_dataset", "parse_entity", "render_row",
+            "DataError", "Entity", "FeatureSchema", "SchemaError", "parse_entity",
+            "render_row",
         ),
+        "_training": ("Dataset", "load_dataset", "serialize_model", "train"),
     }.items()
     for name in names
 }

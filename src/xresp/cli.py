@@ -47,7 +47,6 @@ import atexit
 import gc
 import os
 import sys
-from itertools import groupby
 from types import SimpleNamespace
 
 from . import _read
@@ -66,7 +65,10 @@ if TYPE_CHECKING:
 # engine, queries or asp, and the search subcommands skip dlv_emit and asp.
 # Every handler that reads a model gets it, with its entity and the staged
 # ceiling, from one call to _instance, which refuses a bad --maxint before
-# it reads any file.
+# it reads any file; only train and a --data run load _training.  engine
+# loads _bfs only for a run that reads version cells or chains
+# (counterfactuals, query) or searches for minimum change, and _parse loads
+# _usage only for a refused or help command line.
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -224,7 +226,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     groups = {option[4] for option in seen}
     missing = [option for option in options if option[4] and option[4] not in groups]
     if missing:
-        _fail(command, f"the following arguments are required: {_usage(command, missing)}")
+        from ._usage import usage
+        _fail(command, "the following arguments are required: "
+              + usage(_COMMANDS, command, missing))
     if extras:
         _fail(command, f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**values)
@@ -256,50 +260,14 @@ def _option_of(command, flags, token):
     return None if " " in token else (None, token, None)
 
 
-def _invocation(option) -> str:
-    flag, dest, kind = option[:3]
-    if isinstance(kind, tuple):
-        return f"{flag} {{{','.join(kind)}}}"
-    return f"{flag} {dest.upper()}" if isinstance(kind, type) and flag[0] == "-" else flag
-
-
-def _usage(command, options=None) -> str:
-    """A command's usage line, or, given options, how it writes them:
-    [optional] required (exclusive | ones)."""
-    if command is None:
-        return "usage: xresp [-h] {" + ",".join(_COMMANDS) + "} ..."
-    words = [] if options else [f"usage: xresp {command} [-h]"]
-    for group, members in groupby(options or _COMMANDS[command][3], key=lambda option: option[4]):
-        texts = list(map(_invocation, members))
-        if group is None:
-            words += [f"[{text}]" for text in texts]
-        else:
-            words.append(texts[0] if len(texts) == 1 else f"({' | '.join(texts)})")
-    return " ".join(words)
-
-
 def _help(command, flag, text) -> NoReturn:
-    """Print the usage and the help of each command or option, and exit."""
-    if text is not None and (flag != "-h" or not text or text.strip("h")):
-        _fail(command, f"argument -h/--help: ignored explicit argument {text!r}")
-    if command is None:
-        lines = ["Counterfactual explanations and responsibility scores for naive-Bayes "
-                 "classifications.", "", "commands:"]
-        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
-    else:
-        lines = [_COMMANDS[command][1], "", "arguments:"]
-        rows = [("-h, --help", _HELP[5])]
-        rows += [(_invocation(option), option[5]) for option in _COMMANDS[command][3]]
-    lines += [f"  {left:<22}  {about}" for left, about in rows]
-    print(_usage(command), "", *lines, sep="\n")
-    sys.stdout.flush()  # a closed pipe fails here, inside main's try
-    raise SystemExit(0)
+    from . import _usage  # only a help or refused command line compiles it
+    _usage.show_help(_COMMANDS, _HELP, command, flag, text)
 
 
 def _fail(command, detail: str) -> NoReturn:
-    prog = "xresp" if command is None else f"xresp {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {detail}\n")
-    raise SystemExit(2)
+    from . import _usage
+    _usage.fail(_COMMANDS, command, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +279,8 @@ def _instance(
     args: SimpleNamespace,
 ) -> tuple[NaiveBayesModel | PercentModel, Entity, int]:
     """The model (percent for staged), entity and ceiling a subcommand runs on."""
-    from .naive_bayes import DEFAULT_MAXINT, load_model, to_percent, train
-    from .schema import load_dataset, parse_entity
+    from .naive_bayes import DEFAULT_MAXINT, load_model, to_percent
+    from .schema import parse_entity
 
     if args.maxint is not None and args.maxint < 1:
         raise ValueError(f"--maxint must be at least 1, got {args.maxint}")
@@ -324,6 +292,7 @@ def _instance(
     if args.model:
         model, _ = load_model(args.model)
     else:
+        from ._training import load_dataset, train  # only --data trains
         model = train(load_dataset(args.data))
     if args.classifier == "staged":
         model = to_percent(model)
@@ -372,8 +341,7 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _cmd_train(args: SimpleNamespace) -> int:
-    from .naive_bayes import serialize_model, train
-    from .schema import load_dataset
+    from ._training import load_dataset, serialize_model, train
 
     dataset = load_dataset(args.data)
     model = train(dataset, positive_label=args.positive_label)

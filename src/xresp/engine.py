@@ -59,22 +59,26 @@ cell the search reaches.  Either way the result keeps the search's scorer,
 and the query layer reads each chain cell's score from it: nothing is
 classified twice.
 
-A full search over a folded grid without dependencies runs its levels as
-bitmaps, one Python integer with a bit per cell, in the manner of the
-bitmap frontiers of Beamer, Asanovic and Patterson (*Direction-Optimizing
-Breadth-First Search*, SC 2012).  Without dependencies a state at depth k
-changes exactly k features, so a level is the union, over each feature i
-and each other digit d of it, of the frontier's cells still at i's original
-digit shifted by d's code step; its admissible cells that keep the label
-are the next frontier and the others are versions.  The result's length
-and changed-feature masks come from the bitmap of the version cells, the
-masks split out feature by feature, and explanations and x-resp scores read
-nothing else.  The breadth-first search, with its parents, runs only when
-the versions' cells or chains are first read (``counterfactuals``,
-``query``).  Every other search runs it at once.  The parents follow the
-scorer: a folded grid keeps them in a list with one slot per cell, -1 until
-the cell is reached, and an on-demand search in a dict of the cells it
-reaches.
+A full search over a folded grid runs its levels as bitmaps, one Python
+integer with a bit per cell, in the manner of the bitmap frontiers of
+Beamer, Asanovic and Patterson (*Direction-Optimizing Breadth-First
+Search*, SC 2012).  A state at depth k changes exactly k free features, so
+a level is the union, over each free feature i and each other digit d of
+it, of the frontier's cells still at i's original digit shifted by one
+code step; its admissible cells that keep the label are the next frontier
+and the others are versions.  Propagation rewrites every dependency target
+from its source after any move, so from depth 1 on every cell holds its
+targets' images, and the step of a move is d's step plus the change it
+propagates to the targets, read once off the propagated original.  The
+result's length and changed-feature masks come from the bitmap of the
+version cells, the masks split out feature by feature, and explanations
+and x-resp scores read nothing else.  The breadth-first search, with its
+parents, runs only when the versions' cells or chains are first read
+(``counterfactuals``, ``query``); minimum-change searches and searches
+scored on demand run it at once.  It lives in ``_bfs``, with the on-demand
+scorer, which no other run compiles.  The parents follow the scorer: a
+folded grid keeps them in a list with one slot per cell, -1 until the cell
+is reached, and an on-demand search in a dict of the cells it reaches.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -88,7 +92,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 from . import _Record
@@ -99,6 +103,7 @@ TYPE_CHECKING = False  # typing, which defines it, costs every run its import
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Mapping
 
+    from ._bfs import _CellsOnDemand, _Unseen
     from .constraints import ConstraintSet
 
 
@@ -329,35 +334,6 @@ class _FoldedCells:
         return self.model._verdict(*self._scores(code))
 
 
-class _CellsOnDemand(dict):
-    """Cell code -> label index, classified when first read."""
-
-    def __init__(self, model: NaiveBayesModel | PercentModel, grid: _Grid,
-                 maxint: int) -> None:
-        super().__init__()
-        self.model, self.grid, self.maxint = model, grid, maxint
-        self.labels = self  # read like ``_FoldedCells.labels``
-        self._scores: dict[int, tuple] = {}
-
-    def __missing__(self, code: int) -> int:
-        score = self._scores[code] = self.model.classify(
-            self.grid.decode(code), self.maxint
-        )
-        label = self[code] = self.model.labels.index(score[0])
-        return label
-
-    def score(self, code: int) -> tuple:
-        self[code]
-        return self._scores[code]
-
-
-class _Unseen(dict):
-    """Cell code -> the cell it was first reached from; an unseen cell reads -1."""
-
-    def __missing__(self, code: int) -> int:
-        return -1
-
-
 class _SearchResult(Sequence):
     """The versions one search found, kept as cells until they are read.
 
@@ -366,8 +342,9 @@ class _SearchResult(Sequence):
     each distinct mask to its changed set, and ``parent`` each reached cell
     to the cell it was first reached from: a list over the grid when the
     grid was folded, else a dict of the reached cells.  The grid's ``start``
-    is its own parent, the root of every chain.  ``search``, ``_search``
-    with every argument bound, builds ``parent`` and ``found``.  Given
+    is its own parent, the root of every chain.  ``_bfs._search`` builds
+    ``parent`` and ``found`` from the grid, the scorer and ``search``, the
+    original label, whether anything is searched and ``min_change``.  Given
     ``versions``, the bitmap of the version cells a level-bitmap search
     found, the length and ``masks`` come from it and the search runs when
     ``found`` or ``parent`` is first read; otherwise it runs at once.  Only
@@ -377,8 +354,7 @@ class _SearchResult(Sequence):
     """
 
     def __init__(self, eid: str, grid: _Grid, scorer: _FoldedCells | _CellsOnDemand,
-                 search: partial[tuple[list[int] | _Unseen, dict[int, int]]],
-                 versions: int | None = None) -> None:
+                 search: tuple[int, bool, bool], versions: int | None = None) -> None:
         self.eid, self.grid, self.scorer, self._search = eid, grid, scorer, search
         # the grid's, named here for the readers outside engine, which read
         # cells only through this class and never the grid
@@ -397,7 +373,8 @@ class _SearchResult(Sequence):
 
     @cached_property
     def _tree(self) -> tuple[list[int] | _Unseen, dict[int, int]]:
-        return self._search()
+        from . import _bfs  # only a run that reads cells or chains compiles it
+        return _bfs._search(self.grid, self.scorer, *self._search)
 
     @property
     def parent(self) -> list[int] | _Unseen:
@@ -509,8 +486,8 @@ def enumerate_counterfactuals(
     changed features, then by ``final``.  Its length, truth value,
     ``changed_sets`` and ``masks`` (its changed-feature bitmasks, all
     ``explanations_of`` reads) come from the search's cells, and from its
-    level bitmaps alone when the grid was folded and no dependency applies;
-    the first index or iteration decodes every version's chain.
+    level bitmaps alone when the grid was folded; the first index or
+    iteration decodes every version's chain.
 
     ``strict`` tightens admissibility twice over: interventions only run
     when the original label is the positive one, and forbidden combinations
@@ -534,27 +511,33 @@ def enumerate_counterfactuals(
             and (fold := model._grid_labels(grid.domains, maxint)) is not None):
         cells = _FoldedCells(model, fold, maxint)
     else:
+        from ._bfs import _CellsOnDemand  # only a search scored on demand needs it
         cells = _CellsOnDemand(model, grid, maxint)
     original_label = cells.labels[grid.start]
     # a strict search from a negative or inadmissible original searches nothing
     searched = not strict or (original_label == 0 and grid.admits(grid.start))
-    search = partial(_search, grid, cells, original_label, searched, min_change)
     versions = None
-    if isinstance(cells, _FoldedCells) and not grid._dependencies:
+    if isinstance(cells, _FoldedCells):
         versions = _version_cells(grid, cells.labels, original_label, searched)
-    return _SearchResult(entity.eid, grid, cells, search, versions)
+    return _SearchResult(entity.eid, grid, cells, (original_label, searched, min_change),
+                         versions)
 
 
 def _version_cells(grid: _Grid, labels: bytearray, original_label: int,
                    searched: bool) -> int:
-    """The bitmap of the version cells of a full search over a folded grid
-    without dependencies, searched level by level.
+    """The bitmap of the version cells of a full search over a folded grid,
+    searched level by level.
 
-    Without dependencies a cell at depth k changes exactly k features, so
-    the levels are disjoint and need no seen set: a level's cells are the
-    frontier's cells with some feature i still at its original digit,
-    shifted to each other digit of i.  The admissible ones keep the label
-    (the next frontier) or flip it (versions).
+    A cell at depth k changes exactly k free features, so the levels are
+    disjoint and need no seen set: a level's cells are the frontier's cells
+    with some free feature i still at its original digit, shifted to each
+    other digit of i.  Propagation rewrites every dependency target from its
+    source after any move, so from depth 1 on each cell holds its targets'
+    images, and a move of i is one constant code step, ``propagate(b +
+    step) - b`` for ``b = propagate(start)``.  So the levels start from
+    ``b``: its successors are ``propagate(start + step)``, the original's.
+    The admissible ones keep the label (the next frontier) or flip it
+    (versions).
     """
     everything = (1 << grid.size) - 1
     negative = int(labels.translate(_BITS)[::-1], 2)  # bit c set iff cell c is negative
@@ -567,10 +550,12 @@ def _version_cells(grid: _Grid, labels: bytearray, original_label: int,
         keep &= ~forbidden
         flip &= ~forbidden
     # per free feature: the cells at its original digit, and the code steps
-    # to each other digit
-    moves = [(grid.cells_at(grid.weights[i], len(grid.domains[i]), digit), steps)
+    # to each other digit, with the targets it moves
+    base = grid.propagate(grid.start)
+    moves = [(grid.cells_at(grid.weights[i], len(grid.domains[i]), digit),
+              [grid.propagate(base + step) - base for step in steps])
              for i, digit, steps in grid.moves()]
-    frontier, versions = (1 << grid.start) if searched else 0, 0
+    frontier, versions = (1 << base) if searched else 0, 0
     while frontier:
         reached = 0
         for at_original, steps in moves:
@@ -582,86 +567,13 @@ def _version_cells(grid: _Grid, labels: bytearray, original_label: int,
     return versions
 
 
-def _search(grid: _Grid, cells: _FoldedCells | _CellsOnDemand, original_label: int,
-            searched: bool, min_change: bool) -> tuple[list[int] | _Unseen, dict[int, int]]:
-    """The breadth-first search: each reached cell's parent and each version's
-    cell with its changed-feature mask, in the order it was reached, or with
-    ``min_change`` only the fewest-change versions of the truncated search.
-
-    A folded grid keeps the parents in a list with one slot per cell, -1
-    until the cell is reached, a search scored on demand in a dict of the
-    cells it reaches; either way the parents double as the seen set.
-    """
-    labels, start = cells.labels, grid.start
-    parent = [-1] * grid.size if isinstance(cells, _FoldedCells) else _Unseen()
-    parent[start] = start  # the original is its own parent
-
-    # per free feature: its bit, and the code steps to each other value
-    moves = [(1 << i, steps) for i, _, steps in grid.moves()]
-    # per dependency target: its bit, its place and its original digit
-    targets = [(1 << i, grid.weights[i], len(grid.domains[i]),
-                start // grid.weights[i] % len(grid.domains[i])) for i in grid.targets]
-    propagate_cell = grid.propagate if grid._dependencies else None
-    admits_cell = grid.admits if grid._forbidden else None
-
-    # per set of intervened features: the (intervened set after the move,
-    # code step) of each move that intervenes a feature not yet in it
-    tables: dict[int, list[tuple[int, int]]] = {}
-    # each version's cell -> the bits of the features it changes
-    found: dict[int, int] = {}
-    # (cell, bits of the features intervened on to reach it)
-    frontier = [(start, 0)] if searched else []
-    # the fewest changed features of any version found so far; no version
-    # changes more than every feature
-    best = len(grid.domains)
-    depth = 0
-
-    while frontier and not (min_change and depth >= best):
-        next_frontier = []
-        for code, intervened in frontier:
-            if (table := tables.get(intervened)) is None:
-                # each feature is intervened at most once
-                table = tables[intervened] = [
-                    (intervened | bit, step)
-                    for bit, steps in moves if not intervened & bit for step in steps
-                ]
-            for moved, step in table:
-                successor = code + step
-                if propagate_cell:
-                    successor = propagate_cell(successor)
-                if parent[successor] >= 0:
-                    continue
-                if admits_cell and not admits_cell(successor):
-                    continue
-                parent[successor] = code
-                if labels[successor] == original_label:
-                    next_frontier.append((successor, moved))
-                    continue
-                # an intervened feature never returns to its original value;
-                # a dependency target is changed if it moved
-                mask = moved
-                for t_bit, t_weight, t_radix, t_digit in targets:
-                    if successor // t_weight % t_radix != t_digit:
-                        mask |= t_bit
-                found[successor] = mask
-                if min_change:
-                    best = min(best, mask.bit_count())
-        frontier = next_frontier
-        depth += 1
-    if min_change:
-        # a deeper level, or a dependency, can add versions with more changes
-        found = {code: mask for code, mask in found.items() if mask.bit_count() == best}
-    return parent, found
-
-
 def min_change_versions(versions: _SearchResult) -> _SearchResult:
     """The fewest-change versions of a result of ``enumerate_counterfactuals``:
     its search rerun as ``min_change=True`` runs it, over its grid and scorer
     so that no cell is classified twice; anything else raises TypeError."""
     _require_result(versions, "min_change_versions")
-    search = versions._search
     return _SearchResult(versions.eid, versions.grid, versions.scorer,
-                         partial(search.func, *search.args[:-1], True))
+                         versions._search[:-1] + (True,))
 
 
 def _require_result(versions: object, caller: str) -> None:

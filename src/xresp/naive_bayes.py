@@ -1,9 +1,8 @@
-"""Naive-Bayes training and classification, in two arithmetic regimes.
+"""Naive-Bayes models and classification, in two arithmetic regimes.
 
-Training is pure frequency counting: the prior of a label is its row share,
-and each conditional is the share of a feature value among rows of that
-label.  All of it is kept as exact ``fractions.Fraction`` values so nothing
-is lost to floating point.
+A model holds its priors and conditionals as exact ``fractions.Fraction``
+values, read from a model file here or trained from a dataset in
+``_training``, so nothing is lost to floating point.
 
 Classification compares per-label scores, prior times the product of the
 entity's conditionals, in integers.  Both model types share one base, which
@@ -31,14 +30,11 @@ each distribution sums to exactly 100.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from . import _lines, _read, _Record
-from .schema import (
-    _NAME_RE, Dataset, FeatureSchema, SchemaError, _check_text, validate_values,
-)
+from .schema import _NAME_RE, FeatureSchema, SchemaError, _check_text, validate_values
 
 TYPE_CHECKING = False  # typing, which defines it, costs every run its import
 if TYPE_CHECKING:
@@ -234,45 +230,6 @@ class PercentModel(_Model):
     _total, _kind, _divisor = 100, "percent ", 10
 
 
-def train(dataset: Dataset, positive_label: str | None = None) -> NaiveBayesModel:
-    """Train from frequencies.
-
-    ``positive_label`` fixes which label is treated as positive (listed
-    first, wins staged ties).  By default the majority label is positive,
-    with dataset order deciding an exact tie.
-    """
-    # rows per label, and per (feature index, value, label)
-    counts, matching = Counter(), Counter()
-    for values, label in dataset.rows:
-        counts[label] += 1
-        matching.update((i, value, label) for i, value in enumerate(values))
-    for label in dataset.labels:
-        if not counts[label]:
-            raise ModelFormatError(f"label {label} has no training rows")
-
-    if positive_label is None:
-        positive_label = max(dataset.labels, key=lambda l: counts[l])
-    elif positive_label not in dataset.labels:
-        raise ModelFormatError(
-            f"positive label {positive_label!r} not among dataset labels "
-            f"{list(dataset.labels)}"
-        )
-    negative_label = next(l for l in dataset.labels if l != positive_label)
-    labels = (positive_label, negative_label)
-
-    prior = {label: Fraction(counts[label], len(dataset.rows)) for label in labels}
-    cond = {
-        (name, value, label): Fraction(matching[i, value, label], counts[label])
-        for i, (name, domain) in enumerate(dataset.schema.features)
-        for label in labels
-        for value in domain
-    }
-
-    return NaiveBayesModel(
-        schema=dataset.schema, labels=labels, prior=prior, conditional=cond
-    )
-
-
 def _percentify(pairs: list[tuple[object, Fraction]]) -> dict:
     """Largest-remainder rounding of one distribution to integers summing to 100.
 
@@ -327,28 +284,8 @@ def to_percent(model: NaiveBayesModel) -> PercentModel:
 # a comment and blank lines are skipped; a file's leading byte-order mark is
 # skipped too (``xresp._read``).  Feature order and domain order are
 # recovered from the first appearance of each feature/value among the
-# conditional lines, so save -> load -> save is byte-identical.
-
-
-def serialize_model(model: NaiveBayesModel, class_column: str = "class") -> str:
-    """Model file text, which ``parse_model`` reads back unchanged.
-
-    The schema and the model checked their names, values and labels when
-    they were built; the class column is checked here.  Text that passes
-    holds no comma, whitespace or ``:``, so every line splits back as it
-    was written.
-    """
-    _check_text("class column", class_column, _NAME_RE)
-    lines = [f"labels: {model.labels[0]},{model.labels[1]}"]
-    lines.append(f"class-column: {class_column}")
-    for label in model.labels:
-        lines.append(f"prior: {label} {model.prior[label]}")
-    for name, domain in model.schema.features:
-        for value in domain:
-            for label in model.labels:
-                frac = model.conditional[(name, value, label)]
-                lines.append(f"{name},{value},{label},{frac}")
-    return "\n".join(lines) + "\n"
+# conditional lines, so save -> load -> save is byte-identical.  Writing a
+# model (``serialize_model``) lives in ``_training``, with training.
 
 
 def load_model(path: str) -> tuple[NaiveBayesModel, str]:
@@ -381,7 +318,7 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
             try:
                 label, frac_text = line[len("prior:"):].split()
                 frac = Fraction(frac_text)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ModelFormatError(f"line {lineno}: bad prior: {line!r}") from exc
             if label in prior:
                 raise ModelFormatError(f"line {lineno}: repeated prior for {label}")
@@ -395,7 +332,7 @@ def parse_model(text: str) -> tuple[NaiveBayesModel, str]:
             name, value, label, frac_text = parts
             try:
                 frac = Fraction(frac_text)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ModelFormatError(
                     f"line {lineno}: bad fraction {frac_text!r}"
                 ) from exc

@@ -1,14 +1,10 @@
-"""Feature schemas, entities, and dataset ingestion.
+"""Feature schemas and entities.
 
 A schema is an ordered list of categorical features, each with a finite
 ordered domain.  Feature order is significant everywhere downstream: the
 classifier folds conditional probabilities in schema order, and emitted
-program text lays out atom arguments positionally.
-
-Datasets are comma-separated text files with a header row; the last column
-is the class label.  Domains are inferred from the observed values in
-first-occurrence order, which keeps every derived artifact (percent tables,
-emitted programs, query answers) reproducible.
+program text lays out atom arguments positionally.  Datasets are read, and
+models trained from them, in ``_training``.
 
 Text is checked where it becomes an object, by one policy that every
 reader and writer shares (model files, emitted programs, queries).  Values,
@@ -108,29 +104,6 @@ class Entity(_Record):
         _check_text("entity id", self.eid)
 
 
-class Dataset(_Record):
-    """Training rows, each ``(values, label)``; a row outside the schema or the
-    labels raises DataError naming it (counted from 1)."""
-
-    schema: FeatureSchema
-    rows: tuple[tuple[tuple[str, ...], str], ...]
-    labels: tuple[str, str]
-    class_column: str = "class"
-
-    def __post_init__(self) -> None:
-        if self.labels[0] == self.labels[1]:
-            raise DataError(f"the two labels must differ, not both {self.labels[0]}")
-        for number, (values, label) in enumerate(self.rows, start=1):
-            try:
-                validate_values(self.schema, values)
-            except DataError as exc:
-                raise DataError(f"row {number}: {exc}") from None
-            if label not in self.labels:
-                raise DataError(
-                    f"row {number}: label {label!r} is not one of {', '.join(self.labels)}"
-                )
-
-
 def validate_values(schema: FeatureSchema, values: tuple[str, ...]) -> None:
     """Raise DataError unless ``values`` fits the schema positionally."""
     if len(values) != len(schema):
@@ -150,60 +123,6 @@ def parse_entity(text: str, schema: FeatureSchema, eid: str = "e") -> Entity:
     values = tuple(part.strip() for part in text.split(","))
     validate_values(schema, values)
     return Entity(eid=eid, values=values)
-
-
-def load_dataset(path: str) -> Dataset:
-    """Load a dataset from a comma-separated text file.
-
-    The header row names the features; the final column is the class label.
-    Each feature's domain is inferred from its column in first-occurrence
-    order, and the labels likewise; there must be exactly two.  A leading
-    byte-order mark, as spreadsheet exports write, is skipped.
-    """
-    import csv  # here, so that a run given a model file never loads it
-
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("dataset file is empty") from None
-        header = [col.strip() for col in header]
-        if len(header) < 2:
-            raise DataError("header must name at least one feature and the class column")
-
-        rows: list[tuple[tuple[str, ...], str]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            record = [cell.strip() for cell in raw]
-            if len(record) != len(header):
-                raise DataError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(record)}"
-                )
-            rows.append((tuple(record[:-1]), record[-1]))
-
-    observed_labels: list[str] = []
-    for _, label in rows:
-        if label not in observed_labels:
-            observed_labels.append(label)
-    if len(observed_labels) != 2:
-        raise DataError(
-            f"need exactly 2 class labels, observed {len(observed_labels)}"
-        )
-
-    domains: list[list[str]] = [[] for _ in header[:-1]]
-    for values, _ in rows:
-        for col, value in enumerate(values):
-            if value not in domains[col]:
-                domains[col].append(value)
-    schema = FeatureSchema(
-        tuple((name, tuple(domain)) for name, domain in zip(header[:-1], domains))
-    )
-    labels = (observed_labels[0], observed_labels[1])
-    return Dataset(
-        schema=schema, rows=tuple(rows), labels=labels, class_column=header[-1]
-    )
 
 
 def render_value(value: str | int | frozenset[str]) -> str:

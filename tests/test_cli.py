@@ -685,6 +685,16 @@ def test_train_refuses_a_header_without_a_feature(run_cli, tmp_path):
     )
 
 
+def test_train_refuses_a_field_over_the_csv_limit_in_one_line(run_cli, tmp_path):
+    # the csv module refuses a field longer than its limit with csv.Error,
+    # which is no ValueError: it must not end the run in a traceback
+    data = tmp_path / "big.csv"
+    data.write_text("A,label\n" + "a" * 131_073 + ",yes\nb,no\n", encoding="utf-8")
+    assert run_cli("train", "--data", str(data)) == (
+        1, "", "xresp: DataError: line 2: field larger than field limit (131072)\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["counterfactuals", "explain", "emit-dlv"])
 def test_every_feature_immutable_gives_no_versions(run_cli, tmp_path, command):
     names = ("Outlook", "Temperature", "Humidity", "Wind")

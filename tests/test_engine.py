@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from xresp import cli, engine
+from xresp import _bfs, cli, engine
 from xresp.constraints import ConstraintSet, parse_constraints
 from xresp.engine import (
     Explanation,
@@ -20,11 +20,12 @@ from xresp.engine import (
     min_change_versions,
     xresp,
 )
-from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent, train
+from xresp._training import load_dataset, train
+from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent
 from xresp.queries import model_atom_sets
-from xresp.schema import Entity, FeatureSchema, SchemaError, load_dataset
+from xresp.schema import Entity, FeatureSchema, SchemaError
 
-from conftest import TWO_DEPTH_DEPEND, WEATHER_CSV
+from conftest import README_CONSTRAINTS, TWO_DEPTH_DEPEND, WEATHER_CSV
 from helpers import CountingModel, fewest_changes
 from oracles import (
     oracle_atoms_of,
@@ -637,13 +638,12 @@ def test_path_semantics_diverge_from_strict_definition(weather_percent, weather_
 # ---------------------------------------------------------------------------
 
 
-def random_constraint_lines(rng, schema, depend=True):
-    """Zero to two lines of each kind (no ``depend`` unless ``depend``);
-    dependencies run forward in schema order, declared in random order, so
-    propagation can need two passes."""
+def random_constraint_lines(rng, schema):
+    """Zero to two lines of each kind; dependencies run forward in schema
+    order, declared in random order, so propagation can need two passes."""
     names = list(schema.names)
     lines, targets = [], set()
-    for _ in range(rng.randint(0, 2) if depend else 0):
+    for _ in range(rng.randint(0, 2)):
         source, target = sorted(rng.sample(range(len(names)), 2))
         source, target = names[source], names[target]
         if target in targets:
@@ -757,31 +757,33 @@ def test_search_matches_the_per_state_oracle(tmp_path):
 @pytest.fixture
 def searches(monkeypatch):
     """The arguments of every breadth-first search run from now on."""
-    calls, search = [], engine._search
+    calls, search = [], _bfs._search
 
     def counting_search(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(engine, "_search", counting_search)
+    monkeypatch.setattr(_bfs, "_search", counting_search)
     return calls
 
 
 def test_level_bitmaps_match_the_per_state_oracle(tmp_path, searches):
-    """A folded search without dependencies answers its length, masks and
-    changed sets from level bitmaps, searching nothing breadth-first; the
-    versions, chains and scores read afterwards are the definition's."""
+    """A folded full search, with or without dependencies, answers its
+    length, masks and changed sets from level bitmaps, searching nothing
+    breadth-first; the versions, chains and scores read afterwards are the
+    definition's."""
     rng = random.Random(20261020)
     path = tmp_path / "data.csv"
     outcomes = Counter()
-    for _ in range(300):
+    for _ in range(400):
         csv_text, entity_values = random_instance(rng)
         path.write_text(csv_text, encoding="utf-8")
         exact = train(load_dataset(str(path)))
         entity = Entity("e", entity_values)
         staged = to_percent(exact)
-        text = random_constraint_lines(rng, staged.schema, depend=False)
+        text = random_constraint_lines(rng, staged.schema)
         constraints = parse_constraints(text, staged.schema) if text else None
+        outcomes["depend"] += "depend" in text
         outcomes["forbid"] += "forbid" in text
         outcomes["immutable"] += "immutable" in text
         maxint = max(DEFAULT_MAXINT, staged._covering_maxint())
@@ -816,7 +818,9 @@ def test_level_bitmaps_match_the_per_state_oracle(tmp_path, searches):
                     assert got.scorer.score(code) == want_scores[code]
                 assert len(searches) == 1
                 outcomes["versions"] += bool(got)
+                outcomes["depend versions"] += "depend" in text and bool(got)
                 outcomes["strict empty"] += strict and not got
+    assert outcomes["depend"] > 200 and outcomes["depend versions"] > 300
     assert outcomes["forbid"] > 100 and outcomes["immutable"] > 100
     assert outcomes["versions"] > 600 and outcomes["strict empty"] > 200
 
@@ -824,10 +828,10 @@ def test_level_bitmaps_match_the_per_state_oracle(tmp_path, searches):
 @pytest.mark.parametrize("constraints, options, bitmaps", [
     (None, {}, True),
     ("forbid Outlook=sunny, Wind=strong\nimmutable Temperature", {"strict": True}, True),
-    (TWO_DEPTH_DEPEND, {}, False),
+    (TWO_DEPTH_DEPEND, {}, True),
     (None, {"min_change": True}, False),
 ], ids=["plain", "forbid-immutable-strict", "depend", "min-change"])
-def test_only_folded_searches_without_dependencies_run_level_bitmaps(
+def test_only_folded_full_searches_run_level_bitmaps(
     weather_percent, weather_entity, searches, constraints, options, bitmaps
 ):
     if constraints is not None:
@@ -849,7 +853,7 @@ def test_searches_scored_on_demand_run_no_level_bitmaps(weather_percent, weather
     assert len(searches) == 1
     monkeypatch.setattr(engine, "_FOLD_LIMIT", 35)
     result = enumerate_counterfactuals(weather_percent, weather_entity)
-    assert isinstance(result.scorer, engine._CellsOnDemand) and len(searches) == 2
+    assert isinstance(result.scorer, _bfs._CellsOnDemand) and len(searches) == 2
 
 
 def test_min_change_versions_of_an_unread_result_runs_only_the_truncated_search(
@@ -877,9 +881,14 @@ def test_min_change_versions_of_an_unread_result_runs_only_the_truncated_search(
         searches.clear()
 
 
-def test_explain_builds_no_parent(weather_entity, searches):
-    """The CLI's explain reads changed sets alone, so no breadth-first search runs."""
+def test_explain_builds_no_parent(weather_entity, searches, tmp_path):
+    """The CLI's explain reads changed sets alone, so no breadth-first search
+    runs, with a dependency too."""
     assert cli.main(["explain", "--data", str(WEATHER_CSV),
+                     "--entity", ",".join(weather_entity.values)]) == 0
+    path = tmp_path / "weather.constraints"
+    path.write_text(README_CONSTRAINTS, encoding="utf-8")
+    assert cli.main(["explain", "--data", str(WEATHER_CSV), "--constraints", str(path),
                      "--entity", ",".join(weather_entity.values)]) == 0
     assert not searches
     # counterfactuals reads the version cells, so it runs the search once

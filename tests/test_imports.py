@@ -17,33 +17,42 @@ from xresp import serialize_model
 
 ENTITY = "rain,high,normal,weak"
 
-# Runs its argv through the CLI, then prints every loaded module.
+# Runs its argv through the CLI, checks the status (a refused or help command
+# line exits), then prints every loaded module.
 PROBE = """
 import contextlib, io, json, sys
-argv = json.loads(sys.argv[1])
+argv, status = json.loads(sys.argv[1])
 if argv:
     from xresp.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+        try:
+            got = main(argv)
+        except SystemExit as stop:
+            got = stop.code
+    assert got == status, got
 else:
     import xresp
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def every_loaded_module(*argv, flags=()):
+def child_env():
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def every_loaded_module(*argv, flags=(), status=0):
     result = subprocess.run(
-        [sys.executable, *flags, "-c", PROBE, json.dumps(list(argv))],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, *flags, "-c", PROBE, json.dumps([list(argv), status])],
+        capture_output=True, text=True, env=child_env(), check=True,
     )
     return set(json.loads(result.stdout))
 
 
-def loaded_modules(*argv):
+def loaded_modules(*argv, status=0):
     """The xresp submodules loaded, without the package prefix."""
-    return {m[6:] for m in every_loaded_module(*argv) if m.startswith("xresp.")}
+    return {m[6:] for m in every_loaded_module(*argv, status=status)
+            if m.startswith("xresp.")}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -137,3 +146,104 @@ def test_a_model_file_spares_the_csv_reader(command, weather_model, tmp_path):
 
 def test_train_reads_its_csv_with_the_csv_reader():
     assert "csv" in every_loaded_module("train", "--data", str(WEATHER_CSV))
+
+
+# The three modules behind first-use imports: the breadth-first search with
+# parents and the on-demand scorer, training and model writing, and the
+# usage, help and refusal text.
+DEFERRED = {"_bfs", "_training", "_usage"}
+
+
+@pytest.fixture
+def on_model_file(weather_model, tmp_path):
+    """An argv's --data replaced by a model file trained on the same data."""
+    model = tmp_path / "weather.model"
+    model.write_text(serialize_model(weather_model), encoding="utf-8")
+
+    def replace(argv):
+        at = argv.index("--data")
+        return [*argv[:at], "--model", str(model), *argv[at + 2:]]
+
+    return replace
+
+
+def constraints_file(tmp_path):
+    path = tmp_path / "weather.constraints"
+    path.write_text(README_CONSTRAINTS, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("constrained", [False, True], ids=["plain", "constrained"])
+def test_explain_on_a_model_file_loads_only_the_level_bitmap_path(
+    constrained, on_model_file, tmp_path
+):
+    argv = on_model_file(subcommand_argv("explain", tmp_path))
+    if constrained:  # README_CONSTRAINTS holds a depend line
+        argv += ["--constraints", constraints_file(tmp_path)]
+    loaded = loaded_modules(*argv)
+    assert "engine" in loaded
+    assert not loaded & DEFERRED
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterfactuals"], ["query", "cls(E,O,T,H,W,L)?"], ["counterfactuals", "--min-change"],
+    ["query", "invResp(E,U,R)?", "--min-change"],
+], ids=["counterfactuals", "query-chains", "counterfactuals-min-change", "query-min-change"])
+def test_reading_cells_or_fewest_changes_loads_the_search(argv, on_model_file, tmp_path):
+    command, *rest = argv
+    full = on_model_file(subcommand_argv(command, tmp_path))
+    if command == "query":
+        # subcommand_argv's query reads explanation atoms alone: no chain
+        assert "_bfs" not in loaded_modules(*full)
+        (tmp_path / "queries.txt").write_text(rest.pop(0) + "\n", encoding="utf-8")
+    loaded = loaded_modules(*full, *rest)
+    assert "_bfs" in loaded
+    assert not loaded & {"_training", "_usage"}
+
+
+@pytest.mark.parametrize("command", [
+    "train", "classify", "counterfactuals", "explain", "query", "emit-dlv",
+])
+def test_training_loads_exactly_with_train_or_data(command, on_model_file, tmp_path):
+    argv = subcommand_argv(command, tmp_path)
+    assert "_training" in loaded_modules(*argv)
+    if command != "train":
+        assert "_training" not in loaded_modules(*on_model_file(argv))
+
+
+@pytest.mark.parametrize("command", [
+    "train", "classify", "counterfactuals", "explain", "query", "emit-dlv", "solve-asp",
+])
+def test_an_accepted_command_line_loads_no_usage_text(command, tmp_path):
+    assert "_usage" not in loaded_modules(*subcommand_argv(command, tmp_path))
+
+
+REFUSED_AND_HELP = [
+    (["--help"], 0), (["explain", "-h"], 0), ([], 2), (["nosuch"], 2),
+    (["explain", "--data", str(WEATHER_CSV)], 2), (["explain", "--bogus"], 2),
+]
+REFUSED_AND_HELP_IDS = ["help", "command-help", "no-command", "unknown-command",
+                        "missing-entity", "unknown-option"]
+
+
+@pytest.mark.parametrize("argv, status", REFUSED_AND_HELP, ids=REFUSED_AND_HELP_IDS)
+def test_a_refused_or_help_command_line_loads_the_usage_text(argv, status):
+    # an empty argv is refused too: the probe's [] means "import xresp" only
+    loaded = loaded_modules(*(argv or ["--"]), status=status)
+    assert "_usage" in loaded
+    assert not loaded & {"_bfs", "_training", "engine", "naive_bayes"}
+
+
+@pytest.mark.parametrize("argv, status", REFUSED_AND_HELP, ids=REFUSED_AND_HELP_IDS)
+def test_under_python_m_the_usage_text_never_imports_the_cli_again(argv, status):
+    """Run as ``python -m xresp.cli``, the CLI is ``__main__``: the usage
+    module is given the option table, and never imports ``xresp.cli``."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "xresp.cli", *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert result.returncode == status, result.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "xresp._usage" in imported
+    assert "xresp.cli" not in imported

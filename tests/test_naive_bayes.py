@@ -515,6 +515,14 @@ def test_parse_model_errors():
         parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\n")
 
 
+def test_parse_model_refuses_a_zero_denominator():
+    # Fraction("9/0") raises ZeroDivisionError, which is no ValueError
+    with pytest.raises(ModelFormatError, match="^line 2: bad prior: 'prior: yes 9/0'$"):
+        parse_model("labels: yes,no\nprior: yes 9/0\n")
+    with pytest.raises(ModelFormatError, match="^line 4: bad fraction '2/0'$"):
+        parse_model("labels: yes,no\nprior: yes 1/2\nprior: no 1/2\nOutlook,sunny,yes,2/0\n")
+
+
 @pytest.mark.parametrize(
     "extra, fragment",
     [

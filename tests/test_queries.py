@@ -16,7 +16,7 @@ from xresp import (
     train,
 )
 from xresp.naive_bayes import DEFAULT_MAXINT, PercentModel
-from xresp import engine
+from xresp import _bfs, engine
 from xresp.constraints import parse_constraints
 from xresp.queries import (
     Anonymous,
@@ -315,7 +315,7 @@ def test_explanation_queries_decode_no_chain_and_score_nothing(
     model.calls.clear()
     model.folds.clear()
     decoded = counted(monkeypatch, [engine._Grid], "decode")
-    scored = counted(monkeypatch, [engine._FoldedCells, engine._CellsOnDemand], "score")
+    scored = counted(monkeypatch, [engine._FoldedCells, _bfs._CellsOnDemand], "score")
     atom_sets = model_atom_sets(versions, model, weather_entity)
     texts = ("fullExpl(E,U,R,S), R<3?", "invResp(e,outlook,R)?", "cause(E,U), cont(E,U,S)?",
              "expl(E,U,V)?")
@@ -336,7 +336,7 @@ def test_a_cls_query_scores_each_chain_cell_at_most_once(
     versions = enumerate_counterfactuals(model, weather_entity, min_change=min_change)
     model.calls.clear()
     model.folds.clear()
-    scored = counted(monkeypatch, [engine._FoldedCells, engine._CellsOnDemand], "score")
+    scored = counted(monkeypatch, [engine._FoldedCells, _bfs._CellsOnDemand], "score")
     atom_sets = model_atom_sets(versions, model, weather_entity)
     query = parse_query("cls(E,O,T,H,W,L)?")
     for semantics in ("brave", "cautious", "brave"):
