@@ -12,6 +12,7 @@ submodule and a caller pays only for the modules it uses.
 """
 
 import importlib
+from operator import attrgetter
 
 # public name -> the submodule that defines it
 _MODULE_OF = {
@@ -70,29 +71,43 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
 
+# the compared values of a record with no compared field; static, so that a
+# class reads it unbound, as it reads an ``attrgetter``
+_no_fields = staticmethod(lambda record: ())
+
+
 class _Record:
     """Base of the immutable result and syntax types.  A class's fields are its
     own annotated names after the inherited ones; a class attribute is a
-    default.  ``__init__`` (running ``__post_init__`` last, if defined), ``==``
-    (same class only, skipping ``_uncompared``) and ``hash`` are compiled once."""
+    default.  ``__init__`` (running ``__post_init__`` last, if defined) is
+    compiled once per class; ``==`` (same class only, skipping
+    ``_uncompared``) and ``hash`` read the compared fields through one
+    per-class getter."""
 
     _fields: tuple[str, ...] = ()
     _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         fields = cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
-        key = "".join(f"{{0}}.{f}, " for f in fields if f not in cls._uncompared)
         post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "pass"
         exec(f"def __init__(self, {', '.join(fields)}): "
-             + "".join(f"_set(self, {f!r}, {f}); " for f in fields) + f"{post}\n"
-             f"def __eq__(self, other): return ({key.format('self')}) == ({key.format('other')})"
-             " if other.__class__ is self.__class__ else NotImplemented\n"
-             f"def __hash__(self): return hash(({key.format('self')}))",
+             + "".join(f"_set(self, {f!r}, {f}); " for f in fields) + post,
              space := {"_set": object.__setattr__})
-        space["__init__"].__defaults__ = tuple(getattr(cls, f) for f in fields if hasattr(cls, f))
-        for name in ("__init__", "__eq__", "__hash__"):
-            space[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, space[name])
+        init = cls.__init__ = space["__init__"]
+        init.__defaults__ = tuple(getattr(cls, f) for f in fields if hasattr(cls, f))
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        # one compared field reads as its bare value, which compares and
+        # hashes as well as a tuple of one
+        compared = [f for f in fields if f not in cls._uncompared]
+        cls._key = attrgetter(*compared) if compared else _no_fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -105,9 +120,10 @@ class _Record:
 
 
 def _read(path: str) -> str:
-    """The text of an input file; a leading byte-order mark is skipped."""
-    with open(path, encoding="utf-8-sig") as handle:
-        return handle.read()
+    """The text of an input file; a leading byte-order mark is skipped (the
+    ``utf-8-sig`` codec would cost every run its import)."""
+    with open(path, encoding="utf-8") as handle:
+        return handle.read().removeprefix("\ufeff")
 
 
 def _lines(text: str):

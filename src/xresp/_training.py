@@ -51,23 +51,26 @@ def load_dataset(path: str) -> Dataset:
     Each feature's domain is inferred from its column in first-occurrence
     order, and the labels likewise; there must be exactly two.  A leading
     byte-order mark, as spreadsheet exports write, is skipped.  Text the
-    CSV reader refuses (a field over its size limit) raises DataError
-    naming the line.
+    CSV reader refuses (a field over its size limit), or a row with another
+    number of fields than the header, raises DataError naming the line it
+    ends on.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            records = list(reader)
+            header = next(reader, None)
+            # each record with the line it ends on: a quoted field may hold a newline
+            records = [(reader.line_num, raw) for raw in reader]
         except csv.Error as exc:
             raise DataError(f"line {reader.line_num}: {exc}") from None
-    if not records:
+    if header is None:
         raise DataError("dataset file is empty")
-    header = [col.strip() for col in records[0]]
+    header = [col.strip() for col in header]
     if len(header) < 2:
         raise DataError("header must name at least one feature and the class column")
 
     rows: list[tuple[tuple[str, ...], str]] = []
-    for lineno, raw in enumerate(records[1:], start=2):
+    for lineno, raw in records:
         if not raw or (len(raw) == 1 and not raw[0].strip()):
             continue
         record = [cell.strip() for cell in raw]

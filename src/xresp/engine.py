@@ -56,8 +56,8 @@ folded cell can overflow.  Otherwise, and for minimum-change searches
 ``_FOLD_LIMIT`` cells, each cell is scored on demand through ``classify``,
 each at most once; a staged overflow then raises at the first overflowing
 cell the search reaches.  Either way the result keeps the search's scorer,
-and the query layer reads each chain cell's score from it: nothing is
-classified twice.
+and the query layer reads each chain cell's label, and the scores of its
+``pb_num`` atoms, from it: nothing is classified twice.
 
 A full search over a folded grid runs its levels as bitmaps, one Python
 integer with a bit per cell, in the manner of the bitmap frontiers of
@@ -74,11 +74,13 @@ result's length and changed-feature masks come from the bitmap of the
 version cells, the masks split out feature by feature, and explanations
 and x-resp scores read nothing else.  The breadth-first search, with its
 parents, runs only when the versions' cells or chains are first read
-(``counterfactuals``, ``query``); minimum-change searches and searches
-scored on demand run it at once.  It lives in ``_bfs``, with the on-demand
-scorer, which no other run compiles.  The parents follow the scorer: a
-folded grid keeps them in a list with one slot per cell, -1 until the cell
-is reached, and an on-demand search in a dict of the cells it reaches.
+(``counterfactuals``, ``query``), and not for the cells on every chain
+when no free feature is changed in every version (see ``on_chains``);
+minimum-change searches and searches scored on demand run it at once.  It
+lives in ``_bfs``, with the on-demand scorer, which no other run compiles.
+The parents follow the scorer: a folded grid keeps them in a list with one
+slot per cell, -1 until the cell is reached, and an on-demand search in a
+dict of the cells it reaches.
 
 Every feature changed in a version is a cause; the remaining changed
 features form its contingency set, and the inverse responsibility
@@ -92,7 +94,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 from . import _Record
@@ -418,11 +420,24 @@ class _SearchResult(Sequence):
     def on_chains(self, every: bool) -> list[int]:
         """The cells on some version's chain, or on every chain if ``every``.
 
-        Each cell is visited once: a walk up from a version stops at a cell
-        an earlier walk took, the original's own parent included.  The
-        chains are the root paths of one tree, so the cells on every chain
-        are a prefix of the first chain, cut where a later walk meets it.
+        Every chain leaves the original by intervening on a free feature (one
+        ``grid.moves()`` intervenes on), and an intervened feature is never
+        intervened on again and never changes back.  So a cell past the
+        original on every chain has its intervened features changed in every
+        version, and when the versions' ``masks`` share no free feature the
+        original alone is on every chain: the answer then reads neither
+        ``parent`` nor ``found``.
+
+        Otherwise each cell is visited once: a walk up from a version stops
+        at a cell an earlier walk took, the original's own parent included.
+        The chains are the root paths of one tree, so the cells on every
+        chain are a prefix of the first chain, cut where a later walk meets it.
         """
+        if every and not self.masks:
+            return []
+        if every and not (reduce(int.__and__, self.masks)
+                          & sum(1 << i for i, _, _ in self.grid.moves())):
+            return [self.start]
         parent, codes, prefix = self.parent, iter(self.found), []
         if every and (first := next(codes, None)) is not None:
             prefix = self.chain(first)

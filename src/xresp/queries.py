@@ -15,11 +15,15 @@ for a staged one), so a query can be checked before any search.
 the result rather than one atom set per version.  Explanation atoms depend
 only on the changed set: their tables are built once per changed-feature
 mask, straight from the result's explanation rows (no ``Explanation``
-record is made), and a query naming only them runs once per mask and
-decodes no chain.  A one-atom ``ent``, ``cls`` or ``pb_num`` query runs
+record is made), and a query naming only them decodes no chain.  It runs
+once per mask; with one atom under brave semantics it runs once, over the
+union of the masks' tables, since one atom's rows are those of its atoms
+one by one.  A one-atom ``ent``, ``cls`` or ``pb_num`` query runs
 once, over the atoms of the cells on some chain (brave) or on every chain
-(cautious); each cell's atoms are built once per predicate, with the score
-the search's scorer holds.
+(cautious); when no intervened feature is changed in every version, the
+original alone is on every chain and no chain is walked.  Each cell's atoms
+are built once per predicate: a ``cls`` atom takes the label the search
+holds, and only ``pb_num`` atoms read the scores its scorer computes.
 Only a query joining a chain predicate with another atom runs per version.
 ``answer`` folds the rows of these runs into one union (brave) or
 intersection (cautious).  A result searched with another model object or
@@ -129,15 +133,21 @@ class _ResultAtomSets(Sequence):
 
     def _tables(self, predicates: list[str], semantics: str) -> list[tuple]:
         """Table combinations whose answer under ``semantics`` is every version's."""
-        if not any(predicate in _CHAIN for predicate in predicates):
-            return [tuple(self._explanations(mask)[predicate] for predicate in predicates)
-                    for mask in self.result.masks]
-        if len(predicates) > 1:
+        masks = self.result.masks
+        if len(predicates) > 1 and any(predicate in _CHAIN for predicate in predicates):
             return [self._version_tables(predicates, code) for code in self.result.found]
-        # a chain row names one atom (a position holds one kind of value), so the
-        # cautious rows are those of the cells on every chain
-        cells = self.result.on_chains(every=semantics == "cautious")
-        return [(self._chain_table(predicates[0], cells),)]
+        if predicates[0] in _CHAIN:
+            # a chain row names one atom (a position holds one kind of value), so the
+            # cautious rows are those of the cells on every chain
+            cells = self.result.on_chains(every=semantics == "cautious")
+            return [(self._chain_table(predicates[0], cells),)]
+        if len(predicates) == 1 and semantics == "brave":
+            # one atom's rows are its atoms' rows, so the brave rows are those
+            # of the union of the masks' tables
+            return [(set().union(*(self._explanations(mask)[predicates[0]]
+                                   for mask in masks)),)]
+        return [tuple(self._explanations(mask)[predicate] for predicate in predicates)
+                for mask in masks]
 
     def _version_tables(self, predicates, code: int) -> tuple[Collection, ...]:
         """The tables ``predicates`` name in the version found at ``code``."""
@@ -147,24 +157,28 @@ class _ResultAtomSets(Sequence):
 
     def _chain_table(self, predicate: str, cells: list[int]) -> list[tuple[Value, ...]]:
         """The ``predicate`` atoms of ``cells``: per cell a ``tr`` state, an ``o``
-        (start) or ``do`` state, an ``s`` state if found, a ``cls`` atom and
-        ``pb_num`` atoms.  Distinct cells have distinct atoms, so the list
-        holds each atom once."""
+        (start) or ``do`` state, an ``s`` state if it is a version's, a ``cls``
+        atom with the label the search holds, and ``pb_num`` atoms with the
+        scores its scorer computes.  Only the ``ent`` atoms of a cell past the
+        original read the versions' cells: the original is never a version.
+        Distinct cells have distinct atoms, so the list holds each atom once."""
         result, by_cell, atoms = self.result, self._by_cell[predicate], []
-        eid, state, score, found = result.eid, result.state, result.scorer.score, result.found
+        eid, state, scorer, names = result.eid, result.state, result.scorer, self.model.labels
+        labels = scorer.labels  # the label index of each cell, as the search classified it
         for code in cells:
             if (cell_atoms := by_cell.get(code)) is None:
                 values = state(code)
-                if predicate == "ent":
-                    cell_atoms = [(eid, *values, "tr"),
-                                  (eid, *values, "o" if code == result.start else "do")]
-                    if code in found:
-                        cell_atoms.append((eid, *values, "s"))
-                elif predicate == "cls":
-                    cell_atoms = [(eid, *values, score(code)[0])]
-                else:
+                if predicate == "cls":
+                    cell_atoms = [(eid, *values, names[labels[code]])]
+                elif predicate == "pb_num":
                     cell_atoms = [(eid, *values, label, num)
-                                  for label, num in zip(self.model.labels, score(code)[1:])]
+                                  for label, num in zip(names, scorer.score(code)[1:])]
+                elif code == result.start:
+                    cell_atoms = [(eid, *values, "tr"), (eid, *values, "o")]
+                else:
+                    cell_atoms = [(eid, *values, "tr"), (eid, *values, "do")]
+                    if code in result.found:
+                        cell_atoms.append((eid, *values, "s"))
                 by_cell[code] = cell_atoms
             atoms += cell_atoms
         return atoms
@@ -193,7 +207,8 @@ def model_atom_sets(
 ) -> Sequence[ModelAtomSet]:
     """A view of the atom sets of ``versions``, a result of ``enumerate_counterfactuals``.
 
-    ``cls`` and ``pb_num`` read the search's scorer; nothing is classified.
+    ``cls`` and ``pb_num`` read the search's scorer, the label it holds
+    and the scores it computes from the fold; nothing is classified.
     Any other ``versions`` raises TypeError; a result searched from another
     entity than ``original``, or not with this ``model`` object and
     ``maxint``, raises QueryError.

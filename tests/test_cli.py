@@ -22,7 +22,7 @@ from xresp import (
     to_percent,
     train,
 )
-from xresp import cli, engine
+from xresp import _read, cli, engine
 from xresp.cli import _COMMANDS, _parse, main
 from xresp.constraints import parse_constraints
 from xresp.queries import answer, load_queries
@@ -675,6 +675,18 @@ def test_a_byte_order_mark_is_skipped_in_every_input_file(run_cli, tmp_path, mar
     plain = outputs("")
     assert outputs("\ufeff") == plain
     assert all(code == 0 and out and err == "" for code, out, err in plain)
+
+
+def test_only_a_leading_byte_order_mark_is_skipped(run_cli, tmp_path):
+    path = tmp_path / "marks.txt"
+    path.write_text("\ufeff\ufeffa\ufeffb\n", encoding="utf-8")
+    assert _read(str(path)) == "\ufeffa\ufeffb\n"
+    # a second mark is text: the query it starts does not parse
+    path.write_text("\ufeff\ufeffcause(E,U)?\n", encoding="utf-8")
+    code, out, err = run_cli("query", "--data", DATA, "--entity", ENTITY,
+                             "--queries", str(path), "--brave")
+    assert (code, out) == (1, "")
+    assert err.startswith("xresp: QueryError: line 1: cannot parse literal")
 
 
 def test_train_refuses_a_header_without_a_feature(run_cli, tmp_path):

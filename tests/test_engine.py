@@ -825,6 +825,52 @@ def test_level_bitmaps_match_the_per_state_oracle(tmp_path, searches):
     assert outcomes["versions"] > 600 and outcomes["strict empty"] > 200
 
 
+def test_cells_on_every_chain_match_the_decoded_versions(tmp_path, searches):
+    """``on_chains(every=True)`` is the intersection of the decoded versions'
+    states.  When the versions' masks share no free feature (one neither
+    immutable nor a dependency target) it runs no breadth-first search: a
+    full search over a folded grid then never runs one before its versions
+    are decoded."""
+    rng = random.Random(20261021)
+    path = tmp_path / "data.csv"
+    outcomes = Counter()
+    for _ in range(320):
+        csv_text, entity_values = random_instance(rng)
+        path.write_text(csv_text, encoding="utf-8")
+        exact = train(load_dataset(str(path)))
+        entity = Entity("e", entity_values)
+        staged = to_percent(exact)
+        constraints = parse_constraints(
+            random_constraint_lines(rng, staged.schema), staged.schema
+        )
+        fixed = constraints.immutable | constraints.dependency_targets
+        free = sum(1 << i for i, name in enumerate(staged.schema.names) if name not in fixed)
+        maxint = max(DEFAULT_MAXINT, staged._covering_maxint())
+        for model in (exact, staged):
+            for strict in (False, True):
+                for min_change in (False, True):
+                    searches.clear()
+                    got = enumerate_counterfactuals(model, entity, constraints, strict=strict,
+                                                    maxint=maxint, min_change=min_change)
+                    shared = free
+                    for mask in got.masks:
+                        shared &= mask
+                    ran = len(searches)
+                    cells = got.on_chains(every=True)
+                    if got and not shared:
+                        assert len(searches) == ran == min_change
+                        outcomes["no shared free feature", min_change] += 1
+                    elif got:
+                        outcomes["shared free feature", len(cells) > 1] += 1
+                    assert len(cells) == len(set(cells))
+                    want = set.intersection(*(set(v.states) for v in got)) if got else set()
+                    assert {got.state(code) for code in cells} == want
+    # full searches and minimum-change searches whose versions share no free
+    # feature; versions that share one, with the original alone or more on
+    # every chain
+    assert min(outcomes.values()) > 80 and len(outcomes) == 4
+
+
 @pytest.mark.parametrize("constraints, options, bitmaps", [
     (None, {}, True),
     ("forbid Outlook=sunny, Wind=strong\nimmutable Temperature", {"strict": True}, True),

@@ -201,6 +201,19 @@ def test_reading_cells_or_fewest_changes_loads_the_search(argv, on_model_file, t
     assert not loaded & {"_training", "_usage"}
 
 
+def test_a_cautious_cls_query_over_versions_sharing_no_feature_loads_no_search(
+    on_model_file, tmp_path
+):
+    # one weather version changes humidity alone and another outlook and
+    # wind: no feature is changed in every version, so the original alone is
+    # on every chain and no parent is read
+    argv = on_model_file(subcommand_argv("query", tmp_path))
+    argv[argv.index("--brave")] = "--cautious"
+    (tmp_path / "queries.txt").write_text("cls(E,O,T,H,W,L)?\n", encoding="utf-8")
+    loaded = loaded_modules(*argv)
+    assert "queries" in loaded and "_bfs" not in loaded
+
+
 @pytest.mark.parametrize("command", [
     "train", "classify", "counterfactuals", "explain", "query", "emit-dlv",
 ])

@@ -328,19 +328,23 @@ def test_explanation_queries_decode_no_chain_and_score_nothing(
     assert any(rows.values())
 
 
-@pytest.mark.parametrize("min_change", [False, True])
+@pytest.mark.parametrize("min_change", [False, True])  # folded, then on demand
 def test_a_cls_query_scores_each_chain_cell_at_most_once(
     weather_percent, weather_entity, monkeypatch, min_change
 ):
+    """A ``cls`` atom takes the label the search already holds, so a ``cls``
+    query scores no cell; a ``pb_num`` query scores each chain cell once."""
     model = CountingModel.of(weather_percent)
     versions = enumerate_counterfactuals(model, weather_entity, min_change=min_change)
     model.calls.clear()
     model.folds.clear()
     scored = counted(monkeypatch, [engine._FoldedCells, _bfs._CellsOnDemand], "score")
     atom_sets = model_atom_sets(versions, model, weather_entity)
-    query = parse_query("cls(E,O,T,H,W,L)?")
-    for semantics in ("brave", "cautious", "brave"):
-        assert answer(query, atom_sets, semantics)
+    for text in ("cls(E,O,T,H,W,L)?", "pb_num(E,O,T,H,W,L,N)?"):
+        for semantics in ("brave", "cautious", "brave"):
+            assert answer(parse_query(text), atom_sets, semantics)
+        if text.startswith("cls"):
+            assert not scored
     assert not model.calls and not model.folds
     assert Counter(scored).most_common(1)[0][1] == 1
     # every cell on some chain, and nothing else
@@ -377,6 +381,27 @@ def assert_chain_queries_match_the_oracle(model, entity, constraints=None, **opt
             assert set(rows) == oracle_answer(query, models, semantics), (name, semantics)
             nonempty[name, semantics] = bool(rows)
     return versions, nonempty
+
+
+def test_one_atom_cautious_chain_queries_search_nothing_when_no_feature_is_shared(
+    weather_model, weather_percent, weather_entity, monkeypatch
+):
+    """No feature is changed in every weather version, so the original alone
+    is on every chain: its ``ent``, ``cls`` and ``pb_num`` atoms are the
+    cautious answers, found without the breadth-first search."""
+    searches, search = [], _bfs._search
+    monkeypatch.setattr(_bfs, "_search", lambda *args: searches.append(args) or search(*args))
+    for model in (weather_percent, weather_model):
+        versions = enumerate_counterfactuals(model, weather_entity)
+        atom_sets = model_atom_sets(versions, model, weather_entity)
+        queries = chain_queries(model, weather_entity.values, DEFAULT_MAXINT)
+        rows = {name: answer(query, atom_sets, "cautious")
+                for name, query in queries.items() if name != "join"}
+        assert not searches and rows["ent"] and rows["cls"]
+        models = [ModelAtomSet(oracle_atoms_of(v, model, weather_entity)) for v in versions]
+        for name, got in rows.items():
+            assert set(got) == oracle_answer(queries[name], models, "cautious"), name
+        searches.clear()
 
 
 def test_chain_queries_match_the_oracle_on_weather(weather_model, weather_percent,

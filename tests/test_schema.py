@@ -109,6 +109,13 @@ def test_ragged_row_error(tmp_path):
     assert "3" in str(err.value)  # line number surfaces
 
 
+def test_a_ragged_row_is_numbered_by_its_line_after_a_quoted_newline(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('A,label\n"x\ny",yes\nb,no\nc\n', encoding="utf-8")
+    with pytest.raises(DataError, match="^line 5: expected 2 fields, got 1$"):
+        load_dataset(str(path))
+
+
 def test_label_count_errors(tmp_path):
     one = tmp_path / "one.csv"
     one.write_text("A,B,label\nx,u,yes\ny,v,yes\n", encoding="utf-8")
