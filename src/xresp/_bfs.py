@@ -11,14 +11,17 @@ if TYPE_CHECKING:
 
 
 class _CellsOnDemand(dict):
-    """Cell code -> label index, classified when first read."""
+    """Cell code -> label index, classified when first read; ``seed`` is the
+    original's classification when the caller already made it."""
 
     def __init__(self, model: NaiveBayesModel | PercentModel, grid: _Grid,
-                 maxint: int) -> None:
+                 maxint: int, seed: tuple | None = None) -> None:
         super().__init__()
         self.model, self.grid, self.maxint = model, grid, maxint
         self.labels = self  # read like ``_FoldedCells.labels``
         self._scores: dict[int, tuple] = {}
+        if seed is not None:
+            self._scores[grid.start], self[grid.start] = seed, model.labels.index(seed[0])
 
     def __missing__(self, code: int) -> int:
         score = self._scores[code] = self.model.classify(

@@ -55,7 +55,9 @@ def load_dataset(path: str) -> Dataset:
     number of fields than the header, raises DataError naming the line it
     ends on.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
+        if handle.read(1) != "\ufeff":  # a byte-order mark, skipped without utf-8-sig
+            handle.seek(0)
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

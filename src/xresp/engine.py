@@ -44,20 +44,20 @@ It also expands each changed-feature mask into explanation rows, plain
 once per contingency mask; ``explanations_of`` alone makes records of them,
 and the query layer makes atoms.
 
-A full search first asks the model to fold the labels of every cell of the
-grid, level by level in schema order as ``classify`` computes them, so each
-prefix product is computed once for all the cells that share it.  The fold
-keeps those prefix products and one label byte per cell; a cell's scores
-are computed from its prefix product when the query layer reads them.
-Only the staged model can refuse: it folds only when ``maxint`` is at
-least its covering ceiling, the largest staged product of any state, so no
-folded cell can overflow.  Otherwise, and for minimum-change searches
-(which often stop after a few states) and grids of more than
-``_FOLD_LIMIT`` cells, each cell is scored on demand through ``classify``,
-each at most once; a staged overflow then raises at the first overflowing
-cell the search reaches.  Either way the result keeps the search's scorer,
-and the query layer reads each chain cell's label, and the scores of its
-``pb_num`` atoms, from it: nothing is classified twice.
+A full search that searches anything first asks the model to fold the
+labels of every cell of the grid, whatever its size, level by level in
+schema order as ``classify`` computes them, so each prefix product is
+computed once for all the cells that share it.  The fold keeps those
+prefix products and one label byte per cell; a cell's scores are computed
+from it when read.  Only the staged model can refuse, when ``maxint`` is
+below its covering ceiling, the largest staged product of any state.
+Then, and for minimum-change searches (which often stop after a few
+states), each cell is scored on demand through ``classify``, each at most
+once; a staged overflow then raises at the first overflowing cell the
+search reaches.  A strict search from a negative or inadmissible original
+folds nothing and classifies at most the original.  Either way the result
+keeps the search's scorer, from which the query layer reads each chain
+cell's label and ``pb_num`` scores: nothing is classified twice.
 
 A full search over a folded grid runs its levels as bitmaps, one Python
 integer with a bit per cell, in the manner of the bitmap frontiers of
@@ -158,11 +158,6 @@ class ResponsibilityReport(_Record):
 # Enumeration
 # ---------------------------------------------------------------------------
 
-# A grid with more cells than this is scored on demand, not folded: the fold
-# keeps a label byte for every cell and a prefix product for every cell of
-# all but the last feature, the level-bitmap search a few integers of one bit
-# per cell, and the breadth-first search one parent slot per cell.
-_FOLD_LIMIT = 1 << 20
 # A cell's label index as the character of its bit in a binary numeral.
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 # The most cells of one block of consecutive features that ``_Grid.decode``
@@ -433,7 +428,7 @@ class _SearchResult(Sequence):
         The chains are the root paths of one tree, so the cells on every
         chain are a prefix of the first chain, cut where a later walk meets it.
         """
-        if every and not self.masks:
+        if not self.masks:  # no version, no chain
             return []
         if every and not (reduce(int.__and__, self.masks)
                           & sum(1 << i for i, _, _ in self.grid.moves())):
@@ -501,14 +496,15 @@ def enumerate_counterfactuals(
     changed features, then by ``final``.  Its length, truth value,
     ``changed_sets`` and ``masks`` (its changed-feature bitmasks, all
     ``explanations_of`` reads) come from the search's cells, and from its
-    level bitmaps alone when the grid was folded; the first index or
-    iteration decodes every version's chain.
+    level bitmaps alone when the grid was folded (every full search that
+    searches, unless a staged ``maxint`` is below the covering ceiling);
+    the first index or iteration decodes every version's chain.
 
     ``strict`` tightens admissibility twice over: interventions only run
     when the original label is the positive one, and forbidden combinations
-    apply to the original entity as well (discarding everything when the
-    original itself is inadmissible).  An empty result is legal and means no
-    counterfactual version exists under the constraints.
+    apply to the original entity as well (discarding everything, unclassified,
+    when the original itself is inadmissible).  An empty result is legal and
+    means no counterfactual version exists under the constraints.
 
     ``min_change`` keeps only the versions with the fewest changed features,
     from the search ``min_change_versions`` also runs: depth k changes at
@@ -522,24 +518,22 @@ def enumerate_counterfactuals(
     if constraints is not None and constraints.schema != schema:
         raise ValueError("constraint set was built against a different schema")
     grid = _Grid(schema, tuple(entity.values), constraints)
-    if (not min_change and grid.size <= _FOLD_LIMIT
+    # a strict search searches only from a positive, admissible original
+    seed = model.classify(grid.original, maxint) if strict and grid.admits(grid.start) else None
+    searched = not strict or (seed is not None and seed[0] == model.labels[0])
+    if (searched and not min_change
             and (fold := model._grid_labels(grid.domains, maxint)) is not None):
         cells = _FoldedCells(model, fold, maxint)
+        versions = _version_cells(grid, cells.labels, cells.labels[grid.start])
     else:
         from ._bfs import _CellsOnDemand  # only a search scored on demand needs it
-        cells = _CellsOnDemand(model, grid, maxint)
-    original_label = cells.labels[grid.start]
-    # a strict search from a negative or inadmissible original searches nothing
-    searched = not strict or (original_label == 0 and grid.admits(grid.start))
-    versions = None
-    if isinstance(cells, _FoldedCells):
-        versions = _version_cells(grid, cells.labels, original_label, searched)
+        cells, versions = _CellsOnDemand(model, grid, maxint, seed), None if searched else 0
+    original_label = 0 if strict else cells.labels[grid.start]
     return _SearchResult(entity.eid, grid, cells, (original_label, searched, min_change),
                          versions)
 
 
-def _version_cells(grid: _Grid, labels: bytearray, original_label: int,
-                   searched: bool) -> int:
+def _version_cells(grid: _Grid, labels: bytearray, original_label: int) -> int:
     """The bitmap of the version cells of a full search over a folded grid,
     searched level by level.
 
@@ -570,7 +564,7 @@ def _version_cells(grid: _Grid, labels: bytearray, original_label: int,
     moves = [(grid.cells_at(grid.weights[i], len(grid.domains[i]), digit),
               [grid.propagate(base + step) - base for step in steps])
              for i, digit, steps in grid.moves()]
-    frontier, versions = (1 << base) if searched else 0, 0
+    frontier, versions = 1 << base, 0
     while frontier:
         reached = 0
         for at_original, steps in moves:

@@ -222,12 +222,12 @@ def oracle_versions(
     if cs.schema != schema:
         raise ValueError("constraint set was built against a different schema")
     original = tuple(entity.values)
+    # strict admissibility discards an inadmissible original unclassified
+    if strict and not admits(cs, original):
+        return ()
     original_label = model.classify(original, maxint)[0]
-    if strict:
-        if original_label != model.labels[0]:
-            return ()
-        if not admits(cs, original):
-            return ()
+    if strict and original_label != model.labels[0]:
+        return ()
 
     blocked = cs.immutable | cs.dependency_targets
     free_features = [

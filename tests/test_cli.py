@@ -650,7 +650,25 @@ def test_a_byte_order_mark_is_not_part_of_the_first_feature_name(run_cli, tmp_pa
         assert runs[0][0] == 0 and runs[0][2] == ""
 
 
-@pytest.mark.parametrize("marked", ["model", "constraints", "queries", "program"])
+def test_a_byte_order_mark_before_a_quoted_header_is_skipped(run_cli, tmp_path):
+    lines = WEATHER_CSV.read_text(encoding="utf-8").split("\n", 1)
+    quoted = ",".join(f'"{name}"' for name in lines[0].split(",")) + "\n" + lines[1]
+    for name, text in (("plain", quoted), ("marked", "\ufeff" + quoted)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run_cli("train", "--data", str(tmp_path / "marked")) \
+        == run_cli("train", "--data", str(tmp_path / "plain")) \
+        == run_cli("train", "--data", DATA)
+
+
+def test_a_second_byte_order_mark_is_part_of_the_first_feature_name(run_cli, tmp_path):
+    data = tmp_path / "marks.csv"
+    data.write_bytes(b"\xef\xbb\xbf" * 2 + WEATHER_CSV.read_bytes())
+    code, out, err = run_cli("train", "--data", str(data))
+    assert (code, out) == (1, "")
+    assert err.startswith("xresp: DataError: feature name '\\ufeffOutlook' is not")
+
+
+@pytest.mark.parametrize("marked",["model", "constraints", "queries", "program"])
 def test_a_byte_order_mark_is_skipped_in_every_input_file(run_cli, tmp_path, marked):
     texts = {
         "model": run_cli("train", "--data", DATA)[1],

@@ -21,7 +21,12 @@ from xresp.engine import (
     xresp,
 )
 from xresp._training import load_dataset, train
-from xresp.naive_bayes import DEFAULT_MAXINT, StagedOverflowError, to_percent
+from xresp.naive_bayes import (
+    DEFAULT_MAXINT,
+    NaiveBayesModel,
+    StagedOverflowError,
+    to_percent,
+)
 from xresp.queries import model_atom_sets
 from xresp.schema import Entity, FeatureSchema, SchemaError
 
@@ -276,17 +281,83 @@ def test_an_exact_search_folds_the_grid_and_min_change_scores_on_demand(weather_
     assert set(model.calls.values()) == {1} and len(model.calls) < 36
 
 
-def test_searches_above_the_fold_limit_score_each_cell_on_demand(
-    weather_percent, weather_entity, weather_versions, monkeypatch
-):
-    monkeypatch.setattr(engine, "_FOLD_LIMIT", 35)
+# an original whose full search reaches no cell that overflows one below the
+# weather model's covering ceiling
+NEGATIVE = Entity("n", ("sunny", "high", "high", "weak"))
+
+
+def test_a_staged_maxint_below_the_ceiling_scores_each_cell_on_demand(weather_percent):
+    # as ``--maxint`` below the ceiling reaches it from the CLI
+    maxint = weather_percent._covering_maxint() - 1
     model = CountingModel.of(weather_percent)
-    assert enumerate_counterfactuals(model, weather_entity) == weather_versions
-    assert not model.folds
-    assert set(model.calls.values()) == {1}
+    got = enumerate_counterfactuals(model, NEGATIVE, maxint=maxint)
+    assert isinstance(got.scorer, _bfs._CellsOnDemand) and not model.folds
+    assert got == oracle_versions(weather_percent, NEGATIVE, maxint=maxint)
+    assert len(got) == 18 and set(model.calls.values()) == {1}
     # every state of every version was scored, and not every grid cell
-    assert {s for v in weather_versions for s in v.states} <= set(model.calls)
+    assert {s for v in got for s in v.states} <= set(model.calls)
     assert len(model.calls) < 36
+
+
+def wide_model():
+    """An exact model over 1,100 x 1,000 values from whose original ``(a0, b0)``
+    a full search reaches about 8,400 cells: every value but a0 and a1-a3 (b0
+    and b1-b3) has no positive mass, and a0 little negative mass."""
+    a = tuple(f"a{i}" for i in range(1100))
+    b = tuple(f"b{i}" for i in range(1000))
+    conditional = {}
+    for name, domain in (("A", a), ("B", b)):
+        for i, value in enumerate(domain):
+            conditional[name, value, "yes"] = Fraction(1, 2) if i == 0 else (
+                Fraction(1, 6) if i <= 3 else Fraction(0))
+            conditional[name, value, "no"] = Fraction(1, len(domain))
+    return NaiveBayesModel(schema=FeatureSchema((("A", a), ("B", b))), labels=("yes", "no"),
+                           prior={"yes": Fraction(1, 2), "no": Fraction(1, 2)},
+                           conditional=conditional)
+
+
+def test_a_grid_of_more_than_a_million_cells_is_folded(searches):
+    model = CountingModel.of(wide_model())
+    entity = Entity("w", ("a0", "b0"))
+    got = enumerate_counterfactuals(model, entity)
+    assert model.folds == [1_100_000] and not model.calls and not searches
+    want = oracle_versions(model, entity)
+    model.calls.clear()
+    assert got == want and len(got) > 8000
+    assert_chains_match_the_versions(got)
+    assert not model.calls
+
+
+def test_a_strict_search_that_searches_nothing_classifies_at_most_the_original(
+    weather_percent, weather_entity, searches
+):
+    model = CountingModel.of(weather_percent)
+    negative = enumerate_counterfactuals(model, NEGATIVE, strict=True)
+    assert not negative and not negative.masks
+    assert model.calls == {NEGATIVE.values: 1} and not model.folds
+    # the original's own combination is forbidden: it is not even classified
+    model = CountingModel.of(weather_percent)
+    forbidden = parse_constraints("forbid Outlook=rain, Wind=weak", model.schema)
+    inadmissible = enumerate_counterfactuals(model, weather_entity, forbidden, strict=True)
+    assert not inadmissible and not model.calls and not model.folds
+    for result in (negative, inadmissible):
+        assert explanations_of(result, Entity(result.eid, result.original),
+                               weather_percent.schema) == ()
+        assert result.on_chains(every=False) == result.on_chains(every=True) == []
+    assert not searches
+
+
+@pytest.mark.parametrize("min_change", [False, True])
+def test_a_strict_search_classifies_the_original_once(weather_percent, weather_entity,
+                                                      min_change):
+    model = CountingModel.of(weather_percent)
+    got = enumerate_counterfactuals(model, weather_entity, strict=True,
+                                    min_change=min_change)
+    assert got == enumerate_counterfactuals(weather_percent, weather_entity,
+                                            min_change=min_change)
+    assert model.calls[weather_entity.values] == 1
+    assert set(model.calls.values()) == {1}
+    assert model.folds == ([] if min_change else [36])
 
 
 @pytest.mark.parametrize("radices, immutable, blocks", [
@@ -722,16 +793,15 @@ def test_search_matches_the_per_state_oracle(tmp_path):
                         for changed in got.changed_sets
                     )
                     # the scores the query layer reads are classify's, and
-                    # every final state flips the original label
-                    original_label = model.classify(entity.values, maxint)[0]
+                    # every final state flips the label of its first, the original
                     atom_sets = model_atom_sets(got, model, entity, maxint=maxint)
                     for version, atom_set in zip(got, atom_sets):
-                        assert model.classify(version.final, maxint)[0] != original_label
                         oracle = oracle_atoms_of(version, model, entity, maxint=maxint)
                         for predicate in ("expl", "cause", "cont", "invResp", "fullExpl"):
                             assert atom_set.tuples(predicate) == oracle[predicate]
                         scores = [(state, model.classify(state, maxint))
                                   for state in version.states]
+                        assert scores[-1][1][0] != scores[0][1][0]
                         assert atom_set.tuples("cls") == {
                             ("e", *state, score[0]) for state, score in scores
                         }
@@ -795,9 +865,10 @@ def test_level_bitmaps_match_the_per_state_oracle(tmp_path, searches):
                 got = enumerate_counterfactuals(model, entity, constraints,
                                                 strict=strict, maxint=maxint)
                 want = oracle_versions(model, entity, constraints, strict=strict, maxint=maxint)
-                # every cell's label byte is the definition's
-                assert got.scorer.labels == bytes(
-                    model.labels.index(score[0]) for score in want_scores)
+                # every cell's label byte of a folded grid is the definition's
+                if isinstance(got.scorer, engine._FoldedCells):
+                    assert got.scorer.labels == bytes(
+                        model.labels.index(score[0]) for score in want_scores)
                 # the length, masks, changed sets and explanations come from
                 # the level bitmaps, and no breadth-first search has run
                 assert len(got) == len(want) and bool(got) == bool(want)
@@ -891,14 +962,14 @@ def test_only_folded_full_searches_run_level_bitmaps(
 
 
 def test_searches_scored_on_demand_run_no_level_bitmaps(weather_percent, weather_entity,
-                                                      searches, monkeypatch):
+                                                      searches):
     # one below the covering ceiling, the search runs at once and the first
     # overflowing state raises
     with pytest.raises(StagedOverflowError):
         enumerate_counterfactuals(weather_percent, weather_entity, maxint=580159)
     assert len(searches) == 1
-    monkeypatch.setattr(engine, "_FOLD_LIMIT", 35)
-    result = enumerate_counterfactuals(weather_percent, weather_entity)
+    # one below the ceiling, from an original whose search completes
+    result = enumerate_counterfactuals(weather_percent, NEGATIVE, maxint=580159)
     assert isinstance(result.scorer, _bfs._CellsOnDemand) and len(searches) == 2
 
 

@@ -148,6 +148,15 @@ def test_train_reads_its_csv_with_the_csv_reader():
     assert "csv" in every_loaded_module("train", "--data", str(WEATHER_CSV))
 
 
+# a leading byte-order mark is skipped by hand, not by the ``utf-8-sig`` codec
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", str(WEATHER_CSV)],
+    ["explain", "--data", str(WEATHER_CSV), "--entity", ENTITY],
+], ids=["train", "explain"])
+def test_reading_a_dataset_loads_no_byte_order_mark_codec(argv):
+    assert "encodings.utf_8_sig" not in every_loaded_module(*argv)
+
+
 # The three modules behind first-use imports: the breadth-first search with
 # parents and the on-demand scorer, training and model writing, and the
 # usage, help and refusal text.
